@@ -321,32 +321,6 @@ def test_pool_crypto_matches_sequential():
                               max_rounds=1), jobs=4)
 
 
-def test_par_grain_matches_serial():
-    """Intra-circuit thread fan-out: identical results *and* cache counters."""
-    base = dict(suites=("epfl",), groups=["control"], max_rounds=1)
-
-    start = time.perf_counter()
-    serial = run_batch(EngineConfig(**base, par_grain=1))
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    fanned = run_batch(EngineConfig(**base, par_grain=4))
-    fanned_seconds = time.perf_counter() - start
-
-    assert not serial.failed and not fanned.failed
-    for seq, par in zip(serial.reports, fanned.reports):
-        assert (seq.name, seq.ands_after, seq.xors_after) == \
-            (par.name, par.ands_after, par.xors_after)
-    assert serial.cut_cache_stats == fanned.cut_cache_stats
-
-    speedup = serial_seconds / fanned_seconds
-    _BATCH_LINES.append(
-        f"| par-grain 1 vs 4 (EPFL control) | {serial_seconds:.2f} s "
-        f"| {fanned_seconds:.2f} s | {speedup:.1f}x |")
-    print(f"\npar-grain: serial {serial_seconds:.2f}s vs grain 4 "
-          f"{fanned_seconds:.2f}s ({speedup:.1f}x), identical counters")
-
-
 def test_engine_batch_report():
     if not _BATCH_LINES:
         return
@@ -360,17 +334,13 @@ def test_engine_batch_report():
          "runs report ~zero misses.  `--jobs N` runs the circuits over a",
          "persistent pool of N worker processes fed longest-first from a",
          "shared queue, with newly learnt cache entries streamed between",
-         "workers mid-batch; `--par-grain N` fans Phase-1 selection work of",
-         "each rewrite drain across N threads.  Both are bit-identical to",
-         "the sequential run (including the persisted bundle, asserted",
-         "here); the wall-clock effect depends on the host.", "",
-         f"Measured on a {cpus}-CPU host"
-         + (" — with a single CPU the pool and the thread fan-out can only "
-            "add dispatch overhead, so the speedup columns below are an "
-            "overhead ceiling, not a parallel speedup; on a multi-core host "
-            "the pool scales with the case mix (work stealing keeps long "
-            "cases from straggling)." if cpus == 1 else "."), "",
-         "| measurement | 1 worker / serial | pool / fanned | speedup |",
+         "workers mid-batch.  The pool is bit-identical to the sequential",
+         "run (including the persisted bundle, asserted here); its",
+         "wall-clock effect depends on the host's CPU count and the case",
+         "mix.  `perfbench/` holds the repository benchmark with per-layer",
+         "timings.", "",
+         f"Measured on a {cpus}-CPU host.", "",
+         "| measurement | cold / 1 worker | warm / pool | speedup |",
          "| --- | --- | --- | --- |"] + _BATCH_LINES) + "\n"
     (RESULTS_DIR / "engine_batch.md").write_text(body)
     print("\n" + body)

@@ -8,21 +8,15 @@ behind one object that the cut enumerator (:func:`repro.cuts.enumeration
 .cut_function`) and the rewriter (:class:`repro.rewriting.rewrite
 .CutRewriter`) share:
 
-* **cone functions** are memoised per network, keyed by ``(root, leaves)``,
-  and *content-addressed* across networks by canonical cone hash
-  (:func:`repro.xag.structhash.cone_hash`).  The per-network memo
+* **cone functions** are memoised per network, keyed by ``(root, leaves)``;
+  a miss simulates the ≤6-leaf cone with projection truth tables (cheaper
+  than hashing the cone to look its table up anywhere else).  The memo
   subscribes to the bound network's mutation events: an in-place
   substitution (:meth:`repro.xag.graph.Xag.substitute_node`) invalidates
   only the entries rooted in the **dirty transitive fanout** of the rewired
   nodes, so memoised functions for untouched cones survive whole
   convergence flows.  Binding to a different network — or a rollback of the
-  bound one — still drops the memo wholesale (:meth:`CutFunctionCache.bind`),
-  but the content-addressed table store survives *everything* except
-  :meth:`CutFunctionCache.clear`: a cone hash names a structure, not node
-  indices, so its truth table can never go stale.  Structurally identical
-  cones in different circuits — or restored from another run's bundle —
-  resolve without a single simulation.  The per-root ``(root, leaves)``
-  key lists survive purely as the invalidation index of the memo layer;
+  bound one — drops the memo wholesale (:meth:`CutFunctionCache.bind`);
 
 * **implementation plans** are memoised by the network-independent key
   ``(truth table, num_vars)``.  This is the first level of a two-level
@@ -60,11 +54,6 @@ class CutFunctionCache:
         self._interiors: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
         #: root node → memo keys rooted there, for per-root invalidation.
         self._root_keys: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-        #: canonical cone hashes, same keys and lifetime as the memo.
-        self._cone_hashes: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        #: cone hash → truth table: the content-addressed store.  Never
-        #: invalidated (a hash names a structure), only :meth:`clear` drops it.
-        self._cone_tables: Dict[int, int] = {}
         self._plans: Dict[Tuple[int, int], ImplementationPlan] = {}
         self._bound_xag: Optional[Xag] = None
         self._bound_epoch = -1
@@ -75,8 +64,6 @@ class CutFunctionCache:
         self.plan_misses = 0
         #: cone-function entries dropped by substitution events.
         self.function_invalidations = 0
-        #: memo misses served by the content-addressed table store.
-        self.cone_hash_hits = 0
 
     @classmethod
     def ensure(cls, cut_cache: Optional["CutFunctionCache"],
@@ -118,7 +105,6 @@ class CutFunctionCache:
         self._functions.clear()
         self._interiors.clear()
         self._root_keys.clear()
-        self._cone_hashes.clear()
         if self._bound_xag is not None and self._bound_xag is not xag:
             self._bound_xag.unsubscribe(self)
         self._bound_xag = xag
@@ -139,7 +125,6 @@ class CutFunctionCache:
         functions = self._functions
         interiors = self._interiors
         root_keys = self._root_keys
-        cone_hashes = self._cone_hashes
         for root in result.affected(xag):
             keys = root_keys.pop(root, None)
             if not keys:
@@ -148,34 +133,22 @@ class CutFunctionCache:
                 if functions.pop(key, None) is not None:
                     self.function_invalidations += 1
                 interiors.pop(key, None)
-                cone_hashes.pop(key, None)
         self._bound_mutation_epoch = xag._mutation_epoch
 
     def on_rollback(self, xag: Xag) -> None:
-        """A rollback recycles node indices: drop the whole cone-function memo.
-
-        The content-addressed table store survives — cone hashes name
-        structures, so a recycled node index cannot alias a stale entry.
-        """
+        """A rollback recycles node indices: drop the whole cone-function memo."""
         if xag is not self._bound_xag:
             return
         self._functions.clear()
         self._interiors.clear()
         self._root_keys.clear()
-        self._cone_hashes.clear()
         self._bound_epoch = xag._rollback_epoch
 
     def cone_function(self, xag: Xag, root: int, leaves: Tuple[int, ...],
                       interior: Optional[Sequence[int]] = None) -> int:
         """Truth table of ``root`` over ``leaves`` (leaf ``i`` = variable ``i``).
 
-        Resolution is two-level: the per-network ``(root, leaves)`` memo
-        first, then the content-addressed store under the cone's canonical
-        hash — a hash determines the cone structure over its leaves, hence
-        the truth table, so a content hit (counted in ``cone_hash_hits``)
-        is exact even when the table was computed in a different network,
-        round or process.  Only a miss at both levels simulates.
-
+        A memo hit answers outright; a miss simulates the cone.
         ``interior`` may pass an already-computed topological ordering of the
         cone (as produced by :func:`repro.cuts.enumeration.cut_cone`) to skip
         the traversal on a memo miss.
@@ -186,63 +159,28 @@ class CutFunctionCache:
         if table is not None:
             self.function_hits += 1
             return table
+        self.function_misses += 1
         if interior is None:
             interior = self.cone_interior(xag, root, leaves)
-        digest = self.cone_hash_for(xag, root, leaves, interior)
-        table = self._cone_tables.get(digest)
-        if table is not None:
-            self.function_hits += 1
-            self.cone_hash_hits += 1
-        else:
-            self.function_misses += 1
-            table = _simulate_cone(xag, root, leaves, interior)
-            self._cone_tables[digest] = table
+        table = _simulate_cone(xag, root, leaves, interior)
         self._functions[key] = table
         self._register_key(root, key)
         return table
 
     def cone_hash_for(self, xag: Xag, root: int, leaves: Tuple[int, ...],
                       interior: Optional[Sequence[int]] = None) -> int:
-        """Canonical content hash of the ``(root, leaves)`` cone, memoised.
+        """Canonical structural hash of the ``(root, leaves)`` cone (unmemoised).
 
-        Shares the memo layer's lifetime and per-root invalidation: a hash
-        is only stale when a rewired node sits inside the cone, exactly the
-        condition that evicts the cone's other memo entries.
+        The rewriter never calls it; it stays resolvable because
+        ``perfbench/spans.py`` traces it by name.
         """
-        self.bind(xag)
-        key = (root, leaves)
-        digest = self._cone_hashes.get(key)
-        if digest is None:
-            if interior is None:
-                interior = self.cone_interior(xag, root, leaves)
-            digest = _cone_hash(xag, root, leaves, interior)
-            self._cone_hashes[key] = digest
-            self._register_key(root, key)
-        return digest
+        return _cone_hash(xag, root, leaves, interior)
 
-    def has_cone_function(self, xag: Xag, root: int, leaves: Tuple[int, ...],
-                          interior: Optional[Sequence[int]] = None) -> bool:
-        """True when :meth:`cone_function` will resolve without simulating.
-
-        The batching rewriter asks this while collecting the cones a drain
-        is missing: a memo entry answers outright; otherwise the cone is
-        hashed and a content-store hit is *promoted* into the memo (counted
-        in ``cone_hash_hits`` now, as a ``function_hits`` when
-        :meth:`cone_function` serves it) so the batch only simulates cones
-        no run has ever seen.
-        """
+    def has_cone_function(self, xag: Xag, root: int,
+                          leaves: Tuple[int, ...]) -> bool:
+        """True when :meth:`cone_function` will answer from the memo."""
         self.bind(xag)
-        key = (root, leaves)
-        if key in self._functions:
-            return True
-        digest = self.cone_hash_for(xag, root, leaves, interior)
-        table = self._cone_tables.get(digest)
-        if table is None:
-            return False
-        self.cone_hash_hits += 1
-        self._functions[key] = table
-        self._register_key(root, key)
-        return True
+        return (root, leaves) in self._functions
 
     def cone_interior(self, xag: Xag, root: int,
                       leaves: Tuple[int, ...]) -> List[int]:
@@ -279,29 +217,6 @@ class CutFunctionCache:
                 continue
             self.function_misses += 1
             functions[key] = table
-            self._register_key(key[0], key)
-            # land the table in the content-addressed store as well: the
-            # interior is memoised from the drain's own enumeration, so the
-            # hash costs one walk of nodes that were just simulated anyway.
-            self._cone_tables[self.cone_hash_for(xag, key[0], key[1])] = table
-
-    def prime_interiors(self, xag: Xag,
-                        entries: Sequence[Tuple[Tuple[int, Tuple[int, ...]],
-                                                List[int]]]) -> None:
-        """Install precomputed cone interiors into the memo (first write wins).
-
-        The parallel Phase-1 prefetch computes interiors for a drain's cuts
-        across threads and lands them here serially; a subsequent
-        :meth:`cone_interior` for the same key is then a plain memo hit.
-        Entries are registered for per-root invalidation exactly like
-        memo-miss computations, so the invalidation contract is unchanged.
-        """
-        self.bind(xag)
-        interiors = self._interiors
-        for key, interior in entries:
-            if key in interiors:
-                continue
-            interiors[key] = interior
             self._register_key(key[0], key)
 
     def _register_key(self, root: int,
@@ -356,33 +271,6 @@ class CutFunctionCache:
             installed += 1
         return installed
 
-    def cone_entries(self) -> List[Tuple[str, int]]:
-        """Sorted ``(cone hash hex, table)`` pairs of the content store.
-
-        This is what a warm-start bundle persists for the content-addressed
-        layer: hashes are canonical, so entries restored into any process
-        serve structurally identical cones of any circuit.
-        """
-        return sorted((format(digest, "x"), table)
-                      for digest, table in self._cone_tables.items())
-
-    def warm_start_cones(self, entries: Sequence[Sequence]) -> int:
-        """Restore content-addressed cone tables (from a bundle or shard).
-
-        Counters are untouched — like :meth:`warm_start`, restoring another
-        run's work must not masquerade as this run's hits.  Returns the
-        number of entries installed.
-        """
-        installed = 0
-        tables = self._cone_tables
-        for digest_hex, table in entries:
-            digest = int(digest_hex, 16)
-            if digest in tables:
-                continue
-            tables[digest] = int(table)
-            installed += 1
-        return installed
-
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
@@ -392,12 +280,10 @@ class CutFunctionCache:
         plan_total = self.plan_hits + self.plan_misses
         return {
             "stored_functions": len(self._functions),
-            "stored_cone_tables": len(self._cone_tables),
             "stored_plans": len(self._plans),
             "function_hits": self.function_hits,
             "function_misses": self.function_misses,
             "function_invalidations": self.function_invalidations,
-            "cone_hash_hits": self.cone_hash_hits,
             "function_hit_rate": self.function_hits / function_total if function_total else 0.0,
             "plan_hits": self.plan_hits,
             "plan_misses": self.plan_misses,
@@ -409,8 +295,6 @@ class CutFunctionCache:
         self._functions.clear()
         self._interiors.clear()
         self._root_keys.clear()
-        self._cone_hashes.clear()
-        self._cone_tables.clear()
         self._plans.clear()
         if self._bound_xag is not None:
             self._bound_xag.unsubscribe(self)
@@ -422,7 +306,6 @@ class CutFunctionCache:
         self.plan_hits = 0
         self.plan_misses = 0
         self.function_invalidations = 0
-        self.cone_hash_hits = 0
 
     def __len__(self) -> int:
         return len(self._plans)

@@ -9,13 +9,9 @@ merge step but is not reported to the rewriter.
 
 Cut functions are not computed during enumeration; they are evaluated on
 demand by simulating the cut cone with projection truth tables, which is much
-cheaper in pure Python than maintaining tables through every merge.  When a
-shared :class:`repro.cuts.cache.CutFunctionCache` is supplied, even that
-simulation is usually skipped: the cache resolves cones by canonical
-structural hash (:func:`repro.xag.structhash.cone_hash`), so a cone already
-simulated in *any* network — this round, another circuit of the batch, or a
-restored warm-start bundle — serves its table from the content-addressed
-store.
+cheaper in pure Python than maintaining tables through every merge.  A
+shared :class:`repro.cuts.cache.CutFunctionCache` memoises the simulated
+tables per ``(root, leaves)`` across the rounds of a flow.
 """
 
 from __future__ import annotations
@@ -218,23 +214,11 @@ class CutSetCache:
         self._cuts.clear()
         self._bound_epoch = xag._rollback_epoch
 
-    def cuts(self, xag: Xag, grain: int = 1) -> Dict[int, List[Cut]]:
-        """Cut sets for every live gate (recomputing only missing entries).
-
-        With ``grain > 1`` the missing gates are recomputed level by level —
-        a gate's level is one above its deepest *pending* fan-in, so within
-        one level every merge depends only on already-installed merge sets —
-        with each level's nodes fanned across ``grain`` threads
-        (:func:`repro.engine.parallel.map_chunks`).
-        :func:`_merge_node_cuts` is pure given the merge sets, and results
-        are installed serially in the level's topological order, so the cut
-        sets and the ``nodes_recomputed`` counter are identical at every
-        grain.
-        """
+    def cuts(self, xag: Xag) -> Dict[int, List[Cut]]:
+        """Cut sets for every live gate (recomputing only missing entries)."""
         self.bind(xag)
         merge_sets = self._merge
         result = self._cuts
-        pending: List[int] = []
         for node in xag.topological_order():
             if node in merge_sets:
                 continue
@@ -246,50 +230,14 @@ class CutSetCache:
                 merge_sets[node] = [(node,)]
                 result[node] = []
                 continue
-            pending.append(node)
-        if grain > 1 and len(pending) > 1:
-            self._compute_levelwise(xag, pending, grain)
-        else:
-            for node in pending:
-                self._install_node(node, _merge_node_cuts(
-                    xag, node, merge_sets, self.cut_size, self.cut_limit))
-        return result
-
-    def _install_node(self, node: int, kept: List[Tuple[int, ...]]) -> None:
-        """Record one recomputed gate's cut set and merge set."""
-        self._cuts[node] = [Cut(node, leaves) for leaves in kept
+            kept = _merge_node_cuts(xag, node, merge_sets, self.cut_size,
+                                    self.cut_limit)
+            result[node] = [Cut(node, leaves) for leaves in kept
                             if leaves != (node,)]
-        # the trivial cut participates in the merges of the fan-outs
-        self._merge[node] = kept + [(node,)]
-        self.nodes_recomputed += 1
-
-    def _compute_levelwise(self, xag: Xag, pending: List[int],
-                           grain: int) -> None:
-        """Recompute the pending gates level-wise across ``grain`` threads."""
-        from repro.engine.parallel import map_chunks
-        merge_sets = self._merge
-        pending_set = set(pending)
-        depth: Dict[int, int] = {}
-        groups: List[List[int]] = []
-        for node in pending:  # already in topological order
-            level = 0
-            for fanin in xag.fanins(node):
-                parent = lit_node(fanin)
-                if parent in pending_set:
-                    level = max(level, depth[parent] + 1)
-            depth[node] = level
-            while len(groups) <= level:
-                groups.append([])
-            groups[level].append(node)
-        for group in groups:
-            computed = map_chunks(
-                lambda chunk: [(node, _merge_node_cuts(xag, node, merge_sets,
-                                                       self.cut_size,
-                                                       self.cut_limit))
-                               for node in chunk],
-                group, grain)
-            for node, kept in computed:
-                self._install_node(node, kept)
+            # the trivial cut participates in the merges of the fan-outs
+            merge_sets[node] = kept + [(node,)]
+            self.nodes_recomputed += 1
+        return result
 
 
 def cut_cone(xag: Xag, root: int, leaves: Sequence[int]) -> List[int]:
@@ -332,9 +280,7 @@ def cut_function(xag: Xag, cut: Cut, cache: Optional["CutFunctionCache"] = None)
 
     ``cache`` may pass a shared :class:`repro.cuts.cache.CutFunctionCache` so
     that repeated queries for the same cut (e.g. by the rewriter and by the
-    ablation benchmarks) simulate the cone only once per network — and, via
-    the cache's content-addressed store, only once per cone *structure*
-    across every network the cache has served.
+    ablation benchmarks) simulate the cone only once per network.
     """
     num_vars = len(cut.leaves)
     if num_vars > 16:

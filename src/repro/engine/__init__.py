@@ -14,9 +14,7 @@ persist every recipe, classification and plan across invocations, and
 the selected circuits over the persistent worker pool of
 :mod:`repro.engine.parallel` — longest-first scheduling from a shared work
 queue, with newly learnt cache entries streamed between workers as
-content-addressed deltas while the batch runs.  ``EngineConfig.par_grain``
-(CLI ``--par-grain``) adds intra-circuit thread parallelism to Phase-1 of
-every rewrite drain on top.
+content-addressed deltas while the batch runs.
 
 The CLI entry point lives in :mod:`repro.engine.cli` and is reachable both
 as ``python -m repro.engine`` and as the ``repro-engine`` console script.
@@ -35,7 +33,6 @@ from repro.engine.core import (
 from repro.engine.parallel import (
     DeltaCursor,
     install_delta,
-    map_chunks,
     resolve_jobs,
     schedule_cases,
     size_estimate,
@@ -49,7 +46,6 @@ __all__ = [
     "available_cases",
     "install_delta",
     "load_warm_start",
-    "map_chunks",
     "persist_warm_start",
     "resolve_jobs",
     "run_batch",

@@ -11,7 +11,7 @@ Examples::
     # run the control half of Table 1 over a pool of four workers
     # (longest-first scheduling, streamed cache deltas); 'auto' = one per CPU
     python -m repro.engine --suite epfl --groups control --jobs 4
-    python -m repro.engine --suite epfl --jobs auto --par-grain 4
+    python -m repro.engine --suite epfl --jobs auto
 
     # warm-start: the second run reuses every recipe/classification/plan
     python -m repro.engine --circuits decoder,int2float --db /tmp/db.json
@@ -129,16 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "from a shared work queue, with learnt cache "
                              "entries streamed between workers; 'auto' = one "
                              "worker per CPU (default: 1)")
-    parser.add_argument("--par-grain", type=positive_int, default=1,
-                        metavar="N",
-                        help="intra-circuit parallelism: fan Phase-1 "
-                             "selection work of each rewrite drain across N "
-                             "threads; results are bit-identical at any "
-                             "grain (default: 1)")
     parser.add_argument("--db", metavar="PATH", default=None,
                         help="warm-start bundle: load it when present, save "
-                             "recipes/classifications/plans/cone tables "
-                             "(and --result-cache results) back on exit")
+                             "recipes/classifications/plans (and "
+                             "--result-cache results) back on exit")
     parser.add_argument("--result-cache", action="store_true",
                         help="whole-circuit result cache: circuits are keyed "
                              "by canonical structural hash + flow + cost "
@@ -185,7 +179,6 @@ def config_from_args(args: argparse.Namespace) -> EngineConfig:
         full_scale=args.full_scale,
         verify_limit=args.verify_limit,
         jobs=args.jobs,
-        par_grain=args.par_grain,
         warm_start=args.db,
         persist=args.db,
         backend=args.backend,
@@ -232,7 +225,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 # processes actually spawned (clamped to the case count)
                 "jobs": batch.jobs,
                 "workers": batch.workers,
-                "par_grain": batch.config.par_grain,
                 "in_place": batch.config.in_place,
                 # the backend that actually ran (never "auto")
                 "backend": batch.backend,

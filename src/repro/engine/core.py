@@ -26,10 +26,6 @@ Two scaling axes extend the amortisation beyond a single process:
   registry-ordered and — apart from timings and the per-worker statistics —
   identical to a sequential run, as is the bundle a ``persist`` writes.
 
-``EngineConfig.par_grain`` adds intra-circuit parallelism on top: Phase-1
-selection work of each rewrite drain fans out across that many threads
-(``apply`` stays serial), with bit-identical results at any grain.
-
 Every stage is timed separately (build, one round, convergence,
 verification) so regressions in any layer show up directly in the report.
 """
@@ -118,11 +114,6 @@ class EngineConfig:
     #: merged back in registry order.  1 = run in-process, sequentially;
     #: 0 = auto (one worker per CPU).
     jobs: int = 1
-    #: intra-circuit parallelism: fan Phase-1 selection work of each rewrite
-    #: drain (cut-set recomputation, cone interiors/MFFCs, batched cone
-    #: simulation) across this many threads (1 = serial).  Results are
-    #: bit-identical at any grain.
-    par_grain: int = 1
     #: warm-start bundle to load before the run (ignored when missing).
     warm_start: Optional[Union[str, Path]] = None
     #: bundle path to write after the run (recipes + classifications + plans).
@@ -576,8 +567,7 @@ def run_circuit(case: BenchmarkCase, config: EngineConfig,
         verify = 0 < (xag.num_ands + xag.num_xors) <= config.verify_limit
         params = RewriteParams(cut_size=config.cut_size, cut_limit=config.cut_limit,
                                objective=config.objective, verify=verify,
-                               in_place=config.in_place,
-                               par_grain=config.par_grain)
+                               in_place=config.in_place)
         if contains_depth_guard(passes) or not flow_mode_comparable(passes):
             # guarded rounds — and rounds priced by a depth-aware model —
             # decide in place against maintained levels; --rebuild replays
@@ -674,11 +664,11 @@ def load_warm_start(path: Union[str, Path], database: McDatabase,
     """Load a warm-start bundle into the shared store, if ``path`` exists.
 
     Restores the database's recipes and classification results, then
-    re-materialises the persisted cut-function plans on top of them and
-    restores the content-addressed cone tables — and, when a
-    ``result_cache`` is given, the whole-circuit results (no classification,
-    synthesis or simulation is repeated, and the cache statistics are
-    untouched).  Returns ``True`` when a bundle was found and loaded.
+    re-materialises the persisted cut-function plans on top of them — and,
+    when a ``result_cache`` is given, the whole-circuit results (no
+    classification or synthesis is repeated, and the cache statistics are
+    untouched).  A ``cones`` section written by older versions is ignored.
+    Returns ``True`` when a bundle was found and loaded.
     """
     path = Path(path)
     if not path.exists():
@@ -690,7 +680,6 @@ def load_warm_start(path: Union[str, Path], database: McDatabase,
     database.install_bundle(bundle, origin=str(path))
     if isinstance(bundle, dict):
         cut_cache.warm_start(bundle.get("plans", []))
-        cut_cache.warm_start_cones(bundle.get("cones", []))
         if result_cache is not None:
             result_cache.install(bundle.get("results", []), origin=str(path))
     return True
@@ -701,7 +690,6 @@ def persist_warm_start(path: Union[str, Path], database: McDatabase,
                        result_cache: Optional[ResultCache] = None) -> None:
     """Write the shared store (including plan keys) as a warm-start bundle."""
     database.save(path, plan_keys=cut_cache.plan_keys(),
-                  cones=cut_cache.cone_entries(),
                   results=result_cache.entries() if result_cache is not None
                   else None)
 
@@ -721,8 +709,7 @@ def _aggregate_worker_stats(batch: BatchReport, database: McDatabase,
     database_stats: Dict[str, float] = {key: 0.0 for key in (
         "synthesis_calls", "classification_hits", "classification_misses")}
     cut_stats: Dict[str, float] = {key: 0.0 for key in (
-        "function_hits", "function_misses", "plan_hits", "plan_misses",
-        "cone_hash_hits")}
+        "function_hits", "function_misses", "plan_hits", "plan_misses")}
     result_stats: Dict[str, float] = {"hits": 0.0, "misses": 0.0}
     for worker in batch.worker_stats:
         for key in database_stats:
@@ -750,7 +737,6 @@ def _aggregate_worker_stats(batch: BatchReport, database: McDatabase,
     cut_stats["stored_functions"] = sum(
         worker["cut_cache"].get("stored_functions", 0)
         for worker in batch.worker_stats)
-    cut_stats["stored_cone_tables"] = cut_cache.stats()["stored_cone_tables"]
     batch.database_stats = database_stats
     batch.cut_cache_stats = cut_stats
     if result_cache is not None:
@@ -779,9 +765,6 @@ def run_batch(config: Optional[EngineConfig] = None,
     if config.jobs < 0:
         raise ValueError(f"jobs must be a non-negative integer "
                          f"(got {config.jobs}; 0 means auto)")
-    if config.par_grain < 1:
-        raise ValueError(f"par_grain must be a positive integer "
-                         f"(got {config.par_grain})")
     cost_model(config.objective)  # fail fast with the registry's message
     backend = kernels.resolve_backend(config.backend)  # fail fast here too
     if config.flow is not None:

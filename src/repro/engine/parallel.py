@@ -1,8 +1,8 @@
-"""Persistent worker pool and intra-circuit parallel helpers.
+"""Persistent worker pool with streamed cache deltas.
 
 This module is the engine's parallel-execution subsystem.  It replaces the
 original one-shot ``multiprocessing.Pool.map`` over static round-robin
-shards with three cooperating pieces:
+shards with two cooperating pieces:
 
 * **a persistent worker pool fed from a shared work queue** —
   :func:`run_pool_batch` spawns one long-lived process per worker and hands
@@ -12,22 +12,16 @@ shards with three cooperating pieces:
   circuit can never straggle behind a queue of tiny ones the way a static
   shard could;
 
-* **streaming cache deltas** — every cache layer is content-addressed
-  (recipes by structural hash, cone tables by canonical cone hash, plans by
-  truth-table key, whole-circuit results by graph hash), so merging is
-  idempotent and order-independent.  Each worker tracks what it has already
-  streamed with a :class:`DeltaCursor` and pushes only *newly learnt*
-  entries back with each finished case; the parent folds the delta into the
-  shared store and forwards it to the other workers with their next case.
-  A cone simulated — or a representative synthesised — by one worker is
-  therefore available to every other worker within one case, instead of
-  after the whole batch as with exit-time shard merging;
-
-* **intra-circuit thread fan-out** — :func:`map_chunks` is the grain-level
-  helper behind ``RewriteParams.par_grain``: Phase-1 selection work of one
-  rewrite drain (cut-set recomputation, cone interiors/MFFCs, the batched
-  cone simulation) is chunked across threads while ``apply`` stays serial,
-  preserving the substitution-event contract.
+* **streaming cache deltas** — every shared cache layer is
+  content-addressed (recipes by structural hash, plans by truth-table key,
+  whole-circuit results by graph hash), so merging is idempotent and
+  order-independent.  Each worker tracks what it has already streamed with
+  a :class:`DeltaCursor` and pushes only *newly learnt* entries back with
+  each finished case; the parent folds the delta into the shared store and
+  forwards it to the other workers with their next case.  A representative
+  synthesised by one worker is therefore available to every other worker
+  within one case, instead of after the whole batch as with exit-time
+  shard merging.
 
 The determinism contract of the old sharding carries over: reports return
 in registry order, per-circuit results are bit-identical to ``jobs=1``
@@ -46,12 +40,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_module
-import threading
 import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import kernels
 from repro.circuits.benchmark_case import BenchmarkCase
@@ -134,7 +126,6 @@ def install_delta(delta: Dict, database: McDatabase,
     """
     database.install_bundle(delta, validate=False)
     cut_cache.warm_start(delta.get("plans", []))
-    cut_cache.warm_start_cones(delta.get("cones", []))
     if result_cache is not None:
         result_cache.install(delta.get("results", []), validate=False)
 
@@ -145,10 +136,10 @@ class DeltaCursor:
     Construction marks everything currently present (the installed seed
     bundle) as known; each :meth:`collect` returns only entries learnt since
     the previous collect — recipes and classifications via
-    :class:`repro.mc.database.BundleCursor`, plan keys, content-addressed
-    cone tables and whole-circuit results via their stores' sorted
-    accessors.  :meth:`advance` marks entries installed from *pulled* deltas
-    as known without re-emitting them, so deltas never echo around the pool.
+    :class:`repro.mc.database.BundleCursor`, plan keys and whole-circuit
+    results via their stores' sorted accessors.  :meth:`advance` marks
+    entries installed from *pulled* deltas as known without re-emitting
+    them, so deltas never echo around the pool.
     """
 
     def __init__(self, database: McDatabase, cut_cache: CutFunctionCache,
@@ -157,7 +148,6 @@ class DeltaCursor:
         self._cut_cache = cut_cache
         self._result_cache = result_cache
         self._plans: Set[Tuple[int, int]] = set(cut_cache.plan_keys())
-        self._cones: Set[str] = {digest for digest, _ in cut_cache.cone_entries()}
         self._results: Set[Tuple] = self._result_keys()
 
     def _result_keys(self) -> Set[Tuple]:
@@ -169,7 +159,6 @@ class DeltaCursor:
         """Mark the stores' current contents as streamed, emitting nothing."""
         self._bundle_cursor.advance()
         self._plans.update(self._cut_cache.plan_keys())
-        self._cones.update(digest for digest, _ in self._cut_cache.cone_entries())
         self._results.update(self._result_keys())
 
     def collect(self) -> Optional[Dict]:
@@ -182,9 +171,6 @@ class DeltaCursor:
         plans = [key for key in self._cut_cache.plan_keys()
                  if key not in self._plans]
         self._plans.update(plans)
-        cones = [entry for entry in self._cut_cache.cone_entries()
-                 if entry[0] not in self._cones]
-        self._cones.update(digest for digest, _ in cones)
         results: List[Dict] = []
         if self._result_cache is not None:
             for entry in self._result_cache.entries():
@@ -193,7 +179,7 @@ class DeltaCursor:
                     continue
                 self._results.add(key)
                 results.append(entry)
-        if not (recipes or classifications or plans or cones or results):
+        if not (recipes or classifications or plans or results):
             return None
         return {
             "format": McDatabase.BUNDLE_FORMAT,
@@ -201,7 +187,6 @@ class DeltaCursor:
             "recipes": recipes,
             "classifications": classifications,
             "plans": [[table, num_vars] for table, num_vars in plans],
-            "cones": [list(entry) for entry in cones],
             "results": results,
         }
 
@@ -333,7 +318,7 @@ def run_pool_batch(batch: "BatchReport", cases: Sequence[BenchmarkCase],
     worker_config = replace(config, jobs=1, warm_start=None, persist=None,
                             backend=kernels.backend_name())
     seed_bundle = database.to_bundle(
-        plan_keys=cut_cache.plan_keys(), cones=cut_cache.cone_entries(),
+        plan_keys=cut_cache.plan_keys(),
         results=result_cache.entries() if result_cache is not None else None)
 
     ctx = multiprocessing.get_context(start_method())
@@ -414,50 +399,3 @@ def run_pool_batch(batch: "BatchReport", cases: Sequence[BenchmarkCase],
     batch.reports.extend(report for _, report in
                          sorted(indexed_reports, key=lambda pair: pair[0]))
     _aggregate_worker_stats(batch, database, cut_cache, result_cache)
-
-
-# ----------------------------------------------------------------------
-# intra-circuit thread fan-out (RewriteParams.par_grain)
-# ----------------------------------------------------------------------
-_EXECUTOR_LOCK = threading.Lock()
-_EXECUTORS: Dict[int, ThreadPoolExecutor] = {}
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
-    """Shared daemon-thread executor of the given width (created lazily).
-
-    Executors are kept alive for the process: a rewrite flow calls
-    :func:`map_chunks` once or twice per drain, and respawning threads each
-    time would dominate the fan-out on small circuits.
-    """
-    with _EXECUTOR_LOCK:
-        executor = _EXECUTORS.get(workers)
-        if executor is None:
-            executor = ThreadPoolExecutor(max_workers=workers,
-                                          thread_name_prefix="repro-grain")
-            _EXECUTORS[workers] = executor
-        return executor
-
-
-def map_chunks(fn: Callable[[List], List], items: Sequence, grain: int) -> List:
-    """Apply ``fn`` to contiguous chunks of ``items`` across ``grain`` threads.
-
-    ``fn`` maps a *list slice* to a result list; the per-chunk results are
-    concatenated in input order, so the output is identical to ``fn(items)``
-    whenever ``fn`` is pure over its slice — which is the contract every
-    Phase-1 caller obeys (cut merges, cone walks and MFFC computations read
-    shared state but never write it).  ``grain <= 1`` (or a single item)
-    short-circuits to the serial call; exceptions propagate unchanged.
-    """
-    items = list(items)
-    if grain <= 1 or len(items) <= 1:
-        return fn(items)
-    chunk_size = -(-len(items) // grain)
-    chunks = [items[start:start + chunk_size]
-              for start in range(0, len(items), chunk_size)]
-    executor = _executor(grain)
-    futures = [executor.submit(fn, chunk) for chunk in chunks]
-    out: List = []
-    for future in futures:
-        out.extend(future.result())
-    return out

@@ -147,14 +147,13 @@ class McDatabase:
     #: list; version 2 added classifications and plan keys; version 3 made
     #: the bundle a content-addressed store — every recipe entry carries
     #: the canonical structural hash of its XAG (entries sorted by it) and
-    #: optional ``cones`` / ``results`` sections persist the cut cache's
-    #: content-addressed cone tables and the engine's whole-circuit result
-    #: cache.  v2 and v1 files still load.
+    #: an optional ``results`` section persists the engine's whole-circuit
+    #: result cache.  v2 and v1 files still load; the optional ``cones``
+    #: section older v3 writers added is ignored.
     BUNDLE_FORMAT = "repro-warm-start"
     BUNDLE_VERSION = 3
 
     def to_bundle(self, plan_keys: Optional[Iterable[Tuple[int, int]]] = None,
-                  cones: Optional[Sequence[Sequence]] = None,
                   results: Optional[Sequence[Dict]] = None) -> Dict:
         """Versioned warm-start bundle of everything the database has learnt.
 
@@ -163,9 +162,8 @@ class McDatabase:
         results (serialised through
         :class:`~repro.affine.operations.AffineTransform`), and — when the
         caller passes them — the ``(table, num_vars)`` keys of the
-        :class:`~repro.cuts.cache.CutFunctionCache` plans resolved so far,
-        the cut cache's content-addressed ``(cone hash, table)`` entries and
-        the engine's whole-circuit ``results``.  Plans are stored as keys
+        :class:`~repro.cuts.cache.CutFunctionCache` plans resolved so far
+        and the engine's whole-circuit ``results``.  Plans are stored as keys
         only: their recipe and transform are shared with the other sections,
         so they are rebuilt on load without re-running classification or
         synthesis.
@@ -179,8 +177,6 @@ class McDatabase:
         if plan_keys is not None:
             bundle["plans"] = [[table, num_vars]
                                for table, num_vars in sorted(plan_keys)]
-        if cones is not None:
-            bundle["cones"] = [list(entry) for entry in cones]
         if results is not None:
             bundle["results"] = list(results)
         return bundle
@@ -281,7 +277,6 @@ class McDatabase:
             "recipes": installed,
             "classifications": installed_classifications,
             "plans": len(bundle.get("plans", [])) if isinstance(bundle, dict) else 0,
-            "cones": len(bundle.get("cones", [])) if isinstance(bundle, dict) else 0,
             "results": len(bundle.get("results", [])) if isinstance(bundle, dict) else 0,
         }
 
@@ -307,7 +302,6 @@ class McDatabase:
 
     def save(self, path: Union[str, Path],
              plan_keys: Optional[Iterable[Tuple[int, int]]] = None,
-             cones: Optional[Sequence[Sequence]] = None,
              results: Optional[Sequence[Dict]] = None) -> None:
         """Persist the warm-start bundle as JSON, atomically.
 
@@ -317,8 +311,7 @@ class McDatabase:
         bundle or the new one on disk, never a truncated hybrid.
         """
         target = Path(path)
-        payload = json.dumps(self.to_bundle(plan_keys, cones=cones,
-                                            results=results))
+        payload = json.dumps(self.to_bundle(plan_keys, results=results))
         fd, tmp_name = tempfile.mkstemp(dir=str(target.parent) or ".",
                                         prefix=target.name + ".", suffix=".tmp")
         try:

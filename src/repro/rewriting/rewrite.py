@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from repro import kernels
 from repro.cuts.cache import CutFunctionCache
 from repro.cuts.cut import Cut
-from repro.cuts.enumeration import CutSetCache, cut_cone
+from repro.cuts.enumeration import CutSetCache
 from repro.cuts.mffc import mffc
 from repro.mc.database import ImplementationPlan, McDatabase
 from repro.rewriting.cost import CostModel, cost_model
@@ -58,11 +58,6 @@ from repro.xag.depth import multiplicative_depth
 from repro.xag.equivalence import equivalence_stimulus, equivalent
 from repro.xag.graph import Xag, lit_node, literal
 from repro.xag.levels import LevelCache, LevelTracker
-
-#: the original built-in objectives, kept for backwards compatibility; the
-#: registry (:func:`repro.rewriting.cost.registered_cost_models`) is the
-#: authoritative list — it also holds "fhe" and any user-registered model.
-OBJECTIVES = ("mc", "size", "mc-depth")
 
 
 @dataclass
@@ -100,13 +95,6 @@ class RewriteParams:
     #: equality.  The depth flow enables this when the engine runs
     #: ``--rebuild`` — see :func:`repro.rewriting.flow.depth_flow`.
     ab_check: bool = False
-    #: intra-circuit parallelism grain: fan the pure Phase-1 work of each
-    #: drain — cut-set recomputation, cone interior walks, MFFC computation
-    #: and the batched cone simulation — across this many threads (1 =
-    #: serial).  Plan pricing and Phase-2 ``apply`` always stay serial, so
-    #: the selections, the cache hit/miss counters and the substitution
-    #: event order are identical at every grain.
-    par_grain: int = 1
 
     @property
     def cost(self) -> CostModel:
@@ -401,14 +389,10 @@ class CutRewriter:
                            worklist: Optional[Set[int]] = None) -> Dict[int, Candidate]:
         params = self.params
         model = self._model()
-        grain = params.par_grain
-        cuts = self.cut_sets.cuts(xag, grain=grain)
+        cuts = self.cut_sets.cuts(xag)
         selections: Dict[int, Candidate] = {}
         cache = self.cut_cache
         cache.bind(xag)
-        pre_mffcs: Optional[Dict[int, Set[int]]] = None
-        if grain > 1:
-            pre_mffcs = self._prefetch_phase1(xag, cuts, worklist, model, grain)
         function_hits_before = cache.function_hits
         plan_hits_before = cache.plan_hits
         plan_misses_before = cache.plan_misses
@@ -451,10 +435,7 @@ class CutRewriter:
                     # objective (XOR gates are depth-transparent too).
                     continue
                 if node_mffc is None:
-                    if pre_mffcs is not None:
-                        node_mffc = pre_mffcs.get(node)
-                    if node_mffc is None:
-                        node_mffc = mffc(xag, node)
+                    node_mffc = mffc(xag, node)
                 saved_ands = sum(1 for n in interior_ands if n in node_mffc)
                 saved_gates = sum(1 for n in interior if n in node_mffc)
                 if skip_zero_saving and saved_ands == 0:
@@ -462,11 +443,8 @@ class CutRewriter:
                     # they may still lower the root's AND-level.
                     continue
                 items.append((cut, saved_ands, saved_gates))
-                # has_cone_function promotes content-addressed tables into
-                # the memo (cones another circuit or run already simulated),
-                # so the batch only evaluates cones no run has ever seen.
                 if backend.accelerated and not cache.has_cone_function(
-                        xag, node, cut.leaves, interior):
+                        xag, node, cut.leaves):
                     missing.append((node, cut.leaves, interior))
             if items:
                 work.append((node, items))
@@ -477,15 +455,7 @@ class CutRewriter:
         # per-cone ``cone_function`` misses would have produced.
         prefetched: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         if missing:
-            if grain > 1:
-                # chunked over threads, concatenated in input order — the
-                # install below is unchanged, so the counters stay identical
-                from repro.engine.parallel import map_chunks
-                tables = map_chunks(
-                    lambda chunk: list(backend.simulate_cones(xag, chunk)),
-                    missing, grain)
-            else:
-                tables = backend.simulate_cones(xag, missing)
+            tables = backend.simulate_cones(xag, missing)
             entries = []
             for (root, leaves, _), table in zip(missing, tables):
                 prefetched[(root, leaves)] = table
@@ -533,49 +503,6 @@ class CutRewriter:
         stats.plan_cache_hits = cache.plan_hits - plan_hits_before
         stats.plan_cache_misses = cache.plan_misses - plan_misses_before
         return selections
-
-    def _prefetch_phase1(self, xag: Xag, cuts: Dict[int, List[Cut]],
-                         worklist: Optional[Set[int]], model: CostModel,
-                         grain: int) -> Dict[int, Set[int]]:
-        """Precompute Sweep A's cone interiors and MFFCs across threads.
-
-        Both are pure functions of the (read-only during Phase 1) network,
-        so chunks of worklist nodes fan out safely.  Interiors are computed
-        for exactly the cuts the serial sweep would walk (every size-valid
-        cut) and primed into the cut cache's memo; an MFFC is computed for
-        exactly the nodes whose sweep would need one (some cut survives the
-        AND-free filter).  The sweep then runs unchanged over warm memo
-        entries — same filters, same order, same counters.
-        """
-        from repro.engine.parallel import map_chunks
-        params = self.params
-        examine_free = model.examine_and_free_cones
-        nodes = [node for node in xag.gates()
-                 if (worklist is None or node in worklist) and cuts.get(node)]
-
-        def analyse(chunk: List[int]) -> List[Tuple]:
-            out = []
-            for node in chunk:
-                interiors = []
-                needs_mffc = False
-                for cut in cuts[node]:
-                    if cut.size < 2 or cut.size > params.cut_size \
-                            or node in cut.leaves:
-                        continue
-                    interior = cut_cone(xag, node, cut.leaves)
-                    interiors.append(((node, cut.leaves), interior))
-                    if not needs_mffc and (examine_free or
-                                           any(xag.is_and(n) for n in interior)):
-                        needs_mffc = True
-                out.append((node, interiors,
-                            mffc(xag, node) if needs_mffc else None))
-            return out
-
-        analysed = map_chunks(analyse, nodes, grain)
-        self.cut_cache.prime_interiors(
-            xag, [entry for _, interiors, _ in analysed for entry in interiors])
-        return {node: node_mffc for node, _, node_mffc in analysed
-                if node_mffc is not None}
 
     @staticmethod
     def _plan_and_level(plan: ImplementationPlan,

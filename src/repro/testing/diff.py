@@ -86,11 +86,6 @@ class DiffConfig:
     num_random_words: int = 16
     cut_size: int = 6
     cut_limit: int = 12
-    #: intra-circuit parallelism grain of every mode run (1 = serial): a
-    #: grain > 1 exercises the thread fan-out of
-    #: :mod:`repro.engine.parallel` under the harness's full
-    #: equivalence/monotonicity oracle.
-    par_grain: int = 1
     #: predicate-evaluation budget of the shrinker.
     shrink_budget: int = 200
     #: directory for shrunk reproducer files.
@@ -172,13 +167,11 @@ def cost_model_flow(name: str) -> str:
 
 def _run_mode(xag: Xag, flow: str, in_place: bool,
               database: McDatabase, cut_cache: CutFunctionCache,
-              sim_cache: SimulationCache, cut_size: int, cut_limit: int,
-              par_grain: int = 1):
+              sim_cache: SimulationCache, cut_size: int, cut_limit: int):
     """Execute one flow under one application mode (engine parity)."""
     passes = parse_flow(flow)
     params = RewriteParams(cut_size=cut_size, cut_limit=cut_limit,
-                           verify=True, in_place=in_place,
-                           par_grain=par_grain)
+                           verify=True, in_place=in_place)
     if not in_place and (contains_depth_guard(passes) or
                          not flow_mode_comparable(passes)):
         # guarded rounds and depth-aware cost models decide in place; the
@@ -186,8 +179,7 @@ def _run_mode(xag: Xag, flow: str, in_place: bool,
         # cross-checks, exactly like repro.engine.core.run_circuit under
         # --rebuild.
         params = RewriteParams(cut_size=cut_size, cut_limit=cut_limit,
-                               verify=True, in_place=True, ab_check=True,
-                               par_grain=par_grain)
+                               verify=True, in_place=True, ab_check=True)
     return run_pipeline(xag, passes, database=database, params=params,
                         cut_cache=cut_cache, sim_cache=sim_cache)
 
@@ -197,8 +189,7 @@ def check_modes(xag: Xag, flow: str,
                 cut_cache: Optional[CutFunctionCache] = None,
                 sim_cache: Optional[SimulationCache] = None,
                 num_random_words: int = 16,
-                cut_size: int = 6, cut_limit: int = 12,
-                par_grain: int = 1) -> List[str]:
+                cut_size: int = 6, cut_limit: int = 12) -> List[str]:
     """Cross-check one network under one flow; returns failure descriptions.
 
     ``database``/``cut_cache``/``sim_cache`` are the *shared* trio used by
@@ -227,8 +218,7 @@ def check_modes(xag: Xag, flow: str,
         try:
             results[mode] = _run_mode(xag, flow, in_place, mode_database,
                                       mode_cut_cache, mode_sim_cache,
-                                      cut_size, cut_limit,
-                                      par_grain=par_grain)
+                                      cut_size, cut_limit)
         except Exception as exc:  # noqa: BLE001 - a crash is a finding
             failures.append(f"{mode}: raised {type(exc).__name__}: {exc}")
 
@@ -436,8 +426,7 @@ def run_diff(config: Optional[DiffConfig] = None,
             outcome.failures = check_modes(
                 xag, flow, database, cut_cache, sim_cache,
                 num_random_words=config.num_random_words,
-                cut_size=config.cut_size, cut_limit=config.cut_limit,
-                par_grain=config.par_grain)
+                cut_size=config.cut_size, cut_limit=config.cut_limit)
             if outcome.diverged:
                 shrunk, evaluations = shrink_xag(
                     xag,
@@ -445,8 +434,7 @@ def run_diff(config: Optional[DiffConfig] = None,
                         candidate, flow,
                         num_random_words=config.num_random_words,
                         cut_size=config.cut_size,
-                        cut_limit=config.cut_limit,
-                        par_grain=config.par_grain)),
+                        cut_limit=config.cut_limit)),
                     max_evaluations=config.shrink_budget)
                 # hash sensitivity: the shrunk reproducer is a different
                 # (smaller, non-equivalent) structure, so the identity the
@@ -504,11 +492,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--replay", metavar="FILE", default=None,
                         help="re-run the checks on a stored reproducer "
                              "and exit")
-    parser.add_argument("--par-grain", type=int, default=1, metavar="N",
-                        help="intra-circuit parallelism grain of every mode "
-                             "run; a grain > 1 puts the thread fan-out of "
-                             "repro.engine.parallel under the full "
-                             "equivalence oracle (default: 1)")
     parser.add_argument("--verbose", action="store_true",
                         help="print one line per (seed, flow)")
     args = parser.parse_args(argv)
@@ -526,8 +509,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
-    if args.par_grain < 1:
-        parser.error("--par-grain must be at least 1")
     flows: List[str] = list(args.flow) if args.flow else []
     if args.cost:
         names = list(args.cost)
@@ -549,7 +530,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         num_random_words=args.num_random_words,
         shrink_budget=args.shrink_budget,
         output_dir=args.out,
-        par_grain=args.par_grain,
     )
     try:
         report = run_diff(config, verbose=args.verbose)

@@ -20,8 +20,7 @@ idiom), with three consumers:
   with *leaf-relative* placeholders (leaf ``i`` hashes as variable ``i``),
   so the identity is independent of everything below the cut: identical
   cones inside different circuits — or different users' circuits — produce
-  identical hashes.  :class:`repro.cuts.cache.CutFunctionCache` uses this
-  as the content address of its cone-table store;
+  identical hashes;
 * **whole-graph hashes** — :func:`graph_hash` combines the PI count and
   the hash/complement of every PO driver, in output order.  The engine's
   result cache and the warm-start bundle key on it.
@@ -185,8 +184,7 @@ def cone_hash(xag: Xag, root: int, leaves: Sequence[int],
     leaks into the hash, so structurally identical cones in different
     networks (or different processes) share one address.  The hash
     determines the cone *structure*, hence also its truth table over the
-    leaves; :class:`repro.cuts.cache.CutFunctionCache` exploits exactly
-    that to serve memoised tables across circuits.  ``interior`` may pass
+    leaves.  ``interior`` may pass
     the cone's topological interior (from
     :func:`repro.cuts.enumeration.cut_cone`) to skip the traversal.
     """

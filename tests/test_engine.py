@@ -351,6 +351,34 @@ def test_run_batch_persist_then_warm_start(tmp_path):
         assert cold_report.xors_after == warm_report.xors_after
 
 
+def test_warm_start_ignores_legacy_cones_section(tmp_path):
+    """Older v3 bundles carry a ``cones`` section of ``(cone hash, table)``
+    pairs.  It is ignored on load: the warm run still misses no plan and
+    reproduces the cold run's (ANDs, depth, rounds) triples."""
+    from repro.xag.structhash import cone_hash
+
+    bundle = tmp_path / "legacy.json"
+    base = dict(suites=("epfl",), circuits=["decoder", "int2float"], max_rounds=1)
+    cold = run_batch(EngineConfig(**base, persist=bundle))
+    payload = json.loads(bundle.read_text())
+    assert "cones" not in payload
+    xag = full_adder_naive()
+    payload["cones"] = sorted(
+        [format(cone_hash(xag, cut.root, cut.leaves), "x"), cut_function(xag, cut)]
+        for node_cuts in enumerate_cuts(xag).values() for cut in node_cuts)
+    bundle.write_text(json.dumps(payload))
+
+    warm = run_batch(EngineConfig(**base, warm_start=bundle))
+    assert warm.warm_start_loaded is True
+    assert warm.cut_cache_stats["plan_misses"] == 0
+    assert warm.database_stats["synthesis_calls"] == 0
+
+    def triples(batch):
+        return [(r.name, r.ands_after, r.depth_after, len(r.rounds))
+                for r in batch.reports]
+    assert triples(warm) == triples(cold)
+
+
 def test_run_batch_missing_warm_start_is_cold(tmp_path):
     batch = run_batch(EngineConfig(suites=("epfl",), circuits=["decoder"],
                                    max_rounds=1,

@@ -343,6 +343,25 @@ def test_run_batch_rejects_unknown_backend():
 
 
 @requires_numpy
+def test_converged_batch_cache_counters_match_across_backends():
+    """The numpy backend simulates a drain's missing cones in one batch and
+    installs them with one miss each: converged runs must leave every
+    cut-cache and database counter equal to the per-cone python path, not
+    just the results."""
+    base = dict(suites=("epfl",), circuits=["decoder", "int2float"],
+                max_rounds=None)
+    python = run_batch(EngineConfig(**base, backend="python"))
+    numpy = run_batch(EngineConfig(**base, backend="numpy"))
+    for left, right in zip(python.reports, numpy.reports):
+        assert left.error is None and right.error is None
+        assert (left.ands_after, left.depth_after, len(left.rounds)) == \
+            (right.ands_after, right.depth_after, len(right.rounds))
+    assert python.cut_cache_stats["function_misses"] > 0
+    assert python.cut_cache_stats == numpy.cut_cache_stats
+    assert python.database_stats == numpy.database_stats
+
+
+@requires_numpy
 def test_run_batch_auto_resolves_and_renders_numpy():
     batch = run_batch(EngineConfig(circuits=["router"], max_rounds=1,
                                    backend="auto"))

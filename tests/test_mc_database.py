@@ -316,26 +316,34 @@ def test_load_accepts_v2_bundle_without_hashes(tmp_path):
 
 
 def test_bundle_round_trips_cones_and_results(tmp_path):
+    """``save`` writes results but never a ``cones`` section; a v3 bundle
+    that still carries one (older writers persisted cone tables there)
+    installs its recipes, classifications and plans, ignoring the cones."""
     database = McDatabase()
     database.plan_for(0xE8, 3)
-    cones = [["00ff", 0xE8], ["ab12", 0x96]]
     results = [{"key": ["1234", "mc,mc*", "mc", 6, 12],
                 "network": {"num_pis": 1, "gates": [], "outputs": [2]},
                 "network_hash": "irrelevant-here",
                 "report": {"rounds": 1}}]
     path = tmp_path / "bundle.json"
-    database.save(path, cones=cones, results=results)
+    database.save(path, plan_keys=[(0xE8, 3)], results=results)
 
     payload = json.loads(path.read_text())
-    assert payload["cones"] == cones
+    assert "cones" not in payload
     assert payload["results"] == results
-    counts = McDatabase().install_bundle(payload)
-    assert counts["cones"] == 2
-    assert counts["results"] == 1
+    payload["cones"] = [["00ff", 0xE8], ["ab12", 0x96]]
+    restored = McDatabase()
+    counts = restored.install_bundle(payload)
+    assert "cones" not in counts
+    assert (counts["recipes"], counts["plans"], counts["results"]) == (1, 1, 1)
+    assert counts["classifications"] >= 1
+    assert restored.materialize_plan(0xE8, 3).num_ands == 1
+    assert restored.stats()["classification_misses"] == 0
+    assert restored.stats()["synthesis_calls"] == 0
     # sections are omitted entirely when nothing is passed
     database.save(path)
     payload = json.loads(path.read_text())
-    assert "cones" not in payload and "results" not in payload
+    assert "plans" not in payload and "results" not in payload
 
 
 def test_stats_keys():

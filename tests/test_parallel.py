@@ -1,9 +1,9 @@
-"""Tests of the worker pool and intra-circuit parallelism subsystem.
+"""Tests of the worker pool subsystem.
 
-Covers the scheduling, delta-streaming and thread fan-out pieces of
+Covers the scheduling and delta-streaming pieces of
 :mod:`repro.engine.parallel` in isolation, plus the end-to-end parity
-contracts: a pool run (any start method, any worker count, any grain)
-must produce bit-identical results and persisted bundles to ``jobs=1``.
+contracts: a pool run (any start method, any worker count) must produce
+bit-identical results and persisted bundles to ``jobs=1``.
 """
 
 import json
@@ -15,8 +15,7 @@ from repro.circuits.benchmark_case import BenchmarkCase, PaperNumbers
 from repro.cuts import CutFunctionCache
 from repro.engine import EngineConfig, run_batch
 from repro.engine.parallel import (DeltaCursor, _WorkerState, install_delta,
-                                   map_chunks, resolve_jobs, schedule_cases,
-                                   size_estimate)
+                                   resolve_jobs, schedule_cases, size_estimate)
 from repro.mc import McDatabase
 from repro.testing import full_adder_naive
 
@@ -60,26 +59,6 @@ def test_resolve_jobs_auto_and_validation():
 
 
 # ----------------------------------------------------------------------
-# map_chunks (intra-circuit thread fan-out)
-# ----------------------------------------------------------------------
-def test_map_chunks_matches_serial_map_at_any_grain():
-    items = list(range(23))
-    expected = [value * value for value in items]
-    for grain in (1, 2, 3, 8, 64):
-        result = map_chunks(lambda chunk: [v * v for v in chunk], items, grain)
-        assert result == expected, grain
-    assert map_chunks(lambda chunk: list(chunk), [], 4) == []
-
-
-def test_map_chunks_propagates_worker_exceptions():
-    def explode(chunk):
-        raise RuntimeError("boom")
-
-    with pytest.raises(RuntimeError, match="boom"):
-        map_chunks(explode, list(range(8)), 4)
-
-
-# ----------------------------------------------------------------------
 # streaming cache deltas
 # ----------------------------------------------------------------------
 def test_delta_cursor_emits_only_newly_learnt_entries():
@@ -88,7 +67,8 @@ def test_delta_cursor_emits_only_newly_learnt_entries():
     state.run("decoder")
     delta = state.push()
     assert delta is not None
-    assert delta["recipes"] and delta["plans"] and delta["cones"]
+    assert delta["recipes"] and delta["plans"]
+    assert "cones" not in delta            # cone tables are never streamed
     assert state.push() is None            # cursor drained
 
     # installing the delta elsewhere and advancing must not re-emit it
@@ -129,30 +109,6 @@ def test_worker_seeded_with_bundle_reuses_every_plan():
     second.run("decoder")
     assert second.stats()["database"]["synthesis_calls"] == 0
     assert second.stats()["cut_cache"]["plan_misses"] == 0
-
-
-# ----------------------------------------------------------------------
-# intra-circuit parallelism parity
-# ----------------------------------------------------------------------
-def test_par_grain_is_bit_identical_including_cache_counters():
-    base = dict(suites=("epfl",), circuits=["decoder", "int2float"],
-                max_rounds=1)
-    serial = run_batch(EngineConfig(**base, par_grain=1))
-    fanned = run_batch(EngineConfig(**base, par_grain=4))
-    for seq, par in zip(serial.reports, fanned.reports):
-        assert seq.error is None and par.error is None
-        assert (seq.ands_after, seq.xors_after, seq.depth_after,
-                len(seq.rounds)) == (par.ands_after, par.xors_after,
-                                     par.depth_after, len(par.rounds))
-    # the strictest parity: the thread fan-out recomputes exactly what the
-    # serial sweep would, so every cache counter matches, not just results
-    assert serial.cut_cache_stats == fanned.cut_cache_stats
-    assert serial.database_stats == fanned.database_stats
-
-
-def test_run_batch_rejects_non_positive_par_grain():
-    with pytest.raises(ValueError, match="par_grain"):
-        run_batch(EngineConfig(circuits=["decoder"], par_grain=0))
 
 
 # ----------------------------------------------------------------------
