@@ -4,11 +4,10 @@ MPC/FHE cost models (the paper's Table 2 domain) price a circuit by both its
 AND count and its multiplicative depth — homomorphic noise growth is
 exponential in the number of AND levels.  This benchmark races the plain
 ``"mc"`` convergence flow against the depth-aware flow
-(:func:`repro.rewriting.flow.depth_flow`: balance → depth-guarded mc rounds →
-``"mc-depth"`` rewriting, iterated to a fixpoint; since the pipeline
-refactor the guarded stage drains one persistent dirty-node worklist over a
-shared optimisation context instead of restarting a full cut re-enumeration
-per round) and pins its contract:
+(``standard_flow("mc-depth")``: balance → depth-guarded mc rounds →
+``"mc-depth"`` rewriting, iterated to a fixpoint; the guarded stage drains
+one persistent dirty-node worklist over a shared optimisation context) and
+pins its contract:
 
 * the multiplicative depth never exceeds the initial network's;
 * the AND count stays within 1 % of the pure-MC flow per circuit;
@@ -34,7 +33,7 @@ from repro.cuts.cache import CutFunctionCache
 from repro.engine import EngineConfig
 from repro.engine.core import select_cases
 from repro.mc import McDatabase
-from repro.rewriting import RewriteParams, depth_flow, optimize
+from repro.rewriting import RewriteParams, optimize, run_pipeline, standard_flow
 from repro.xag import equivalent, multiplicative_depth
 from repro.xag.bitsim import SimulationCache
 
@@ -56,13 +55,22 @@ def _case(name, suite):
     return select_cases(config)[0]
 
 
+def _depth_pipeline(xag, max_rounds=None, max_iterations=8, in_place=True,
+                    verify=True, **caches):
+    """The canonical mc-depth pipeline, as the engine runs it."""
+    return run_pipeline(
+        xag, standard_flow("mc-depth", max_rounds=max_rounds,
+                           max_iterations=max_iterations),
+        params=RewriteParams(objective="mc-depth", verify=verify,
+                             in_place=in_place), **caches)
+
+
 def _run_row(name, suite, ab_check):
     case = _case(name, suite)
     xag = case.build()
     cap = rounds_cap(xag.num_ands)
     verify = (xag.num_ands + xag.num_xors) <= 20000
     mc_params = RewriteParams(verify=verify)
-    depth_params = RewriteParams(objective="mc-depth", verify=verify)
 
     start = time.perf_counter()
     mc = optimize(xag, params=mc_params, max_rounds=cap,
@@ -70,18 +78,17 @@ def _run_row(name, suite, ab_check):
     mc_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    df = depth_flow(xag, params=depth_params, max_rounds=cap,
-                    max_iterations=4, cut_cache=_CUT_CACHE,
-                    sim_cache=_SIM_CACHE)
+    df = _depth_pipeline(xag, max_rounds=cap, max_iterations=4,
+                         verify=verify, cut_cache=_CUT_CACHE,
+                         sim_cache=_SIM_CACHE)
     df_seconds = time.perf_counter() - start
 
-    pair = (df.final.num_ands, df.final_depth)
+    pair = (df.final.num_ands, df.depth_after)
     if ab_check:
-        rebuilt = depth_flow(xag, params=RewriteParams(
-            objective="mc-depth", verify=verify, in_place=False),
-            max_rounds=cap, max_iterations=4, cut_cache=_CUT_CACHE,
-            sim_cache=_SIM_CACHE)
-        assert (rebuilt.final.num_ands, rebuilt.final_depth) == pair, \
+        rebuilt = _depth_pipeline(xag, max_rounds=cap, max_iterations=4,
+                                  in_place=False, verify=verify,
+                                  cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+        assert (rebuilt.final.num_ands, rebuilt.depth_after) == pair, \
             f"{name}: --rebuild diverged from the in-place depth flow"
 
     if verify:
@@ -128,9 +135,9 @@ def test_depth_flow_report():
     lines = [
         "# Depth-aware flow vs pure-MC flow",
         "",
-        "`depth_flow` (balance → depth-guarded mc rounds → mc-depth",
-        "rewriting, iterated to a fixpoint) against `optimize` with the",
-        "paper's `mc` objective.  Both from the same initial network, shared",
+        "The mc-depth pipeline (balance → depth-guarded mc rounds →",
+        "mc-depth rewriting, iterated to a fixpoint) against `optimize` with",
+        "the paper's `mc` objective.  Both from the same initial network, shared",
         "database/caches; `(ANDs, depth)` pairs, depth = multiplicative",
         "depth.  Control rows are additionally A/B-checked: the `--rebuild`",
         "mode (same trajectory, every round's selections re-applied",
@@ -181,17 +188,16 @@ def smoke(circuits=("int2float", "router")) -> int:
         case = _case(name, "epfl")
         xag = case.build()
         start = time.perf_counter()
-        flow_in = depth_flow(xag)
-        flow_out = depth_flow(xag, params=RewriteParams(
-            objective="mc-depth", in_place=False))
+        flow_in = _depth_pipeline(xag)
+        flow_out = _depth_pipeline(xag, in_place=False)
         seconds = time.perf_counter() - start
-        pair_in = (flow_in.final.num_ands, flow_in.final_depth)
-        pair_out = (flow_out.final.num_ands, flow_out.final_depth)
+        pair_in = (flow_in.final.num_ands, flow_in.depth_after)
+        pair_out = (flow_out.final.num_ands, flow_out.depth_after)
         good = (pair_in == pair_out
-                and flow_in.final_depth <= flow_in.initial_depth
+                and flow_in.depth_after <= flow_in.depth_before
                 and equivalent(xag, flow_in.final))
         ok = ok and good
-        print(f"smoke {name}: initial {xag.num_ands}/{flow_in.initial_depth} "
+        print(f"smoke {name}: initial {xag.num_ands}/{flow_in.depth_before} "
               f"in-place {pair_in} rebuild {pair_out} in {seconds:.1f}s -> "
               f"{'OK' if good else 'DIVERGED'}")
     return 0 if ok else 1

@@ -208,7 +208,7 @@ def test_inplace_convergence_faster_than_rebuild():
                   f"| {best_in:.3f} s | {speedup:.1f}x |")
     print(f"\nconvergence, priority_encoder(32): rebuild {best_out:.3f}s, "
           f"in-place {best_in:.3f}s ({speedup:.1f}x), "
-          f"{res_in.num_rounds} rounds, final ANDs {res_in.final.num_ands}")
+          f"{len(res_in.rounds)} rounds, final ANDs {res_in.final.num_ands}")
     # "measurably faster": demand at least 1.1x; typical is 1.5-2x (margin
     # keeps noisy CI runners from flaking the build).
     assert best_in * 1.1 < best_out
@@ -427,15 +427,15 @@ def smoke(circuit: str = "int2float") -> int:
     ok = (res_in.final.num_ands == res_out.final.num_ands
           and equivalent(xag, res_in.final))
     print(f"smoke {circuit}: in-place {res_in.final.num_ands} ANDs "
-          f"({res_in.num_rounds} rounds) vs rebuild {res_out.final.num_ands} ANDs "
-          f"({res_out.num_rounds} rounds) in {seconds:.1f}s -> "
+          f"({len(res_in.rounds)} rounds) vs rebuild {res_out.final.num_ands} ANDs "
+          f"({len(res_out.rounds)} rounds) in {seconds:.1f}s -> "
           f"{'OK' if ok else 'DIVERGED'} [{kernels.backend_name()} kernels]")
 
     pairs = {}
     for name in kernels.available_backends():
         with kernels.use_backend(name):
             res = optimize(case.build(), params=RewriteParams(in_place=True))
-        pairs[name] = (res.final.num_ands, res.num_rounds)
+        pairs[name] = (res.final.num_ands, len(res.rounds))
     parity = len(set(pairs.values())) == 1
     print(f"smoke {circuit}: backend parity "
           + " vs ".join(f"{name} {ands} ANDs/{rounds} rounds"

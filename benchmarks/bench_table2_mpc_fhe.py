@@ -35,14 +35,14 @@ def _run(case_name, benchmark, shared_database, cut_size=6, cut_limit=12):
 def test_table2_row(case_name, benchmark, shared_database):
     row = _run(case_name, benchmark, shared_database)
     result = row.result
-    assert result.after_convergence.num_ands <= result.initial.num_ands
+    assert result.final.num_ands <= result.initial.num_ands
 
 
 @pytest.mark.parametrize("case_name", HEAVY_ROWS)
 def test_table2_heavy_row(case_name, benchmark, shared_database):
     row = _run(case_name, benchmark, shared_database, cut_size=5, cut_limit=8)
     result = row.result
-    assert result.after_convergence.num_ands <= result.initial.num_ands
+    assert result.final.num_ands <= result.initial.num_ands
 
 
 def test_table2_report():
@@ -51,20 +51,20 @@ def test_table2_report():
 
     # adders reach the known optimum of one AND per bit (paper §5.2)
     if "adder_32" in rows:
-        assert rows["adder_32"].result.after_convergence.num_ands == 32
+        assert rows["adder_32"].result.final.num_ands == 32
     if "adder_64" in rows:
-        assert rows["adder_64"].result.after_convergence.num_ands == 64
+        assert rows["adder_64"].result.final.num_ands == 64
 
     # AES is already essentially at its multiplicative complexity (paper: 0 %)
     if "aes_128_expanded" in rows:
-        assert rows["aes_128_expanded"].result.convergence_improvement < 0.10
+        assert rows["aes_128_expanded"].result.and_improvement < 0.10
 
     # hash functions lose a large share of their AND gates (paper: 58-68 %)
     for name in ("md5", "sha1"):
         if name in rows:
-            assert rows[name].result.convergence_improvement > 0.35, name
+            assert rows[name].result.and_improvement > 0.35, name
 
     # comparators improve noticeably (paper: 14-28 %)
     for name in ("comparator_ult_32", "comparator_slt_32"):
         if name in rows:
-            assert rows[name].result.convergence_improvement > 0.10, name
+            assert rows[name].result.and_improvement > 0.10, name

@@ -26,7 +26,7 @@ from repro.analysis import TableRow, render_paper_comparison, render_results_tab
     rows_to_markdown
 from repro.circuits.benchmark_case import BenchmarkCase
 from repro.mc import McDatabase
-from repro.rewriting import RewriteParams, paper_flow
+from repro.rewriting import RewriteParams, run_pipeline, standard_flow
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -74,8 +74,9 @@ def run_case(case: BenchmarkCase, database: McDatabase,
     xag = case.build(full_scale=full_scale())
     verify = (xag.num_ands + xag.num_xors) <= verify_limit
     params = RewriteParams(cut_size=cut_size, cut_limit=cut_limit, verify=verify)
-    result = paper_flow(xag, name=case.name, params=params, database=database,
-                        max_rounds=rounds_cap(xag.num_ands))
+    result = run_pipeline(xag, standard_flow("mc",
+                                             max_rounds=rounds_cap(xag.num_ands)),
+                          database=database, params=params)
     return TableRow(case=case, result=result)
 
 

@@ -15,7 +15,7 @@ Usage::
 import os
 import sys
 
-from repro import McDatabase, RewriteParams, paper_flow
+from repro import McDatabase, RewriteParams, run_pipeline, standard_flow
 from repro.analysis import TableRow, render_paper_comparison, render_results_table
 from repro.circuits import epfl_benchmark_map
 
@@ -32,9 +32,9 @@ def main() -> None:
         case = registry[name]
         xag = case.build(full_scale=full_scale)
         print(f"running {name} ({xag.num_ands} AND / {xag.num_xors} XOR) ...")
-        result = paper_flow(xag, name=name, database=database,
-                            params=RewriteParams(cut_size=6, cut_limit=12),
-                            max_rounds=4)
+        result = run_pipeline(xag, standard_flow("mc", max_rounds=4),
+                              database=database,
+                              params=RewriteParams(cut_size=6, cut_limit=12))
         rows.append(TableRow(case=case, result=result))
 
     print()

@@ -34,7 +34,7 @@ def main() -> None:
                       params=RewriteParams(cut_size=6, cut_limit=12, verify=False),
                       max_rounds=args.rounds)
     optimised = result.final
-    print(f"after {result.num_rounds} round(s):   {optimised.num_ands} AND / "
+    print(f"after {len(result.rounds)} round(s):   {optimised.num_ands} AND / "
           f"{optimised.num_xors} XOR, multiplicative depth {multiplicative_depth(optimised)}")
     print(f"AND reduction: {100 * result.and_improvement:.0f}% "
           f"(paper, full MD5, until convergence: 68%)")

@@ -38,7 +38,7 @@ def main() -> None:
         print(f"  after  : {optimised.num_ands:4d} AND / {optimised.num_xors:4d} XOR "
               f"-> {garbling_cost(optimised.num_ands)}")
         print(f"  saving : {100 * (1 - optimised.num_ands / circuit.num_ands):.0f}% of the "
-              f"garbled-circuit cost, {result.num_rounds} rewriting rounds")
+              f"garbled-circuit cost, {len(result.rounds)} rewriting rounds")
 
         bristol = write_bristol(optimised, *widths)
         print(f"  Bristol-Fashion netlist: {len(bristol.splitlines())} lines "

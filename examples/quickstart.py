@@ -30,7 +30,7 @@ def main() -> None:
     optimised = result.final
     print(f"optimised       : {optimised.num_ands} AND, {optimised.num_xors} XOR, "
           f"multiplicative depth {multiplicative_depth(optimised)}")
-    print(f"rounds executed : {result.num_rounds}")
+    print(f"rounds executed : {len(result.rounds)}")
     print(f"equivalent      : {equivalent(full_adder, optimised)}")
 
     print("\nGraphviz DOT of the optimised adder (paper Fig. 2(c)):\n")

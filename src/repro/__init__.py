@@ -37,8 +37,8 @@ from repro.cuts.cache import CutFunctionCache
 from repro.mc.database import McDatabase
 from repro.mc.synthesize import McSynthesizer
 from repro.affine.classify import AffineClassifier
-from repro.rewriting.flow import depth_flow, optimize, one_round, size_optimize, paper_flow
-from repro.rewriting.pipeline import parse_flow, run_pipeline, standard_flow
+from repro.rewriting.pipeline import (PipelineResult, optimize, parse_flow,
+                                      run_pipeline, standard_flow)
 from repro.rewriting.rewrite import CutRewriter, RewriteParams
 
 __version__ = "0.1.0"
@@ -55,10 +55,7 @@ __all__ = [
     "McSynthesizer",
     "AffineClassifier",
     "optimize",
-    "one_round",
-    "size_optimize",
-    "paper_flow",
-    "depth_flow",
+    "PipelineResult",
     "parse_flow",
     "run_pipeline",
     "standard_flow",

@@ -1,20 +1,22 @@
 """Renderers for the paper's experiment tables.
 
 The harness in ``benchmarks/`` produces one :class:`TableRow` per benchmark by
-running :func:`repro.rewriting.flow.paper_flow`; the functions here format the
-rows in the same layout as the paper's Table 1 / Table 2 (initial, one round,
-repeat-until-convergence) and add a paper-vs-measured comparison so the
-EXPERIMENTS.md log can be regenerated mechanically.
+running the paper pipeline (``run_pipeline`` over ``standard_flow("mc")``);
+the functions here format the rows in the same layout as the paper's
+Table 1 / Table 2 (initial, one round, repeat-until-convergence) and add a
+paper-vs-measured comparison so the EXPERIMENTS.md log can be regenerated
+mechanically.  The "One round" columns read the pipeline's ``one-round``
+pass (:attr:`~repro.rewriting.pipeline.PipelineResult.one_round_pass`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.metrics import normalized_geometric_mean
 from repro.circuits.benchmark_case import BenchmarkCase
-from repro.rewriting.flow import PaperFlowResult
+from repro.rewriting.pipeline import PipelineResult
 
 
 @dataclass
@@ -22,11 +24,24 @@ class TableRow:
     """Measured numbers for one benchmark row."""
 
     case: BenchmarkCase
-    result: PaperFlowResult
+    result: PipelineResult
 
     @property
     def name(self) -> str:
         return self.case.name
+
+    @property
+    def one_round_improvement(self) -> float:
+        """Fractional AND reduction after a single rewriting round."""
+        before = self.result.ands_before
+        after = self.result.one_round_pass.ands_after
+        return 1.0 - after / before if before else 0.0
+
+    @property
+    def convergence_seconds(self) -> float:
+        """Wall clock of the rewriting passes (the size baseline excluded)."""
+        return (self.result.runtime_seconds
+                - self.result.stage_seconds("baseline"))
 
 
 def _format_percent(value: float) -> str:
@@ -46,21 +61,21 @@ def render_results_table(rows: Sequence[TableRow], title: str) -> str:
     )
     lines = [title, subheader, header, "-" * len(header)]
     for row in rows:
-        result = row.result
+        result, one = row.result, row.result.one_round_pass
         lines.append(
-            f"{row.name:<22} {result.num_inputs:>5} {result.num_outputs:>5} | "
+            f"{row.name:<22} {result.final.num_pis:>5} {result.final.num_pos:>5} | "
             f"{result.initial.num_ands:>7} {result.initial.num_xors:>7} | "
-            f"{result.after_one_round.num_ands:>7} {result.after_one_round.num_xors:>7} "
-            f"{result.one_round_seconds:>8.2f} {_format_percent(result.one_round_improvement):>6} | "
-            f"{result.after_convergence.num_ands:>7} {result.after_convergence.num_xors:>7} "
-            f"{result.convergence_seconds:>8.2f} {_format_percent(result.convergence_improvement):>6}"
+            f"{one.ands_after:>7} {one.xors_after:>7} "
+            f"{one.runtime_seconds:>8.2f} {_format_percent(row.one_round_improvement):>6} | "
+            f"{result.final.num_ands:>7} {result.final.num_xors:>7} "
+            f"{row.convergence_seconds:>8.2f} {_format_percent(result.and_improvement):>6}"
         )
     geomean_one = normalized_geometric_mean(
         [row.result.initial.num_ands for row in rows],
-        [row.result.after_one_round.num_ands for row in rows])
+        [row.result.one_round_pass.ands_after for row in rows])
     geomean_conv = normalized_geometric_mean(
         [row.result.initial.num_ands for row in rows],
-        [row.result.after_convergence.num_ands for row in rows])
+        [row.result.final.num_ands for row in rows])
     lines.append("-" * len(header))
     if geomean_one is not None and geomean_conv is not None:
         lines.append(
@@ -81,7 +96,7 @@ def render_paper_comparison(rows: Sequence[TableRow], title: str) -> str:
         paper = row.case.paper
         ours = row.result
         paper_impr = paper.convergence_improvement or paper.one_round_improvement
-        ours_impr = ours.convergence_improvement
+        ours_impr = ours.and_improvement
         shape_ok = _same_shape(paper_impr, ours_impr)
         lines.append(
             f"{row.name:<22} {paper.initial_and:>15} {ours.initial.num_ands:>14} "
@@ -108,10 +123,10 @@ def rows_to_markdown(rows: Sequence[TableRow], title: str) -> str:
         paper = row.case.paper
         result = row.result
         lines.append(
-            f"| {row.name} | {result.num_inputs} | {result.num_outputs} "
+            f"| {row.name} | {result.final.num_pis} | {result.final.num_pos} "
             f"| {result.initial.num_ands}/{result.initial.num_xors} "
-            f"| {result.after_one_round.num_ands} ({_format_percent(result.one_round_improvement)}) "
-            f"| {result.after_convergence.num_ands} ({_format_percent(result.convergence_improvement)}) "
+            f"| {row.result.one_round_pass.ands_after} ({_format_percent(row.one_round_improvement)}) "
+            f"| {result.final.num_ands} ({_format_percent(result.and_improvement)}) "
             f"| {paper.initial_and} | {_format_percent(paper.convergence_improvement)} |"
         )
     return "\n".join(lines)

@@ -26,8 +26,8 @@ behind one object that the cut enumerator (:func:`repro.cuts.enumeration
   function hits the MC database (and affine classification) once per batch
   of circuits, not once per cut per round.
 
-The cache is deliberately long-lived: :func:`repro.rewriting.flow.optimize`
-keeps one across all rounds of a convergence loop, and
+The cache is deliberately long-lived: :func:`repro.rewriting.pipeline.run_pipeline`
+keeps one across all passes and rounds of a pipeline, and
 :mod:`repro.engine` keeps one across a whole batch of benchmark circuits.
 """
 
@@ -254,17 +254,25 @@ class CutFunctionCache:
         """
         return sorted(self._plans)
 
-    def warm_start(self, keys: Sequence[Sequence[int]]) -> int:
+    def warm_start(self, keys: Sequence[Sequence[int]],
+                   origin: str = "bundle") -> int:
         """Pre-materialise plans for ``keys`` (from a bundle or another shard).
 
         Goes through :meth:`McDatabase.materialize_plan`, which serves
         restored classifications without counting them as hits — after a
         warm start the statistics still measure only the work of the current
-        run.  Returns the number of plans installed.
+        run.  Returns the number of plans installed; a key that is not a
+        ``[table, num_vars]`` pair raises :class:`ValueError` naming
+        ``origin`` and the entry index.
         """
         installed = 0
-        for table, num_vars in keys:
-            key = (int(table), int(num_vars))
+        for position, entry in enumerate(keys):
+            try:
+                table, num_vars = entry
+                key = (int(table), int(num_vars))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{origin}: malformed plan entry "
+                                 f"#{position}: {exc}") from exc
             if key in self._plans:
                 continue
             self._plans[key] = self.database.materialize_plan(*key)

@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="maximum cut leaves (default: 6)")
     parser.add_argument("--cut-limit", type=positive_int, default=12,
                         help="cuts kept per node (default: 12)")
-    parser.add_argument("--cost", "--objective", dest="cost", default="mc",
+    parser.add_argument("--cost", default="mc",
                         choices=sorted(registered_cost_models()),
                         metavar="MODEL",
                         help="cost model: mc = AND count (the paper's), "
@@ -110,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "depth flow, fhe = noise-budget levels "
                              "(weighted depth + ANDs); models registered via "
                              "repro.rewriting.register_cost_model are "
-                             "accepted too (default: mc; --objective is the "
-                             "legacy spelling)")
+                             "accepted too (default: mc)")
     parser.add_argument("--flow", metavar="SCRIPT", default=None,
                         help="custom pass pipeline instead of the objective's "
                              "canonical flow, e.g. 'balance,mc*,mc-depth*' or "
@@ -215,7 +214,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "suites": list(batch.config.suites),
                 "circuits": batch.config.circuits,
                 "groups": batch.config.groups,
-                "objective": model.name,  # legacy key, kept for consumers
                 "cost": model.name,
                 # always the *resolved* script: a custom --flow verbatim,
                 # else the canonical pipeline serialised (never null)

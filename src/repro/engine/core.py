@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,8 +49,7 @@ from repro.cuts.cache import CutFunctionCache
 from repro.mc.database import McDatabase
 from repro.rewriting.cost import CostModel, cost_model
 from repro.rewriting.pipeline import (FlowSummary, Pass, PipelineResult,
-                                      SizeBaselinePass, contains_depth_guard,
-                                      contains_pass, flow_mode_comparable,
+                                      SizeBaselinePass, contains_pass,
                                       flow_script, parse_flow, run_pipeline,
                                       standard_flow)
 from repro.rewriting.rewrite import RewriteParams, RoundStats
@@ -98,14 +97,15 @@ class EngineConfig:
     #: cap on rewriting rounds (``None`` = run to convergence).  For the
     #: "mc"/"size" pipelines this bounds the total rounds per circuit; for
     #: "mc-depth" it bounds the rounds *per stage and iteration* of the
-    #: depth flow (see :func:`repro.rewriting.flow.depth_flow`).
+    #: depth flow (see :func:`repro.rewriting.pipeline.standard_flow`).
     max_rounds: Optional[int] = 2
     #: run the generic size-optimisation baseline before MC rewriting.
     size_baseline: bool = False
     #: build paper-scale netlists instead of the reduced defaults.
     full_scale: bool = False
     #: apply rewrites by in-place substitution (the default); False selects
-    #: the out-of-place rebuild path for A/B checking (CLI ``--rebuild``).
+    #: the out-of-place rebuild path for A/B checking (CLI ``--rebuild``;
+    #: see :func:`repro.rewriting.pipeline.run_pipeline` for depth flows).
     in_place: bool = True
     #: verify equivalence for networks up to this many gates (0 disables).
     verify_limit: int = 20000
@@ -429,13 +429,15 @@ class ResultCache:
                 key = (str(raw_key[0]), str(raw_key[1]), str(raw_key[2]),
                        int(raw_key[3]), int(raw_key[4]))
                 entry["report"]  # noqa: B018 - presence check
+                network = entry["network"]
+                if validate and key not in self._entries:
+                    network = xag_serialize.from_dict(network)
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise ValueError(f"{origin}: malformed result entry "
                                  f"#{position}: {exc}") from exc
             if key in self._entries:
                 continue
             if validate:
-                network = xag_serialize.from_dict(entry["network"])
                 digest = format(graph_hash(network), "x")
                 if digest != entry.get("network_hash"):
                     raise ValueError(
@@ -568,15 +570,6 @@ def run_circuit(case: BenchmarkCase, config: EngineConfig,
         params = RewriteParams(cut_size=config.cut_size, cut_limit=config.cut_limit,
                                objective=config.objective, verify=verify,
                                in_place=config.in_place)
-        if contains_depth_guard(passes) or not flow_mode_comparable(passes):
-            # guarded rounds — and rounds priced by a depth-aware model —
-            # decide in place against maintained levels; --rebuild replays
-            # the in-place trajectory with per-round out-of-place
-            # cross-checks instead of forking a second trajectory (see
-            # RewriteParams.ab_check).
-            params = replace(params, in_place=True,
-                             ab_check=params.ab_check or not config.in_place)
-
         result: PipelineResult = run_pipeline(
             xag, passes, database=database, params=params,
             cut_cache=cut_cache, sim_cache=sim_cache)
@@ -640,13 +633,13 @@ def _one_round_seconds(result: PipelineResult) -> float:
     """Wall clock of the "one round" stage of a pipeline.
 
     The canonical paper pipeline has an explicitly named one-round pass;
-    other flows report their first executed *rewriting* round, mirroring
-    what the depth flow always did — size-baseline rounds are excluded
-    (the baseline stage is timed separately).
+    other flows report their first executed *rewriting* round —
+    size-baseline rounds are excluded (the baseline stage is timed
+    separately).
     """
-    for pass_result in result.walk():
-        if pass_result.name == "one-round":
-            return pass_result.runtime_seconds
+    one_round = result.one_round_pass
+    if one_round is not None:
+        return one_round.runtime_seconds
     for pass_result in result.passes:
         if pass_result.kind == "baseline":
             continue
@@ -678,10 +671,9 @@ def load_warm_start(path: Union[str, Path], database: McDatabase,
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a valid JSON bundle: {exc}") from exc
     database.install_bundle(bundle, origin=str(path))
-    if isinstance(bundle, dict):
-        cut_cache.warm_start(bundle.get("plans", []))
-        if result_cache is not None:
-            result_cache.install(bundle.get("results", []), origin=str(path))
+    cut_cache.warm_start(bundle.get("plans", []), origin=str(path))
+    if result_cache is not None:
+        result_cache.install(bundle.get("results", []), origin=str(path))
     return True
 
 

@@ -143,12 +143,12 @@ class McDatabase:
             "total_recipe_ands": sum(r.num_ands for r in self._recipes.values()),
         }
 
-    #: bundle file magic / schema version.  Version 1 was a bare recipe
-    #: list; version 2 added classifications and plan keys; version 3 made
-    #: the bundle a content-addressed store — every recipe entry carries
-    #: the canonical structural hash of its XAG (entries sorted by it) and
-    #: an optional ``results`` section persists the engine's whole-circuit
-    #: result cache.  v2 and v1 files still load; the optional ``cones``
+    #: bundle file magic / schema version.  Version 3 is a content-addressed
+    #: store: every recipe entry carries the canonical structural hash of
+    #: its XAG (entries sorted by it), next to classifications, plan keys
+    #: and an optional ``results`` section persisting the engine's
+    #: whole-circuit result cache.  Older versions (v1 bare recipe lists,
+    #: v2 bundles without hashes) are rejected; the optional ``cones``
     #: section older v3 writers added is ignored.
     BUNDLE_FORMAT = "repro-warm-start"
     BUNDLE_VERSION = 3
@@ -207,11 +207,11 @@ class McDatabase:
         entries.sort(key=lambda entry: entry["hash"])
         return entries
 
-    def install_bundle(self, bundle: Union[Dict, List], validate: bool = True,
+    def install_bundle(self, bundle: Dict, validate: bool = True,
                        origin: str = "bundle") -> Dict[str, int]:
-        """Merge a bundle (or legacy v1 recipe list) into this database.
+        """Merge a v3 bundle into this database.
 
-        Merging is idempotent and order-independent *by construction*: a v3
+        Merging is idempotent and order-independent *by construction*: an
         entry is identified by its content hash, so an entry whose hash is
         already installed is skipped without even deserialising competitors
         for the same ``(representative, num_vars)`` key, and already-present
@@ -222,32 +222,30 @@ class McDatabase:
         claimed content hash is recomputed from the deserialised recipe; a
         stale or hand-edited bundle is rejected with a descriptive error
         instead of silently producing wrong rewrites whenever verification
-        is off.  v2 bundles (no hashes) and legacy v1 recipe lists still
-        install — their content addresses are computed here.
+        is off.  A bundle of any other version — including a legacy v1 bare
+        recipe list — raises :class:`ValueError` naming ``origin`` and the
+        version.
         """
-        if isinstance(bundle, list):  # legacy v1 layout: bare recipe list
-            recipes, classifications = bundle, []
+        if isinstance(bundle, list):  # the v1 layout: a bare recipe list
+            version = 1
         elif isinstance(bundle, dict):
             file_format = bundle.get("format", self.BUNDLE_FORMAT)
             if file_format != self.BUNDLE_FORMAT:
                 raise ValueError(f"{origin}: not a warm-start bundle "
                                  f"(format {file_format!r})")
             version = int(bundle.get("version", self.BUNDLE_VERSION))
-            if version > self.BUNDLE_VERSION:
-                raise ValueError(
-                    f"{origin}: bundle version {version} is newer than the "
-                    f"supported version {self.BUNDLE_VERSION}")
-            recipes = bundle.get("recipes", [])
-            classifications = bundle.get("classifications", [])
         else:
-            raise ValueError(f"{origin}: bundle must be a mapping or a legacy "
-                             f"recipe list, got {type(bundle).__name__}")
+            raise ValueError(f"{origin}: bundle must be a mapping, "
+                             f"got {type(bundle).__name__}")
+        if version != self.BUNDLE_VERSION:
+            raise ValueError(f"{origin}: unsupported bundle version {version} "
+                             f"(only version {self.BUNDLE_VERSION} loads)")
 
         installed = 0
         installed_hashes = set(self._recipe_hashes.values())
-        for position, entry in enumerate(recipes):
+        for position, entry in enumerate(bundle.get("recipes", [])):
             claimed_hash = entry.get("hash") if isinstance(entry, dict) else None
-            if claimed_hash is not None and claimed_hash in installed_hashes:
+            if claimed_hash in installed_hashes:
                 continue  # content already present — skip by address alone
             try:
                 representative = int(entry["representative"])
@@ -260,7 +258,7 @@ class McDatabase:
             if validate:
                 self._validate_recipe(recipe, representative, num_vars,
                                       f"{origin}: recipe entry #{position}")
-                if claimed_hash is not None and claimed_hash != digest:
+                if claimed_hash != digest:
                     raise ValueError(
                         f"{origin}: recipe entry #{position} claims content "
                         f"hash {claimed_hash} but its XAG hashes to {digest}; "
@@ -272,12 +270,12 @@ class McDatabase:
                 installed_hashes.add(digest)
                 installed += 1
         installed_classifications = self.classification_cache.install_payload(
-            classifications, validate=validate, origin=origin)
+            bundle.get("classifications", []), validate=validate, origin=origin)
         return {
             "recipes": installed,
             "classifications": installed_classifications,
-            "plans": len(bundle.get("plans", [])) if isinstance(bundle, dict) else 0,
-            "results": len(bundle.get("results", [])) if isinstance(bundle, dict) else 0,
+            "plans": len(bundle.get("plans", [])),
+            "results": len(bundle.get("results", [])),
         }
 
     @staticmethod
@@ -326,10 +324,9 @@ class McDatabase:
             raise
 
     def load(self, path: Union[str, Path], validate: bool = True) -> int:
-        """Load a bundle from a JSON file; returns the number of recipes read.
+        """Load a v3 bundle from a JSON file; returns the number of recipes read.
 
-        Accepts both the current versioned bundle layout and the legacy bare
-        recipe list.  Entries failing validation abort the load with a
+        Other versions and entries failing validation abort the load with a
         descriptive :class:`ValueError` (see :meth:`install_bundle`).
         """
         try:

@@ -68,13 +68,9 @@ class CostModel:
     #: True when pricing needs the maintained AND-levels: the rewriter
     #: binds a :class:`~repro.xag.levels.LevelTracker`, prices
     #: ``gain_depth`` per candidate and records round depths.
+    #: Pipelines priced by a depth-aware model decide their rounds in
+    #: place (:func:`repro.rewriting.pipeline.decides_in_place`).
     depth_aware: bool = False
-    #: True when the in-place and rebuild application strategies converge
-    #: to the same metrics on independent trajectories.  Depth-aware models
-    #: decide rounds against maintained levels of one persistent network,
-    #: so their rebuild mode replays the in-place trajectory with A/B
-    #: cross-checks instead (see ``RewriteParams.ab_check``).
-    mode_comparable: bool = True
     #: label of the scalar :meth:`metric` in reports and benchmark tables.
     metric_name: str = "cost"
     #: examine cut cones without interior AND gates.  AND-free cones have
@@ -196,7 +192,6 @@ class McDepthCost(CostModel):
     description = "AND count, then multiplicative depth (never deepens)"
     metric_name = "ANDs"
     depth_aware = True
-    mode_comparable = False
 
     def key(self, candidate: "Candidate") -> Tuple[int, ...]:
         return (candidate.gain_ands, candidate.gain_depth,
@@ -245,7 +240,6 @@ class FheNoiseBudgetCost(CostModel):
                    "width, depth first")
     metric_name = "noise"
     depth_aware = True
-    mode_comparable = False
 
     def __init__(self, depth_weight: int = 8,
                  level_cap: Optional[int] = None,

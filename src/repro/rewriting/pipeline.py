@@ -2,9 +2,8 @@
 
 The paper's experiments are fixed recipes — one round → convergence for
 Tables 1/2, balance → depth-guarded MC → mc-depth rewriting for the
-depth-aware flow — and the first versions of this repo mirrored them
-literally as hand-rolled functions with near-duplicate result types and a
-forked engine path.  This module replaces that with three orthogonal ideas:
+depth-aware flow.  This module composes every recipe from three orthogonal
+ideas, and :func:`run_pipeline` is the one function that runs them:
 
 * :class:`OptimizationContext` — owns the working :class:`~repro.xag.graph.Xag`
   together with the full subscriber-cache trio (packed simulation words via
@@ -19,8 +18,8 @@ forked engine path.  This module replaces that with three orthogonal ideas:
 
 * :class:`Pass` — the unit of composition: ``run(ctx) -> PassResult`` with
   uniform statistics (counts, depth, rounds, balance stats, timing,
-  verification), replacing the former ``FlowResult`` / ``PaperFlowResult`` /
-  ``DepthFlowResult`` triplication.  Concrete passes are
+  verification), collected into one :class:`PipelineResult`.  Concrete
+  passes are
   :class:`SweepPass`, :class:`BalancePass`, :class:`RewritePass` and
   :class:`SizeBaselinePass`; :class:`Repeat` and :class:`DepthGuard` are
   combinators over other passes.
@@ -48,9 +47,9 @@ forked engine path.  This module replaces that with three orthogonal ideas:
   wraps a rewrite atom and snapshots the working network before each round,
   discarding any round that raises the critical AND-level.
 
-The legacy entry points (:func:`repro.rewriting.flow.optimize`,
-``paper_flow``, ``depth_flow``) are thin aliases over these passes and keep
-their signatures, so existing callers are untouched.
+:func:`standard_flow` builds the canonical recipe of a cost model and
+:func:`optimize` is the one-:class:`RewritePass` shorthand.  The execution
+mode is decided in :func:`run_pipeline` alone (see :func:`decides_in_place`).
 """
 
 from __future__ import annotations
@@ -106,9 +105,7 @@ class FlowSummary:
     Subclasses provide ``ands_before`` / ``ands_after`` / ``depth_before`` /
     ``depth_after`` (fields or properties) and a ``rounds`` sequence of
     :class:`~repro.rewriting.rewrite.RoundStats`; this mixin derives the
-    fractional improvements and the convergence predicate from them — the
-    single definition the former ``FlowResult`` / ``PaperFlowResult`` /
-    ``DepthFlowResult`` triplet used to duplicate.
+    fractional improvements and the convergence predicate from them.
     """
 
     @property
@@ -683,6 +680,11 @@ class Repeat(Pass):
 # ----------------------------------------------------------------------
 # pipelines
 # ----------------------------------------------------------------------
+#: name of the first rewrite pass of the paper pipeline (the "One round"
+#: columns of Tables 1 and 2).
+ONE_ROUND = "one-round"
+
+
 @dataclass
 class PipelineResult(FlowSummary):
     """Uniform outcome of running a pass pipeline on one network."""
@@ -748,6 +750,12 @@ class PipelineResult(FlowSummary):
         return sum(result.runtime_seconds for result in self.walk()
                    if result.kind == kind)
 
+    @property
+    def one_round_pass(self) -> Optional[PassResult]:
+        """The ``one-round`` pass of the paper pipeline (``None`` otherwise)."""
+        return next((result for result in self.walk()
+                     if result.name == ONE_ROUND), None)
+
 
 def run_pipeline(xag: Xag, passes: Sequence[Pass],
                  database: Optional[McDatabase] = None,
@@ -756,12 +764,17 @@ def run_pipeline(xag: Xag, passes: Sequence[Pass],
                  sim_cache: Optional[SimulationCache] = None) -> PipelineResult:
     """Run ``passes`` over one shared :class:`OptimizationContext`.
 
-    The input network is never modified.  Returns the uniform
-    :class:`PipelineResult`; callers needing the context mid-flow (the
-    ``paper_flow`` alias snapshots the network between passes) drive the
-    passes themselves.
+    The input network is never modified.  A pipeline that
+    :func:`decides_in_place` always runs in place: ``params.in_place=False``
+    then does not fork an independent rebuild trajectory but cross-applies
+    every round out-of-place from the same pre-round network
+    (:attr:`~repro.rewriting.rewrite.RewriteParams.ab_check`), so both
+    modes reach identical results by construction.
     """
     start = time.perf_counter()
+    params = params if params is not None else RewriteParams()
+    if not params.in_place and decides_in_place(passes, params.objective):
+        params = replace(params, in_place=True, ab_check=True)
     ctx = OptimizationContext(xag, database=database, params=params,
                               cut_cache=cut_cache, sim_cache=sim_cache)
     results = [pass_.run(ctx) for pass_ in passes]
@@ -770,18 +783,39 @@ def run_pipeline(xag: Xag, passes: Sequence[Pass],
                           runtime_seconds=time.perf_counter() - start)
 
 
+def optimize(xag: Xag, database: Optional[McDatabase] = None,
+             params: Optional[RewriteParams] = None,
+             max_rounds: Optional[int] = None,
+             cut_cache: Optional[CutFunctionCache] = None,
+             sim_cache: Optional[SimulationCache] = None) -> PipelineResult:
+    """Repeat cut rewriting until no improvement (or ``max_rounds``).
+
+    Shorthand for :func:`run_pipeline` over one :class:`RewritePass` priced
+    by ``params.objective`` ("mc" by default).  ``cut_cache`` / ``sim_cache``
+    may pass caches shared with other runs (the engine shares them across a
+    whole batch of circuits); fresh ones are created otherwise, so plans and
+    simulation values are still reused between the rounds of this call.
+    """
+    return run_pipeline(xag, [RewritePass(max_rounds=max_rounds)],
+                        database=database, params=params,
+                        cut_cache=cut_cache, sim_cache=sim_cache)
+
+
 def standard_flow(objective: Union[str, CostModel] = "mc",
                   size_baseline: bool = False,
                   max_rounds: Optional[int] = None,
                   max_iterations: int = 8) -> List[Pass]:
     """The canonical pipeline for a cost model (what the engine runs).
 
-    Mode-comparable models ("mc", "size", …) build the paper pipeline — one
-    round, then repeat until convergence (``max_rounds`` caps the total) —
-    while depth-aware models ("mc-depth", "fhe", …) build the depth flow:
+    Plain models ("mc", "size", …) build the paper pipeline — one round,
+    then repeat until convergence (``max_rounds`` caps the total) — while
+    depth-aware models ("mc-depth", "fhe", …) build the depth flow:
     balance → depth-guarded mc rounds → objective rewriting, iterated to an
-    ``(ANDs, depth)`` fixpoint.  Flow-script equivalents: ``"mc,mc*"`` and
-    ``"repeat:8(balance,guard(mc*),mc-depth*)"``.
+    ``(ANDs, depth)`` fixpoint (``max_rounds`` then caps every stage of
+    every iteration).  Flow-script equivalents: ``"mc,mc*"`` and
+    ``"repeat:8(balance,guard(mc*),mc-depth*)"``.  ``size_baseline``
+    prepends a :class:`SizeBaselinePass`, which rebases the pipeline: the
+    result's ``initial`` is then the baseline's output.
     """
     model = cost_model(objective)
     passes: List[Pass] = [SizeBaselinePass()] if size_baseline else []
@@ -794,7 +828,7 @@ def standard_flow(objective: Union[str, CostModel] = "mc",
              RewritePass(objective, max_rounds=max_rounds, name=model.name)],
             max_iterations=max_iterations, name=flow_name))
         return passes
-    passes.append(RewritePass(objective, max_rounds=1, name="one-round"))
+    passes.append(RewritePass(objective, max_rounds=1, name=ONE_ROUND))
     conv_cap = None if max_rounds is None else max(0, max_rounds - 1)
     if conv_cap != 0:
         passes.append(RewritePass(objective, max_rounds=conv_cap,
@@ -802,28 +836,41 @@ def standard_flow(objective: Union[str, CostModel] = "mc",
     return passes
 
 
+def _nested(passes: Sequence[Pass]) -> Iterator[Pass]:
+    """Every pass of a pipeline, combinator children included, depth first."""
+    for pass_ in passes:
+        yield pass_
+        if isinstance(pass_, Repeat):
+            yield from _nested(pass_.passes)
+        elif isinstance(pass_, DepthGuard):
+            yield pass_.inner
+
+
 def contains_pass(passes: Sequence[Pass], pass_type: type) -> bool:
     """True when any pass — including combinator children — is a ``pass_type``."""
-    for pass_ in passes:
-        if isinstance(pass_, pass_type):
+    return any(isinstance(pass_, pass_type) for pass_ in _nested(passes))
+
+
+def decides_in_place(passes: Sequence[Pass],
+                     objective: Union[str, CostModel] = "mc") -> bool:
+    """True when the pipeline's rounds must be decided in place.
+
+    A :class:`DepthGuard` needs the snapshot/restore machinery of one
+    persistent working network, and a depth-aware cost model prices
+    candidates against that network's maintained AND-levels, so
+    independent in-place and rebuild trajectories of such a pipeline drift
+    apart.  Rewrite passes without an explicit objective are priced by
+    ``objective``, the context's model.  :func:`run_pipeline` is the one
+    place that applies this rule.
+    """
+    for pass_ in _nested(passes):
+        if isinstance(pass_, DepthGuard):
             return True
-        if isinstance(pass_, Repeat) and contains_pass(pass_.passes, pass_type):
-            return True
-        if isinstance(pass_, DepthGuard) and isinstance(pass_.inner, pass_type):
+        if isinstance(pass_, RewritePass) and cost_model(
+                pass_.objective if pass_.objective is not None
+                else objective).depth_aware:
             return True
     return False
-
-
-def contains_depth_guard(passes: Sequence[Pass]) -> bool:
-    """True when any (nested) pass is a :class:`DepthGuard`.
-
-    Guarded pipelines decide rounds in place (the snapshot/restore machinery
-    needs one persistent working network), so the engine's ``--rebuild``
-    mode replays the in-place trajectory with per-round out-of-place
-    cross-checks instead of forking a second trajectory — see
-    :attr:`repro.rewriting.rewrite.RewriteParams.ab_check`.
-    """
-    return contains_pass(passes, DepthGuard)
 
 
 # ----------------------------------------------------------------------
@@ -996,31 +1043,3 @@ def flow_script(passes: Sequence[Pass]) -> str:
     :class:`ValueError`.
     """
     return ",".join(_step_script(pass_) for pass_ in passes)
-
-
-def flow_mode_comparable(passes: Sequence[Pass]) -> bool:
-    """True when every (nested) rewrite pass prices a mode-comparable model.
-
-    Mode-comparable flows reach identical metrics under independent in-place
-    and rebuild trajectories, so the differential harness compares them
-    directly.  A flow with any depth-aware (non-mode-comparable) rewrite
-    step decides rounds against maintained levels of one persistent network;
-    its rebuild mode must replay the in-place trajectory with per-round A/B
-    cross-checks instead — exactly like flows containing a
-    :class:`DepthGuard` (see :func:`contains_depth_guard`).  Rewrite passes
-    without an explicit objective inherit the context's model and are
-    treated as comparable here; the engine resolves those against its
-    configured cost model before deciding the execution mode.
-    """
-    for pass_ in passes:
-        if isinstance(pass_, RewritePass):
-            if pass_.objective is not None and \
-                    not cost_model(pass_.objective).mode_comparable:
-                return False
-        elif isinstance(pass_, DepthGuard):
-            if not flow_mode_comparable([pass_.inner]):
-                return False
-        elif isinstance(pass_, Repeat):
-            if not flow_mode_comparable(pass_.passes):
-                return False
-    return True

@@ -92,8 +92,8 @@ class RewriteParams:
     #: rebuilt applications may differ transiently in exact counts (cascade
     #: folds defer some savings by one round; reconstruction re-strashes
     #: globally), so the check validates invariants, not structural
-    #: equality.  The depth flow enables this when the engine runs
-    #: ``--rebuild`` — see :func:`repro.rewriting.flow.depth_flow`.
+    #: equality.  :func:`repro.rewriting.pipeline.run_pipeline` enables
+    #: this for ``in_place=False`` on pipelines that decide in place.
     ab_check: bool = False
 
     @property

@@ -7,8 +7,9 @@ For every seeded random XAG the same flow script (see
   (database, cut-function cache, simulation cache) across *all* seeds of the
   run, exactly like a long engine batch;
 * **rebuild** — the ``--rebuild`` engine path (out-of-place reconstruction;
-  flows containing a depth guard replay the in-place trajectory with
-  per-round A/B cross-checks, mirroring :func:`repro.engine.core.run_circuit`);
+  flows that :func:`~repro.rewriting.pipeline.decides_in_place` replay the
+  in-place trajectory with per-round A/B cross-checks, see
+  :func:`~repro.rewriting.pipeline.run_pipeline`);
 * **fresh** — in-place again, but with a brand-new cache trio, so any result
   that *depends* on accumulated cache state shows up as a divergence.
 
@@ -16,8 +17,7 @@ Checks per seed: every mode's result must stay functionally equivalent to
 the untouched input (fresh packed simulation — never through the shared
 simulation cache), must not increase the AND count, must report verified
 rounds, and the in-place, fresh and rebuild trajectories must agree
-exactly on (ANDs, XORs, multiplicative depth).  Mode-comparable flows
-(see :func:`repro.rewriting.pipeline.flow_mode_comparable`) reach that
+exactly on (ANDs, XORs, multiplicative depth).  Plain flows reach that
 agreement through genuinely independent in-place/rebuild runs; flows with
 a depth-aware cost model or a depth guard replay the in-place trajectory
 under per-round A/B cross-checks, so their agreement validates the replay
@@ -51,8 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.cuts.cache import CutFunctionCache
 from repro.mc.database import McDatabase
 from repro.rewriting.cost import cost_model, registered_cost_models
-from repro.rewriting.pipeline import (contains_depth_guard,
-                                      flow_mode_comparable, parse_flow,
+from repro.rewriting.pipeline import (decides_in_place, parse_flow,
                                       run_pipeline)
 from repro.rewriting.rewrite import RewriteParams
 from repro.testing.generate import random_xag
@@ -155,8 +154,8 @@ def generator_knobs(seed: int) -> Dict[str, object]:
 def cost_model_flow(name: str) -> str:
     """Canonical differential flow script of one registered cost model.
 
-    Mirrors :func:`repro.rewriting.pipeline.standard_flow`: mode-comparable
-    models run one round then converge; depth-aware models run the balance +
+    Mirrors :func:`repro.rewriting.pipeline.standard_flow`: plain models
+    run one round then converge; depth-aware models run the balance +
     guarded-mc + model-convergence script of the depth flow.
     """
     model = cost_model(name)
@@ -169,19 +168,11 @@ def _run_mode(xag: Xag, flow: str, in_place: bool,
               database: McDatabase, cut_cache: CutFunctionCache,
               sim_cache: SimulationCache, cut_size: int, cut_limit: int):
     """Execute one flow under one application mode (engine parity)."""
-    passes = parse_flow(flow)
     params = RewriteParams(cut_size=cut_size, cut_limit=cut_limit,
                            verify=True, in_place=in_place)
-    if not in_place and (contains_depth_guard(passes) or
-                         not flow_mode_comparable(passes)):
-        # guarded rounds and depth-aware cost models decide in place; the
-        # rebuild mode replays the trajectory with per-round out-of-place
-        # cross-checks, exactly like repro.engine.core.run_circuit under
-        # --rebuild.
-        params = RewriteParams(cut_size=cut_size, cut_limit=cut_limit,
-                               verify=True, in_place=True, ab_check=True)
-    return run_pipeline(xag, passes, database=database, params=params,
-                        cut_cache=cut_cache, sim_cache=sim_cache)
+    return run_pipeline(xag, parse_flow(flow), database=database,
+                        params=params, cut_cache=cut_cache,
+                        sim_cache=sim_cache)
 
 
 def check_modes(xag: Xag, flow: str,
@@ -248,15 +239,15 @@ def check_modes(xag: Xag, flow: str,
 
     rebuild_result = results.get("rebuild")
     if in_place_result is not None and rebuild_result is not None:
-        # mode-comparable flows reach the same metrics via independent
-        # trajectories; depth-aware/guarded flows via the A/B replay path —
-        # either way a mismatch is a finding, only its meaning differs.
-        comparable = flow_mode_comparable(parse_flow(flow))
+        # plain flows reach the same metrics via independent trajectories;
+        # depth-aware/guarded flows via the A/B replay path — either way a
+        # mismatch is a finding, only its meaning differs.
         in_place_metrics = _metrics(in_place_result.final)
         rebuild_metrics = _metrics(rebuild_result.final)
         if in_place_metrics != rebuild_metrics:
-            kind = ("a mode-comparable flow" if comparable
-                    else "the A/B replay path of a depth-aware flow")
+            kind = ("the A/B replay path of a depth-aware flow"
+                    if decides_in_place(parse_flow(flow))
+                    else "a plain flow")
             failures.append(
                 f"in-place vs rebuild mismatch: {in_place_metrics} vs "
                 f"{rebuild_metrics} on {kind}")

@@ -26,7 +26,6 @@ from repro.xag.levels import LevelCache, LevelTracker
 from repro.xag.balance import BalanceStats, balance, balance_in_place
 from repro.xag.cleanup import is_swept, sweep, sweep_owned, sweep_with_map
 from repro.xag.structhash import (
-    StructHashCache,
     StructHashTracker,
     cone_hash,
     graph_hash,
@@ -64,7 +63,6 @@ __all__ = [
     "BalanceStats",
     "balance",
     "balance_in_place",
-    "StructHashCache",
     "StructHashTracker",
     "cone_hash",
     "graph_hash",

@@ -25,7 +25,7 @@ optimisation flows build on instead:
     **only the transitive fanout** of the changed nodes.
 
 * :class:`SimulationCache` — a small LRU of simulators keyed by network
-  identity.  The convergence loop in :mod:`repro.rewriting.flow` verifies
+  identity.  A convergence pass of :mod:`repro.rewriting.pipeline` verifies
   ``round k``'s output against ``round k+1``'s input, which is the *same
   network object*; with the cache each network is fully simulated exactly
   once over the whole flow instead of once per equivalence check.

@@ -202,27 +202,6 @@ def cone_hash(xag: Xag, root: int, leaves: Sequence[int],
 # ----------------------------------------------------------------------
 # incremental maintenance
 # ----------------------------------------------------------------------
-class StructHashCache:
-    """Shares one :class:`StructHashTracker` across consumers of one flow.
-
-    Mirrors :class:`repro.xag.levels.LevelCache`: a tracker is bound to a
-    single network object, and flows that replace their working network
-    (sweeps, restored snapshots, rebuilt rounds) need it rebound in one
-    place so every consumer observes the *same* maintained hashes.
-    """
-
-    def __init__(self) -> None:
-        self._tracker: Optional["StructHashTracker"] = None
-
-    def tracker(self, xag: Xag) -> "StructHashTracker":
-        """Tracker bound to ``xag`` (rebound when the network changes)."""
-        tracker = self._tracker
-        if tracker is None or tracker.xag is not xag:
-            tracker = StructHashTracker(xag)
-            self._tracker = tracker
-        return tracker
-
-
 class StructHashTracker:
     """Incrementally maintained per-node hashes bound to one :class:`Xag`.
 

@@ -15,7 +15,7 @@ from repro.analysis import (
 from repro.circuits import epfl_benchmark_map, epfl_benchmarks
 from repro.circuits.arithmetic import full_adder
 from repro.circuits.crypto import mpc_benchmark_map, mpc_benchmarks
-from repro.rewriting import RewriteParams, paper_flow
+from repro.rewriting import RewriteParams, run_pipeline, standard_flow
 
 
 # ----------------------------------------------------------------------
@@ -128,8 +128,8 @@ def test_mpc_comparators_build_paper_sized():
 def example_rows():
     case = epfl_benchmark_map()["adder"]
     xag = case.build_default()
-    result = paper_flow(xag, name=case.name, params=RewriteParams(cut_size=4, cut_limit=6),
-                        max_rounds=2)
+    result = run_pipeline(xag, standard_flow("mc", max_rounds=2),
+                          params=RewriteParams(cut_size=4, cut_limit=6))
     return [TableRow(case=case, result=result)]
 
 

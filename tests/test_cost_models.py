@@ -144,13 +144,16 @@ def test_standard_flow_serialises_for_every_model():
 
 
 # ----------------------------------------------------------------------
-# engine plumbing: --cost alias, resolved flow, cost fields
+# engine plumbing: --cost, resolved flow, cost fields
 # ----------------------------------------------------------------------
-def test_cli_cost_and_objective_are_one_argument():
-    by_cost = config_from_args(build_parser().parse_args(["--cost", "fhe"]))
-    by_objective = config_from_args(
-        build_parser().parse_args(["--objective", "fhe"]))
-    assert by_cost.objective == by_objective.objective == "fhe"
+def test_cli_cost_model_option_has_one_spelling():
+    """``--cost`` is the only spelling: the parser keeps no legacy alias."""
+    parser = build_parser()
+    (option,) = [action for action in parser._actions
+                 if action.dest == "cost"]
+    assert option.option_strings == ["--cost"]
+    assert config_from_args(parser.parse_args(["--cost", "fhe"])).objective \
+        == "fhe"
 
 
 def test_cli_rejects_unknown_cost(capsys):
@@ -182,7 +185,7 @@ def test_json_payload_reports_resolved_flow_and_cost(tmp_path):
     payload = json.loads(custom.read_text())
     assert payload["config"]["flow"] == "balance,mc*"
     assert payload["config"]["cost"] == "mc"
-    assert payload["config"]["objective"] == "mc"  # legacy key survives
+    assert "objective" not in payload["config"]
 
     legacy = tmp_path / "legacy.json"
     assert main(["--circuits", "decoder", "--rounds", "0",

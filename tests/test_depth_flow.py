@@ -7,8 +7,8 @@ import pytest
 from repro.testing import random_xag
 from repro.circuits import arithmetic as A
 from repro.circuits import control as C
-from repro.rewriting import (CutRewriter, RewriteParams, depth_flow, optimize,
-                             paper_flow)
+from repro.rewriting import (CutRewriter, RewriteParams, optimize,
+                             run_pipeline, standard_flow)
 from repro.xag import (LevelTracker, Xag, balance, balance_in_place,
                        equivalent, multiplicative_depth, node_levels)
 from repro.xag.equivalence import equivalence_stimulus
@@ -236,11 +236,18 @@ def test_plan_and_level_estimates_upper_bound():
 # ----------------------------------------------------------------------
 # depth flow
 # ----------------------------------------------------------------------
+def run_depth_pipeline(xag, in_place=True, **caches):
+    """The canonical mc-depth pipeline, as the engine runs it."""
+    return run_pipeline(xag, standard_flow("mc-depth"),
+                        params=RewriteParams(objective="mc-depth",
+                                             in_place=in_place), **caches)
+
+
 def test_depth_flow_reduces_depth_on_chain_circuits():
     chain = and_chain(16)
-    result = depth_flow(chain)
+    result = run_depth_pipeline(chain)
     assert equivalent(chain, result.final)
-    assert result.final_depth == 4
+    assert result.depth_after == 4
     assert result.final.num_ands <= chain.num_ands
 
 
@@ -252,12 +259,11 @@ def test_depth_flow_modes_reach_identical_pairs(builder):
     """--rebuild replays the in-place trajectory with per-round A/B checks,
     so both modes must land on the same (ANDs, depth) pair."""
     xag = builder()
-    flow_in = depth_flow(xag, params=RewriteParams(objective="mc-depth"))
-    flow_out = depth_flow(xag, params=RewriteParams(objective="mc-depth",
-                                                    in_place=False))
-    assert (flow_in.final.num_ands, flow_in.final_depth) == \
-        (flow_out.final.num_ands, flow_out.final_depth)
-    assert flow_in.final_depth <= flow_in.initial_depth
+    flow_in = run_depth_pipeline(xag)
+    flow_out = run_depth_pipeline(xag, in_place=False)
+    assert (flow_in.final.num_ands, flow_in.depth_after) == \
+        (flow_out.final.num_ands, flow_out.depth_after)
+    assert flow_in.depth_after <= flow_in.depth_before
     assert equivalent(xag, flow_out.final)
     # the rebuild mode actually exercised the out-of-place cross-check
     assert any(stats.ab_checked for stats in flow_out.rounds)
@@ -269,9 +275,9 @@ def test_depth_flow_never_loses_to_mc_on_depth():
     to the pure-mc flow (the bench pins the ≤1 % regression bar)."""
     xag = A.adder(8)
     mc = optimize(xag)
-    df = depth_flow(xag)
-    assert df.final_depth <= multiplicative_depth(xag)
-    assert df.final_depth <= multiplicative_depth(mc.final)
+    df = run_depth_pipeline(xag)
+    assert df.depth_after <= multiplicative_depth(xag)
+    assert df.depth_after <= multiplicative_depth(mc.final)
     assert equivalent(xag, df.final)
 
 
@@ -282,19 +288,18 @@ def test_depth_flow_shares_caches():
     cut_cache = CutFunctionCache()
     sim_cache = SimulationCache()
     xag = C.int_to_float()
-    first = depth_flow(xag, cut_cache=cut_cache, sim_cache=sim_cache)
+    first = run_depth_pipeline(xag, cut_cache=cut_cache, sim_cache=sim_cache)
     hits_before = cut_cache.plan_hits
-    second = depth_flow(xag, cut_cache=cut_cache, sim_cache=sim_cache)
+    second = run_depth_pipeline(xag, cut_cache=cut_cache, sim_cache=sim_cache)
     assert cut_cache.plan_hits > hits_before
-    assert (first.final.num_ands, first.final_depth) == \
-        (second.final.num_ands, second.final_depth)
+    assert (first.final.num_ands, first.depth_after) == \
+        (second.final.num_ands, second.depth_after)
 
 
 def test_paper_flow_supports_mc_depth_objective():
-    """optimize/paper_flow accept the objective directly (without balancing)."""
+    """optimize accepts the objective directly (without balancing)."""
     xag = C.int_to_float()
-    result = paper_flow(xag, params=RewriteParams(objective="mc-depth"),
-                        max_rounds=2)
-    assert equivalent(xag, result.after_convergence)
-    assert multiplicative_depth(result.after_convergence) <= \
-        multiplicative_depth(xag)
+    result = optimize(xag, params=RewriteParams(objective="mc-depth"),
+                      max_rounds=2)
+    assert equivalent(xag, result.final)
+    assert multiplicative_depth(result.final) <= multiplicative_depth(xag)

@@ -273,12 +273,13 @@ def test_cli_rejects_negative_verify_limit(capsys):
 
 def test_cli_rejects_unknown_objective(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["--objective", "fast"])
+        main(["--cost", "fast"])
     assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_objective_plumbs_into_config():
-    args = build_parser().parse_args(["--objective", "mc-depth"])
+    args = build_parser().parse_args(["--cost", "mc-depth"])
     assert config_from_args(args).objective == "mc-depth"
     assert config_from_args(build_parser().parse_args([])).objective == "mc"
 
@@ -291,12 +292,12 @@ def test_run_batch_rejects_unknown_objective():
 def test_engine_mc_depth_objective_reports_depth(tmp_path, capsys):
     json_path = tmp_path / "depth.json"
     exit_code = main(["--circuits", "int2float", "--rounds", "2",
-                      "--objective", "mc-depth", "--json", str(json_path)])
+                      "--cost", "mc-depth", "--json", str(json_path)])
     assert exit_code == 0
     out = capsys.readouterr().out
     assert "[mc-depth]" in out
     payload = json.loads(json_path.read_text())
-    assert payload["config"]["objective"] == "mc-depth"
+    assert payload["config"]["cost"] == "mc-depth"
     circuit = payload["circuits"][0]
     assert circuit["mult_depth_after"] <= circuit["mult_depth_before"]
     assert circuit["verified"] is True
@@ -567,6 +568,25 @@ def test_result_cache_rejects_tampered_network():
     with pytest.raises(ValueError, match="hashing to"):
         ResultCache().install(entries)
     assert ResultCache().install(entries, validate=False) == 1
+
+
+@pytest.mark.parametrize("section, entry, message", [
+    ("results", {"key": ["ab", "mc,mc", "mc", 6, 12], "report": {}},
+     "malformed result entry #0: 'network'"),
+    ("plans", [1], "malformed plan entry #0"),
+])
+def test_cli_malformed_bundle_section_fails_with_context(
+        tmp_path, capsys, section, entry, message):
+    """A broken ``results`` or ``plans`` entry ends the run with an error
+    naming the bundle and the entry, not a bare traceback."""
+    bundle = McDatabase().to_bundle()
+    bundle[section] = [entry]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bundle))
+    assert main(["--circuits", "decoder", "--db", str(path),
+                 "--result-cache"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err
 
 
 def test_result_cache_persists_and_shards_through_db(tmp_path):

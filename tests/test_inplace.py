@@ -10,7 +10,8 @@ from repro.circuits import arithmetic as A
 from repro.circuits import control as C
 from repro.cuts.cache import CutFunctionCache
 from repro.cuts.enumeration import CutSetCache, enumerate_cuts
-from repro.rewriting import CutRewriter, RewriteParams, optimize, paper_flow
+from repro.rewriting import (CutRewriter, RewriteParams, optimize,
+                             run_pipeline, standard_flow)
 from repro.xag import (BitSimulator, LevelTracker, StructHashTracker,
                        balance_in_place, equivalent, is_swept, node_hashes,
                        node_levels, node_values, sweep)
@@ -455,11 +456,14 @@ def test_in_place_flow_reports_worklist_rounds():
 
 def test_paper_flow_in_place_matches_rebuild():
     xag = C.priority_encoder(16)
-    flow_in = paper_flow(xag, params=RewriteParams(in_place=True))
-    flow_out = paper_flow(xag, params=RewriteParams(in_place=False))
-    assert flow_in.after_one_round.num_ands == flow_out.after_one_round.num_ands
-    assert flow_in.after_convergence.num_ands == flow_out.after_convergence.num_ands
-    assert equivalent(xag, flow_in.after_convergence)
+    flow_in = run_pipeline(xag, standard_flow("mc"),
+                           params=RewriteParams(in_place=True))
+    flow_out = run_pipeline(xag, standard_flow("mc"),
+                            params=RewriteParams(in_place=False))
+    assert flow_in.passes[0].ands_after == flow_out.passes[0].ands_after
+    assert flow_in.final.num_ands == flow_out.final.num_ands
+    assert all(s.mode == "rebuild" for s in flow_out.rounds)
+    assert equivalent(xag, flow_in.final)
 
 
 def test_rewrite_does_not_mutate_input():

@@ -6,17 +6,17 @@ from repro.circuits.arithmetic import adder, comparator, full_adder
 from repro.circuits.crypto.aes import aes128
 from repro.circuits.crypto.md5 import md5_block
 from repro.mc import McDatabase
-from repro.rewriting import RewriteParams, optimize, paper_flow
+from repro.rewriting import RewriteParams, optimize, run_pipeline, standard_flow
 from repro.xag import equivalent, multiplicative_depth
 
 
 def test_fig2_full_adder_story():
     """Fig. 1 → Fig. 2: the full adder ends with multiplicative complexity 1."""
     fa = full_adder(style="naive")
-    flow = paper_flow(fa, params=RewriteParams(cut_size=3))
+    flow = run_pipeline(fa, standard_flow("mc"), params=RewriteParams(cut_size=3))
     assert flow.initial.num_ands == 3
-    assert flow.after_convergence.num_ands == 1
-    assert equivalent(fa, flow.after_convergence)
+    assert flow.final.num_ands == 1
+    assert equivalent(fa, flow.final)
 
 
 def test_table2_32bit_adder_reaches_known_optimum():

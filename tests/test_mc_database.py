@@ -105,7 +105,7 @@ def test_bundle_is_versioned_and_carries_classifications(tmp_path):
     assert restored.classification_cache.hits == 1
 
 
-def test_load_accepts_legacy_recipe_list(tmp_path):
+def test_load_rejects_legacy_recipe_list(tmp_path):
     database = McDatabase()
     database.plan_for(0xE8, 3)
     bundle = database.to_bundle()
@@ -113,8 +113,9 @@ def test_load_accepts_legacy_recipe_list(tmp_path):
     path.write_text(json.dumps(bundle["recipes"]))  # v1 layout: bare list
 
     restored = McDatabase()
-    assert restored.load(path) == len(database._recipes)
-    assert restored.plan_for(0xE8, 3).num_ands == 1
+    with pytest.raises(ValueError, match="legacy.json.*version 1"):
+        restored.load(path)
+    assert len(restored) == 0
 
 
 def test_load_rejects_corrupt_recipe(tmp_path):
@@ -296,9 +297,8 @@ def test_install_bundle_rejects_wrong_content_hash():
     assert unchecked.install_bundle(bundle, validate=False)["recipes"] == 1
 
 
-def test_load_accepts_v2_bundle_without_hashes(tmp_path):
-    """v2 bundles predate content addressing; their hashes are computed on
-    install and the recipes land normally."""
+def test_load_rejects_v2_bundle(tmp_path):
+    """v2 bundles predate content addressing and no longer load."""
     database = McDatabase()
     database.plan_for(0xE8, 3)
     bundle = database.to_bundle()
@@ -309,10 +309,13 @@ def test_load_accepts_v2_bundle_without_hashes(tmp_path):
     path.write_text(json.dumps(bundle))
 
     restored = McDatabase()
-    assert restored.load(path) == 1
-    assert restored.plan_for(0xE8, 3).num_ands == 1
-    # the computed hash makes a re-install of the v3 form a no-op
-    assert restored.install_bundle(database.to_bundle())["recipes"] == 0
+    with pytest.raises(ValueError, match="v2.json.*version 2"):
+        restored.load(path)
+    assert len(restored) == 0
+    # a v3 entry without its content hash is rejected too
+    bundle["version"] = 3
+    with pytest.raises(ValueError, match="content hash None"):
+        restored.install_bundle(bundle)
 
 
 def test_bundle_round_trips_cones_and_results(tmp_path):

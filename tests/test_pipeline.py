@@ -1,13 +1,13 @@
 """Pass-pipeline architecture: context, passes, flow scripts, parity.
 
-The parity golden numbers were captured from the pre-refactor
-``optimize`` / ``paper_flow`` implementations (hand-rolled drains, PR 4) on
-the EPFL control group with ``RewriteParams()`` defaults and
-``max_rounds=3``; the pipeline-built aliases must reproduce them exactly.
-The depth flow switched its guarded-mc stage from restart-per-round to one
-persistent dirty-node worklist, so its bar is *no regression* of the
-``(ANDs, depth)`` pair instead of exact equality (see
-``benchmarks/results/depth_flow.md`` for the re-measured table).
+The parity golden numbers were captured from the hand-rolled convergence
+drains that preceded the pass pipeline, on the EPFL control group with
+``RewriteParams()`` defaults and ``max_rounds=3``; ``standard_flow("mc")``
+and ``optimize`` must reproduce them exactly.  The depth flow switched its
+guarded-mc stage from restart-per-round to one persistent dirty-node
+worklist, so its bar is *no regression* of the ``(ANDs, depth)`` pair
+instead of exact equality (see ``benchmarks/results/depth_flow.md`` for the
+re-measured table).
 """
 
 import random
@@ -22,20 +22,17 @@ from repro.engine import EngineConfig
 from repro.engine.core import run_circuit, select_cases
 from repro.mc import McDatabase
 from repro.rewriting import (BalancePass, DepthGuard, FlowSummary,
-                             OptimizationContext, PassResult, Repeat,
-                             RewriteParams, RewritePass, SizeBaselinePass,
-                             SweepPass, depth_flow, optimize, paper_flow,
-                             parse_flow, run_pipeline, size_optimize,
-                             standard_flow)
-from repro.rewriting.flow import (DepthFlowResult, FlowResult,
-                                  PaperFlowResult)
+                             OptimizationContext, PassResult, PipelineResult,
+                             Repeat, RewriteParams, RewritePass,
+                             SizeBaselinePass, SweepPass, decides_in_place,
+                             optimize, parse_flow, run_pipeline, standard_flow)
 from repro.xag import (BitSimulator, Xag, equivalent, multiplicative_depth,
                        node_levels)
 from repro.xag.bitsim import SimulationCache
 from repro.xag.equivalence import equivalence_stimulus
 
-#: pre-refactor (ANDs after one round, ANDs at convergence, depth, rounds)
-#: of paper_flow, plus (ANDs, rounds) of optimize, with RewriteParams()
+#: pre-pipeline (ANDs after one round, ANDs at convergence, depth, rounds)
+#: of the paper flow, plus (ANDs, rounds) of optimize, with RewriteParams()
 #: defaults and max_rounds=3 — captured before the pipeline refactor.
 PAPER_GOLDEN = {
     "arbiter":   (133, 133, 21, 2, 133, 1),
@@ -50,7 +47,7 @@ PAPER_GOLDEN = {
     "voter":     (57, 57, 5, 2, 57, 1),
 }
 
-#: pre-refactor depth_flow (ANDs, depth) pairs on the fast control circuits
+#: pre-pipeline depth flow (ANDs, depth) pairs on the fast control circuits
 #: (same parameters, max_iterations=4) — the persistent-worklist stage may
 #: only match or improve these.
 DEPTH_GOLDEN = {
@@ -71,24 +68,27 @@ def _control_case(name):
 
 
 # ----------------------------------------------------------------------
-# pipeline/legacy parity (EPFL control group)
+# pre-pipeline parity (EPFL control group)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(PAPER_GOLDEN))
 def test_pipeline_aliases_match_prerefactor_golden(name):
     one_ands, conv_ands, conv_depth, rounds, opt_ands, opt_rounds = \
         PAPER_GOLDEN[name]
     xag = _control_case(name).build()
-    flow = paper_flow(xag, name=name, params=RewriteParams(), max_rounds=3,
-                      cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
-    assert flow.after_one_round.num_ands == one_ands
-    assert flow.after_convergence.num_ands == conv_ands
-    assert multiplicative_depth(flow.after_convergence) == conv_depth
-    assert flow.convergence_rounds == rounds
+    flow = run_pipeline(xag, standard_flow("mc", max_rounds=3),
+                        params=RewriteParams(), cut_cache=_CUT_CACHE,
+                        sim_cache=_SIM_CACHE)
+    assert flow.passes[0].name == "one-round"
+    assert flow.passes[0].ands_after == one_ands
+    assert flow.final.num_ands == conv_ands
+    assert multiplicative_depth(flow.final) == conv_depth
+    assert len(flow.rounds) == rounds
+    assert flow.verified is True
 
     opt = optimize(xag, params=RewriteParams(), max_rounds=3,
                    cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
     assert opt.final.num_ands == opt_ands
-    assert opt.num_rounds == opt_rounds
+    assert len(opt.rounds) == opt_rounds
 
 
 @pytest.mark.parametrize("name", sorted(DEPTH_GOLDEN))
@@ -96,37 +96,38 @@ def test_depth_flow_never_regresses_prerefactor_pairs(name):
     """Persistent-worklist depth flow: (ANDs, depth) no worse than before."""
     golden_ands, golden_depth = DEPTH_GOLDEN[name]
     xag = _control_case(name).build()
-    flow = depth_flow(xag, params=RewriteParams(objective="mc-depth"),
-                      max_rounds=3, max_iterations=4,
-                      cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+    flow = run_pipeline(
+        xag, standard_flow("mc-depth", max_rounds=3, max_iterations=4),
+        params=RewriteParams(objective="mc-depth"),
+        cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
     assert flow.final.num_ands <= golden_ands
-    assert flow.final_depth <= golden_depth
+    assert flow.depth_after <= golden_depth
     assert equivalent(xag, flow.final)
 
 
-def test_standard_flow_matches_paper_flow_alias():
-    """The engine's canonical mc pipeline is the paper flow."""
+def test_depth_flow_rebuild_replays_in_place_rounds():
+    """in_place=False on a depth flow replays the in-place trajectory under
+    per-round A/B checks instead of forking a rebuild trajectory."""
     xag = C.int_to_float()
-    flow = paper_flow(xag, max_rounds=3, cut_cache=_CUT_CACHE,
-                      sim_cache=_SIM_CACHE)
-    result = run_pipeline(xag, standard_flow("mc", max_rounds=3),
-                          params=RewriteParams(), cut_cache=_CUT_CACHE,
-                          sim_cache=_SIM_CACHE)
-    assert result.final.num_ands == flow.after_convergence.num_ands
-    assert len(result.rounds) == flow.convergence_rounds
-    assert result.verified is True
+    passes = standard_flow("mc-depth", max_rounds=2)
+    in_place = run_pipeline(xag, passes,
+                            params=RewriteParams(objective="mc-depth"))
+    replay = run_pipeline(xag, passes, params=RewriteParams(
+        objective="mc-depth", in_place=False))
+    assert any(stats.ab_checked for stats in replay.rounds)
+    assert all(stats.mode == "in_place" for stats in replay.rounds)
+    assert not any(stats.ab_checked for stats in in_place.rounds)
+    assert (replay.final.num_ands, replay.depth_after) == \
+        (in_place.final.num_ands, in_place.depth_after)
 
 
-def test_standard_flow_depth_matches_depth_flow_alias():
-    xag = C.int_to_float()
-    flow = depth_flow(xag, max_rounds=2, max_iterations=3,
-                      cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
-    result = run_pipeline(
-        xag, standard_flow("mc-depth", max_rounds=2, max_iterations=3),
-        params=RewriteParams(objective="mc-depth"),
-        cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
-    assert (result.final.num_ands, result.depth_after) == \
-        (flow.final.num_ands, flow.final_depth)
+def test_decides_in_place_rule():
+    assert not decides_in_place(parse_flow("mc,mc*,size*"))
+    assert decides_in_place(parse_flow("repeat(balance,guard(mc*))"))
+    assert decides_in_place(parse_flow("sweep,repeat(mc,fhe*)"))
+    # a rewrite pass without an objective is priced by the context's model
+    assert not decides_in_place([RewritePass()])
+    assert decides_in_place([RewritePass()], objective="mc-depth")
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +280,7 @@ def test_custom_flow_end_to_end_stays_equivalent():
 def test_result_types_share_flow_summary_base():
     from repro.engine.core import CircuitReport
 
-    for result_type in (FlowResult, PaperFlowResult, DepthFlowResult,
-                        PassResult, CircuitReport):
+    for result_type in (PipelineResult, PassResult, CircuitReport):
         assert issubclass(result_type, FlowSummary)
         for prop in ("and_improvement", "depth_improvement", "converged"):
             assert getattr(result_type, prop) is getattr(FlowSummary, prop)
@@ -291,22 +291,28 @@ def test_flow_summary_arithmetic_on_each_result_type():
     flow = optimize(xag, max_rounds=2, cut_cache=_CUT_CACHE,
                     sim_cache=_SIM_CACHE)
     assert 0.0 < flow.and_improvement < 1.0
-    paper = paper_flow(xag, max_rounds=2, cut_cache=_CUT_CACHE,
-                       sim_cache=_SIM_CACHE)
-    assert paper.and_improvement == paper.convergence_improvement
-    depth = depth_flow(xag, max_rounds=1, max_iterations=2,
-                       cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+    paper = run_pipeline(xag, standard_flow("mc", max_rounds=2),
+                         cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+    assert paper.and_improvement == \
+        1.0 - paper.final.num_ands / paper.initial.num_ands
+    depth = run_pipeline(
+        xag, standard_flow("mc-depth", max_rounds=1, max_iterations=2),
+        params=RewriteParams(objective="mc-depth"),
+        cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
     assert depth.depth_improvement >= 0.0
     assert depth.ands_before == xag.num_ands
 
 
-def test_size_optimize_alias_keeps_behaviour():
+def test_size_baseline_pass_keeps_behaviour():
+    """The baseline rebases the pipeline: ``initial`` is its output, so the
+    input network is the reference for the size comparison."""
     xag = C.priority_encoder(8)
-    result = size_optimize(xag, max_rounds=2, cut_cache=_CUT_CACHE,
-                           sim_cache=_SIM_CACHE)
+    result = run_pipeline(xag, [SizeBaselinePass(max_rounds=2)],
+                          cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
     before = xag.num_ands + xag.num_xors
     after = result.final.num_ands + result.final.num_xors
     assert after <= before
+    assert result.initial is result.final
     assert equivalent(xag, result.final)
 
 

@@ -1,4 +1,4 @@
-"""Tests for plan insertion, cut rewriting and the optimisation flows."""
+"""Tests for plan insertion, cut rewriting and the optimisation pipelines."""
 
 import random
 
@@ -10,11 +10,11 @@ from repro.mc import McDatabase
 from repro.rewriting import (
     CutRewriter,
     RewriteParams,
+    SizeBaselinePass,
     insert_plan,
-    one_round,
     optimize,
-    paper_flow,
-    size_optimize,
+    run_pipeline,
+    standard_flow,
 )
 from repro.tt import random_table
 from repro.xag import Xag, equivalent, output_truth_tables
@@ -109,7 +109,7 @@ def test_zero_gain_mode_reduces_gates_without_and_regression():
 def test_size_objective_reduces_total_gates():
     rng = random.Random(77)
     xag = random_xag(rng, num_pis=5, num_gates=45, and_bias=0.6)
-    result = size_optimize(xag, max_rounds=2)
+    result = run_pipeline(xag, [SizeBaselinePass(max_rounds=2)])
     assert equivalent(xag, result.final)
     assert result.final.num_gates <= xag.num_gates
 
@@ -117,10 +117,10 @@ def test_size_objective_reduces_total_gates():
 # ----------------------------------------------------------------------
 # flows
 # ----------------------------------------------------------------------
-def test_one_round_runs_exactly_one_round():
+def test_optimize_max_rounds_caps_at_a_single_round():
     fa = full_adder_naive()
-    result = one_round(fa, params=RewriteParams(cut_size=3))
-    assert result.num_rounds == 1
+    result = optimize(fa, params=RewriteParams(cut_size=3), max_rounds=1)
+    assert len(result.rounds) == 1
 
 
 def test_optimize_converges():
@@ -149,27 +149,32 @@ def test_comparator_improves():
 
 def test_paper_flow_structure():
     fa = full_adder(style="naive")
-    flow = paper_flow(fa, name="full_adder", params=RewriteParams(cut_size=3))
-    assert flow.name == "full_adder"
-    assert flow.num_inputs == 3 and flow.num_outputs == 2
+    flow = run_pipeline(fa, standard_flow("mc"),
+                        params=RewriteParams(cut_size=3))
+    one, convergence = flow.passes
+    assert (one.name, convergence.name) == ("one-round", "convergence")
+    assert flow.final.num_pis == 3 and flow.final.num_pos == 2
     assert flow.initial.num_ands == 3
-    assert flow.after_one_round.num_ands <= flow.initial.num_ands
-    assert flow.after_convergence.num_ands == 1
-    assert flow.one_round_improvement <= flow.convergence_improvement
-    assert flow.convergence_rounds >= 1
-    assert flow.convergence_seconds >= flow.one_round_seconds
+    assert one.ands_after <= flow.initial.num_ands
+    assert flow.final.num_ands == 1
+    assert flow.final.num_ands <= one.ands_after
+    assert len(flow.rounds) >= 1
+    assert flow.runtime_seconds >= one.runtime_seconds
 
 
 def test_paper_flow_with_size_baseline():
     fa = full_adder(style="naive")
-    flow = paper_flow(fa, params=RewriteParams(cut_size=3), size_baseline=True)
-    assert equivalent(fa, flow.after_convergence)
+    flow = run_pipeline(fa, standard_flow("mc", size_baseline=True),
+                        params=RewriteParams(cut_size=3))
+    assert flow.passes[0].kind == "baseline"
+    assert equivalent(fa, flow.final)
 
 
 def test_flow_respects_max_rounds():
     add = adder(8)
-    flow = paper_flow(add, params=RewriteParams(cut_size=4, cut_limit=6), max_rounds=1)
-    assert flow.convergence_rounds <= 2
+    flow = run_pipeline(add, standard_flow("mc", max_rounds=1),
+                        params=RewriteParams(cut_size=4, cut_limit=6))
+    assert len(flow.rounds) == 1
 
 
 def test_shared_database_accumulates_recipes():
