@@ -10,7 +10,8 @@ convergence, verification), and renders the batch as a report.
 
 The engine scales past a single process along two axes: warm-start bundles
 (``EngineConfig.warm_start`` / ``EngineConfig.persist``, CLI ``--db``)
-persist every recipe, classification and plan across invocations, and
+persist every recipe, classification and plan across invocations (never a
+finished circuit: every circuit runs its pipeline, warm or cold), and
 ``EngineConfig.jobs`` (CLI ``--jobs``, ``auto`` = one worker per CPU) runs
 the selected circuits over the persistent worker pool of
 :mod:`repro.engine.parallel` — longest-first scheduling from a shared work

@@ -130,15 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "worker per CPU (default: 1)")
     parser.add_argument("--db", metavar="PATH", default=None,
                         help="warm-start bundle: load it when present, save "
-                             "recipes/classifications/plans (and "
-                             "--result-cache results) back on exit")
-    parser.add_argument("--result-cache", action="store_true",
-                        help="whole-circuit result cache: circuits are keyed "
-                             "by canonical structural hash + flow + cost "
-                             "model + cut parameters, and a circuit "
-                             "optimised before (under any name) returns the "
-                             "cached network and report without rerunning "
-                             "the pipeline; persists through --db")
+                             "recipes/classifications/plans back on exit")
     parser.add_argument("--rebuild", action="store_true",
                         help="rewrite by out-of-place reconstruction instead of "
                              "in-place substitution (A/B checking)")
@@ -181,7 +173,6 @@ def config_from_args(args: argparse.Namespace) -> EngineConfig:
         warm_start=args.db,
         persist=args.db,
         backend=args.backend,
-        result_cache=args.result_cache,
     )
 
 
@@ -215,8 +206,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "circuits": batch.config.circuits,
                 "groups": batch.config.groups,
                 "cost": model.name,
-                # always the *resolved* script: a custom --flow verbatim,
-                # else the canonical pipeline serialised (never null)
+                # always the *resolved* script: a custom --flow (behind the
+                # baseline step --size-baseline injects), else the
+                # canonical pipeline serialised (never null)
                 "flow": resolved_flow(batch.config),
                 "rounds": args.rounds,
                 # requested jobs after auto-resolution, and the worker
@@ -234,8 +226,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "cut_cache": batch.cut_cache_stats,
                 "sim_cache": {"hits": batch.sim_cache_hits,
                               "misses": batch.sim_cache_misses},
-                # None unless the run was started with --result-cache
-                "result_cache": batch.result_cache_stats,
                 # scheduling observability: the slowest per-case wall times
                 "slowest_cases": [
                     {"name": name, "seconds": seconds}
@@ -262,7 +252,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "within_budget": report.within_budget,
                     "rounds": len(report.rounds),
                     "verified": report.verified,
-                    "result_cache_hit": report.result_cache_hit,
                     "wall_seconds": report.total_seconds,
                     "stage_seconds": report.stage_timings(),
                 }

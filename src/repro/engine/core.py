@@ -14,10 +14,12 @@ workloads amortises every piece of reusable state:
 
 Two scaling axes extend the amortisation beyond a single process:
 
-* **warm starts** — the database, the classification results and the plan
-  keys persist as a versioned JSON bundle (``EngineConfig.warm_start`` /
-  ``EngineConfig.persist``, CLI ``--db``), so nothing is ever classified or
-  synthesised twice *across invocations* either;
+* **warm starts** — the database's recipes, the classification results and
+  the plan keys persist as a versioned JSON bundle
+  (``EngineConfig.warm_start`` / ``EngineConfig.persist``, CLI ``--db``),
+  so nothing is ever classified or synthesised twice *across invocations*
+  either.  A bundle carries no finished circuits: every circuit runs its
+  pipeline, warm or cold;
 * **the worker pool** — ``EngineConfig.jobs`` (``0`` = one worker per CPU)
   runs the selected circuits over a persistent pool of worker processes fed
   from a shared longest-first work queue, with newly learnt cache entries
@@ -53,10 +55,7 @@ from repro.rewriting.pipeline import (FlowSummary, Pass, PipelineResult,
                                       flow_script, parse_flow, run_pipeline,
                                       standard_flow)
 from repro.rewriting.rewrite import RewriteParams, RoundStats
-from repro.xag import serialize as xag_serialize
 from repro.xag.bitsim import SimulationCache
-from repro.xag.graph import Xag
-from repro.xag.structhash import graph_hash
 
 #: suite name → registry loader.
 SUITES = {
@@ -123,13 +122,6 @@ class EngineConfig:
     #: "numpy" (a hard error when numpy is not importable).  Both backends
     #: produce bit-identical results; the choice only affects speed.
     backend: str = "auto"
-    #: whole-circuit result cache (CLI ``--result-cache``): circuits are
-    #: keyed by ``(canonical graph hash, resolved flow, cost model, cut
-    #: parameters)`` and a key seen before returns the cached optimised
-    #: network and report without running the pipeline.  The cache travels
-    #: in the warm-start bundle, so with ``--db`` a circuit optimised in any
-    #: earlier run — under any name, in any process — is a hit.
-    result_cache: bool = False
 
 
 @dataclass
@@ -164,9 +156,6 @@ class CircuitReport(FlowSummary):
     balance_seconds: float = 0.0
     verified: Optional[bool] = None
     error: Optional[str] = None
-    #: True when the whole-circuit result cache served this report (the
-    #: pipeline did not run; round statistics are placeholders).
-    result_cache_hit: bool = False
 
     @property
     def verify_seconds(self) -> float:
@@ -206,8 +195,6 @@ class BatchReport:
     reports: List[CircuitReport] = field(default_factory=list)
     database_stats: Dict[str, float] = field(default_factory=dict)
     cut_cache_stats: Dict[str, float] = field(default_factory=dict)
-    #: whole-circuit result-cache counters (``None`` when the cache is off).
-    result_cache_stats: Optional[Dict[str, float]] = None
     sim_cache_hits: int = 0
     sim_cache_misses: int = 0
     total_seconds: float = 0.0
@@ -305,14 +292,8 @@ class BatchReport:
         if model.name != "mc":
             mode_note += f" [{model.name}]"
         if self.config.flow is not None:
-            mode_note += f" [flow: {self.config.flow}]"
+            mode_note += f" [flow: {resolved_flow(self.config)}]"
         mode_note += f" [{self.backend} kernels]"
-        result_note = ""
-        if self.result_cache_stats is not None:
-            result_note = (
-                f" | result cache "
-                f"{self.result_cache_stats.get('hits', 0):.0f} hits / "
-                f"{self.result_cache_stats.get('misses', 0):.0f} misses")
         lines.append(
             f"{len(self.succeeded)}/{len(self.reports)} circuits in "
             f"{self.total_seconds:.2f}s{jobs_note}{warm_note}{mode_note} | plan cache "
@@ -320,146 +301,8 @@ class BatchReport:
             f"({round(100 * plan_rate)}% hit rate) | db "
             f"{self.database_stats.get('stored_recipes', 0):.0f} recipes / "
             f"{self.database_stats.get('synthesis_calls', 0):.0f} synthesis calls | "
-            f"sim cache {self.sim_cache_hits} hits / {self.sim_cache_misses} misses"
-            f"{result_note}")
+            f"sim cache {self.sim_cache_hits} hits / {self.sim_cache_misses} misses")
         return "\n".join(lines)
-
-
-class ResultCache:
-    """Whole-circuit result cache, content-addressed by canonical graph hash.
-
-    An entry maps ``(graph hash, resolved flow, cost model, cut size, cut
-    limit)`` to the serialised optimised network plus the report numbers of
-    the run that produced it.  The graph hash
-    (:func:`repro.xag.structhash.graph_hash`) is invariant under PI/PO
-    renaming and gate creation order, so a renamed copy of an
-    already-optimised circuit — parsed from a different file, in a different
-    process — hits without running a single pipeline pass.  Entries travel
-    in the ``results`` section of the v3 warm-start bundle.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple[str, str, str, int, int], Dict] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key_for(digest: int, config: "EngineConfig") -> Tuple[str, str, str, int, int]:
-        """Cache key of a circuit hashing to ``digest`` under ``config``.
-
-        Everything that changes what the pipeline would produce is part of
-        the key; everything that only changes how it is executed (backend,
-        jobs, in-place vs rebuild — bit-identical by the A/B contract) is
-        not.
-        """
-        model = cost_model(config.objective)
-        return (format(digest, "x"), resolved_flow(config), model.name,
-                config.cut_size, config.cut_limit)
-
-    def lookup(self, key: Tuple[str, str, str, int, int]) -> Optional[Dict]:
-        """Entry for ``key``, counting one hit or miss."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
-
-    def store(self, key: Tuple[str, str, str, int, int], network: Xag,
-              report: "CircuitReport") -> None:
-        """Record a finished run (first write wins, like every bundle merge)."""
-        if key in self._entries:
-            return
-        self._entries[key] = {
-            "key": list(key),
-            "network": xag_serialize.to_dict(network),
-            "network_hash": format(graph_hash(network), "x"),
-            "report": {
-                "num_pis": report.num_pis,
-                "num_pos": report.num_pos,
-                "ands_before": report.ands_before,
-                "xors_before": report.xors_before,
-                "ands_after": report.ands_after,
-                "xors_after": report.xors_after,
-                "depth_before": report.depth_before,
-                "depth_after": report.depth_after,
-                "cost_model": report.cost_model,
-                "cost_before": report.cost_before,
-                "cost_after": report.cost_after,
-                "within_budget": report.within_budget,
-                "rounds": len(report.rounds),
-                "verified": report.verified,
-            },
-        }
-
-    def network_for(self, key: Tuple[str, str, str, int, int]) -> Xag:
-        """Deserialise the cached optimised network (integrity-checked).
-
-        The stored network's recomputed graph hash must equal the recorded
-        ``network_hash`` — a mismatch means the bundle was corrupted or
-        hand-edited, and is rejected rather than handed to a consumer as an
-        optimised circuit.
-        """
-        entry = self._entries[key]
-        network = xag_serialize.from_dict(entry["network"])
-        digest = format(graph_hash(network), "x")
-        if digest != entry["network_hash"]:
-            raise ValueError(
-                f"result-cache entry {key[0]}: stored network hashes to "
-                f"{digest} but the entry claims {entry['network_hash']}; "
-                f"rejecting the corrupt entry")
-        return network
-
-    def entries(self) -> List[Dict]:
-        """Bundle payload: every entry, sorted by key."""
-        return [self._entries[key] for key in sorted(self._entries)]
-
-    def install(self, entries: Sequence[Dict], validate: bool = True,
-                origin: str = "bundle") -> int:
-        """Merge bundle entries (first write wins); returns the number added.
-
-        With ``validate`` each entry's network is deserialised and its
-        recomputed graph hash checked against the recorded ``network_hash``
-        before the entry is accepted.
-        """
-        installed = 0
-        for position, entry in enumerate(entries):
-            try:
-                raw_key = entry["key"]
-                key = (str(raw_key[0]), str(raw_key[1]), str(raw_key[2]),
-                       int(raw_key[3]), int(raw_key[4]))
-                entry["report"]  # noqa: B018 - presence check
-                network = entry["network"]
-                if validate and key not in self._entries:
-                    network = xag_serialize.from_dict(network)
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise ValueError(f"{origin}: malformed result entry "
-                                 f"#{position}: {exc}") from exc
-            if key in self._entries:
-                continue
-            if validate:
-                digest = format(graph_hash(network), "x")
-                if digest != entry.get("network_hash"):
-                    raise ValueError(
-                        f"{origin}: result entry #{position} stores a network "
-                        f"hashing to {digest} but claims "
-                        f"{entry.get('network_hash')}; rejecting the bundle")
-            self._entries[key] = entry
-            installed += 1
-        return installed
-
-    def stats(self) -> Dict[str, float]:
-        """Counters for the engine report."""
-        total = self.hits + self.misses
-        return {
-            "stored_results": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hits / total if total else 0.0,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def available_cases(suites: Sequence[str] = ("epfl", "crypto"),
@@ -521,21 +364,18 @@ def build_pipeline(config: EngineConfig) -> List[Pass]:
 def resolved_flow(config: EngineConfig) -> str:
     """The flow script the configuration actually runs.
 
-    A custom ``config.flow`` is returned verbatim (minus ``size_baseline``
-    injection, which :func:`build_pipeline` documents); otherwise the
-    canonical pipeline of the cost model is serialised back to a script so
-    reports can state what ran instead of ``null``.
+    :func:`build_pipeline`'s pipeline serialised back to a script, so
+    reports state what ran instead of ``null``: a custom ``config.flow``
+    comes back in canonical spelling, with any ``baseline`` step that
+    ``size_baseline`` injects.
     """
-    if config.flow is not None:
-        return config.flow
     return flow_script(build_pipeline(config))
 
 
 def run_circuit(case: BenchmarkCase, config: EngineConfig,
                 database: Optional[McDatabase] = None,
                 cut_cache: Optional[CutFunctionCache] = None,
-                sim_cache: Optional[SimulationCache] = None,
-                result_cache: Optional[ResultCache] = None) -> CircuitReport:
+                sim_cache: Optional[SimulationCache] = None) -> CircuitReport:
     """Run the configured pipeline on one benchmark case, timing every stage.
 
     One generic path for every flow: the pipeline (canonical per objective,
@@ -557,14 +397,6 @@ def run_circuit(case: BenchmarkCase, config: EngineConfig,
 
         report.num_pis = xag.num_pis
         report.num_pos = xag.num_pos
-
-        result_key = None
-        if result_cache is not None:
-            result_key = ResultCache.key_for(graph_hash(xag), config)
-            entry = result_cache.lookup(result_key)
-            if entry is not None:
-                _fill_report_from_entry(report, entry)
-                return report
 
         verify = 0 < (xag.num_ands + xag.num_xors) <= config.verify_limit
         params = RewriteParams(cut_size=config.cut_size, cut_limit=config.cut_limit,
@@ -596,37 +428,9 @@ def run_circuit(case: BenchmarkCase, config: EngineConfig,
             # None (not True) when the flow produced zero verified rounds —
             # an unchecked run must not read as a passed check.
             report.verified = result.verified
-        if result_key is not None:
-            result_cache.store(result_key, result.final, report)
     except Exception as exc:  # noqa: BLE001 - batch runs must survive one bad case
         report.error = f"{type(exc).__name__}: {exc}"
     return report
-
-
-def _fill_report_from_entry(report: CircuitReport, entry: Dict) -> None:
-    """Populate a report from a result-cache entry (the pipeline is skipped).
-
-    The stored numbers are bit-identical to what the pipeline would produce
-    — that is the content-addressing contract — so only the timings differ:
-    every stage except the build reads zero.  Rounds are restored as
-    placeholder :class:`RoundStats` so round-count consumers (the report
-    table, the JSON payload) see the original count.
-    """
-    stored = entry["report"]
-    report.ands_before = stored["ands_before"]
-    report.xors_before = stored["xors_before"]
-    report.ands_after = stored["ands_after"]
-    report.xors_after = stored["xors_after"]
-    report.depth_before = stored["depth_before"]
-    report.depth_after = stored["depth_after"]
-    report.cost_model = stored["cost_model"]
-    report.cost_before = stored["cost_before"]
-    report.cost_after = stored["cost_after"]
-    report.within_budget = stored["within_budget"]
-    report.verified = stored["verified"]
-    report.rounds = [RoundStats(mode="cached", objective=stored["cost_model"])
-                     for _ in range(int(stored["rounds"]))]
-    report.result_cache_hit = True
 
 
 def _one_round_seconds(result: PipelineResult) -> float:
@@ -652,16 +456,15 @@ def _one_round_seconds(result: PipelineResult) -> float:
 # warm-start persistence
 # ----------------------------------------------------------------------
 def load_warm_start(path: Union[str, Path], database: McDatabase,
-                    cut_cache: CutFunctionCache,
-                    result_cache: Optional[ResultCache] = None) -> bool:
+                    cut_cache: CutFunctionCache) -> bool:
     """Load a warm-start bundle into the shared store, if ``path`` exists.
 
     Restores the database's recipes and classification results, then
-    re-materialises the persisted cut-function plans on top of them — and,
-    when a ``result_cache`` is given, the whole-circuit results (no
+    re-materialises the persisted cut-function plans on top of them (no
     classification or synthesis is repeated, and the cache statistics are
-    untouched).  A ``cones`` section written by older versions is ignored.
-    Returns ``True`` when a bundle was found and loaded.
+    untouched).  The ``cones`` and ``results`` sections written by older
+    versions are ignored.  Returns ``True`` when a bundle was found and
+    loaded.
     """
     path = Path(path)
     if not path.exists():
@@ -672,71 +475,69 @@ def load_warm_start(path: Union[str, Path], database: McDatabase,
         raise ValueError(f"{path}: not a valid JSON bundle: {exc}") from exc
     database.install_bundle(bundle, origin=str(path))
     cut_cache.warm_start(bundle.get("plans", []), origin=str(path))
-    if result_cache is not None:
-        result_cache.install(bundle.get("results", []), origin=str(path))
     return True
 
 
 def persist_warm_start(path: Union[str, Path], database: McDatabase,
-                       cut_cache: CutFunctionCache,
-                       result_cache: Optional[ResultCache] = None) -> None:
+                       cut_cache: CutFunctionCache) -> None:
     """Write the shared store (including plan keys) as a warm-start bundle."""
-    database.save(path, plan_keys=cut_cache.plan_keys(),
-                  results=result_cache.entries() if result_cache is not None
-                  else None)
+    database.save(path, plan_keys=cut_cache.plan_keys())
 
 
 # ----------------------------------------------------------------------
 # parallel execution (the pool itself lives in repro.engine.parallel)
 # ----------------------------------------------------------------------
+#: Store sizes among the per-worker stats.  A pool does not add these up:
+#: it reads them from the merged shared store, the state a ``persist``
+#: writes.  ``stored_functions`` is left out on purpose: the cone-function
+#: memo is per network and never merged, so a pool reports the sum of each
+#: worker's memo for the network it ran last, where a sequential run
+#: reports the memo of its last circuit.
+_MERGED_STORE_SIZES = ("stored_recipes", "total_recipe_ands", "stored_plans")
+
+
+def _sum_counters(sections: Sequence[Dict[str, float]],
+                  merged: Dict[str, float]) -> Dict[str, float]:
+    """Key-wise sum of per-worker stats dicts, with sizes and rates fixed up.
+
+    Every key any worker reports adds up (integer counters stay integers),
+    except the :data:`_MERGED_STORE_SIZES`, which are taken from ``merged``;
+    each ``<name>_hit_rate`` is recomputed from the summed ``<name>_hits``
+    and ``<name>_misses``.
+    """
+    totals: Dict[str, float] = {}
+    for section in sections:
+        for key, value in section.items():
+            totals[key] = totals.get(key, 0) + value
+    for key in totals:
+        if key in _MERGED_STORE_SIZES:
+            totals[key] = merged[key]
+        elif key.endswith("_hit_rate"):
+            stem = key[:-len("hit_rate")]
+            hits, misses = totals[stem + "hits"], totals[stem + "misses"]
+            totals[key] = hits / (hits + misses) if hits + misses else 0.0
+    return totals
+
+
 def _aggregate_worker_stats(batch: BatchReport, database: McDatabase,
-                            cut_cache: CutFunctionCache,
-                            result_cache: Optional[ResultCache] = None) -> None:
+                            cut_cache: CutFunctionCache) -> None:
     """Sum per-worker counters into the batch-level statistics.
 
-    Counter-like keys (hits, misses, synthesis calls) add up across workers;
-    store sizes come from the merged shared store, so the aggregate describes
-    both the total work done and the state a ``persist`` would write.
+    Every counter the workers report adds up across workers, so a pool run
+    reports the same keys as a sequential one; the store sizes come from
+    the merged shared store (see :data:`_MERGED_STORE_SIZES`), so the
+    aggregate describes both the total work done and the state a
+    ``persist`` would write.
     """
-    database_stats: Dict[str, float] = {key: 0.0 for key in (
-        "synthesis_calls", "classification_hits", "classification_misses")}
-    cut_stats: Dict[str, float] = {key: 0.0 for key in (
-        "function_hits", "function_misses", "plan_hits", "plan_misses")}
-    result_stats: Dict[str, float] = {"hits": 0.0, "misses": 0.0}
-    for worker in batch.worker_stats:
-        for key in database_stats:
-            database_stats[key] += worker["database"].get(key, 0)
-        for key in cut_stats:
-            cut_stats[key] += worker["cut_cache"].get(key, 0)
-        for key in result_stats:
-            result_stats[key] += worker.get("result_cache", {}).get(key, 0)
-        batch.sim_cache_hits += int(worker["sim_cache"]["hits"])
-        batch.sim_cache_misses += int(worker["sim_cache"]["misses"])
-    classification_total = (database_stats["classification_hits"]
-                            + database_stats["classification_misses"])
-    database_stats["classification_hit_rate"] = (
-        database_stats["classification_hits"] / classification_total
-        if classification_total else 0.0)
-    merged = database.stats()
-    database_stats["stored_recipes"] = merged["stored_recipes"]
-    database_stats["total_recipe_ands"] = merged["total_recipe_ands"]
-    for total_key, hit_key, miss_key, rate_key in (
-            ("function", "function_hits", "function_misses", "function_hit_rate"),
-            ("plan", "plan_hits", "plan_misses", "plan_hit_rate")):
-        total = cut_stats[hit_key] + cut_stats[miss_key]
-        cut_stats[rate_key] = cut_stats[hit_key] / total if total else 0.0
-    cut_stats["stored_plans"] = len(cut_cache)
-    cut_stats["stored_functions"] = sum(
-        worker["cut_cache"].get("stored_functions", 0)
-        for worker in batch.worker_stats)
-    batch.database_stats = database_stats
-    batch.cut_cache_stats = cut_stats
-    if result_cache is not None:
-        total = result_stats["hits"] + result_stats["misses"]
-        result_stats["hit_rate"] = (result_stats["hits"] / total
-                                    if total else 0.0)
-        result_stats["stored_results"] = len(result_cache)
-        batch.result_cache_stats = result_stats
+    merged = {**database.stats(), **cut_cache.stats()}
+    batch.database_stats = _sum_counters(
+        [worker["database"] for worker in batch.worker_stats], merged)
+    batch.cut_cache_stats = _sum_counters(
+        [worker["cut_cache"] for worker in batch.worker_stats], merged)
+    batch.sim_cache_hits = sum(worker["sim_cache"]["hits"]
+                               for worker in batch.worker_stats)
+    batch.sim_cache_misses = sum(worker["sim_cache"]["misses"]
+                                 for worker in batch.worker_stats)
 
 
 def run_batch(config: Optional[EngineConfig] = None,
@@ -765,35 +566,28 @@ def run_batch(config: Optional[EngineConfig] = None,
     database = database if database is not None else McDatabase()
     cut_cache = CutFunctionCache(database)
     sim_cache = SimulationCache()
-    result_cache = ResultCache() if config.result_cache else None
     batch = BatchReport(config=config, backend=backend)
     start = time.perf_counter()
     with kernels.use_backend(backend):
         if config.warm_start is not None:
             batch.warm_start_loaded = load_warm_start(
-                config.warm_start, database, cut_cache,
-                result_cache=result_cache)
+                config.warm_start, database, cut_cache)
         cases = select_cases(config)
         batch.jobs = parallel.resolve_jobs(config.jobs)
         batch.workers = min(batch.jobs, max(1, len(cases)))
         if batch.workers > 1:
             parallel.run_pool_batch(batch, cases, config, database, cut_cache,
-                                    result_cache=result_cache,
                                     workers=batch.workers)
         else:
             for case in cases:
                 batch.reports.append(
                     run_circuit(case, config, cut_cache=cut_cache,
-                                sim_cache=sim_cache,
-                                result_cache=result_cache))
+                                sim_cache=sim_cache))
             batch.database_stats = database.stats()
             batch.cut_cache_stats = cut_cache.stats()
             batch.sim_cache_hits = sim_cache.hits
             batch.sim_cache_misses = sim_cache.misses
-            if result_cache is not None:
-                batch.result_cache_stats = result_cache.stats()
     batch.total_seconds = time.perf_counter() - start
     if config.persist is not None:
-        persist_warm_start(config.persist, database, cut_cache,
-                           result_cache=result_cache)
+        persist_warm_start(config.persist, database, cut_cache)
     return batch

@@ -13,10 +13,10 @@ shards with two cooperating pieces:
   shard could;
 
 * **streaming cache deltas** — every shared cache layer is
-  content-addressed (recipes by structural hash, plans by truth-table key,
-  whole-circuit results by graph hash), so merging is idempotent and
-  order-independent.  Each worker tracks what it has already streamed with
-  a :class:`DeltaCursor` and pushes only *newly learnt* entries back with
+  content-addressed (recipes by structural hash, classifications and plans
+  by truth-table key), so merging is idempotent and order-independent.
+  Each worker tracks what it has already streamed with a
+  :class:`DeltaCursor` and pushes only *newly learnt* entries back with
   each finished case; the parent folds the delta into the shared store and
   forwards it to the other workers with their next case.  A representative
   synthesised by one worker is therefore available to every other worker
@@ -52,8 +52,7 @@ from repro.mc.database import BundleCursor, McDatabase
 from repro.xag.bitsim import SimulationCache
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle guard)
-    from repro.engine.core import (BatchReport, CircuitReport, EngineConfig,
-                                   ResultCache)
+    from repro.engine.core import BatchReport, CircuitReport, EngineConfig
 
 #: environment variable naming the multiprocessing start method the pool
 #: should use ("fork", "spawn", "forkserver"); empty/unset = the platform
@@ -116,8 +115,7 @@ def schedule_cases(cases: Sequence[BenchmarkCase]) -> List[Tuple[int, BenchmarkC
 # streaming cache deltas
 # ----------------------------------------------------------------------
 def install_delta(delta: Dict, database: McDatabase,
-                  cut_cache: CutFunctionCache,
-                  result_cache: Optional["ResultCache"] = None) -> None:
+                  cut_cache: CutFunctionCache) -> None:
     """Fold a delta bundle into a store (first write wins, like any merge).
 
     Deltas are ordinary (small) v3 warm-start bundles, so installation
@@ -126,8 +124,6 @@ def install_delta(delta: Dict, database: McDatabase,
     """
     database.install_bundle(delta, validate=False)
     cut_cache.warm_start(delta.get("plans", []))
-    if result_cache is not None:
-        result_cache.install(delta.get("results", []), validate=False)
 
 
 class DeltaCursor:
@@ -136,30 +132,22 @@ class DeltaCursor:
     Construction marks everything currently present (the installed seed
     bundle) as known; each :meth:`collect` returns only entries learnt since
     the previous collect — recipes and classifications via
-    :class:`repro.mc.database.BundleCursor`, plan keys and whole-circuit
-    results via their stores' sorted accessors.  :meth:`advance` marks
-    entries installed from *pulled* deltas as known without re-emitting
-    them, so deltas never echo around the pool.
+    :class:`repro.mc.database.BundleCursor`, plan keys via the cut cache's
+    sorted accessor.  :meth:`advance` marks entries installed from *pulled*
+    deltas as known without re-emitting them, so deltas never echo around
+    the pool.
     """
 
-    def __init__(self, database: McDatabase, cut_cache: CutFunctionCache,
-                 result_cache: Optional["ResultCache"] = None) -> None:
+    def __init__(self, database: McDatabase,
+                 cut_cache: CutFunctionCache) -> None:
         self._bundle_cursor = BundleCursor(database)
         self._cut_cache = cut_cache
-        self._result_cache = result_cache
         self._plans: Set[Tuple[int, int]] = set(cut_cache.plan_keys())
-        self._results: Set[Tuple] = self._result_keys()
-
-    def _result_keys(self) -> Set[Tuple]:
-        if self._result_cache is None:
-            return set()
-        return {tuple(entry["key"]) for entry in self._result_cache.entries()}
 
     def advance(self) -> None:
         """Mark the stores' current contents as streamed, emitting nothing."""
         self._bundle_cursor.advance()
         self._plans.update(self._cut_cache.plan_keys())
-        self._results.update(self._result_keys())
 
     def collect(self) -> Optional[Dict]:
         """Delta bundle of everything learnt since the last collect.
@@ -171,15 +159,7 @@ class DeltaCursor:
         plans = [key for key in self._cut_cache.plan_keys()
                  if key not in self._plans]
         self._plans.update(plans)
-        results: List[Dict] = []
-        if self._result_cache is not None:
-            for entry in self._result_cache.entries():
-                key = tuple(entry["key"])
-                if key in self._results:
-                    continue
-                self._results.add(key)
-                results.append(entry)
-        if not (recipes or classifications or plans or results):
+        if not (recipes or classifications or plans):
             return None
         return {
             "format": McDatabase.BUNDLE_FORMAT,
@@ -187,7 +167,6 @@ class DeltaCursor:
             "recipes": recipes,
             "classifications": classifications,
             "plans": [[table, num_vars] for table, num_vars in plans],
-            "results": results,
         }
 
 
@@ -211,13 +190,10 @@ class _WorkerState:
         self.database = McDatabase(use_classification=use_classification)
         self.cut_cache = CutFunctionCache(self.database)
         self.sim_cache = SimulationCache()
-        self.result_cache = core.ResultCache() if config.result_cache else None
         if seed_bundle is not None:
             # the parent already validated the bundle (or built it itself)
-            install_delta(seed_bundle, self.database, self.cut_cache,
-                          self.result_cache)
-        self.cursor = DeltaCursor(self.database, self.cut_cache,
-                                  self.result_cache)
+            install_delta(seed_bundle, self.database, self.cut_cache)
+        self.cursor = DeltaCursor(self.database, self.cut_cache)
         # cases travel as registry names: the builders are lambdas, which do
         # not survive pickling under the spawn start method
         self.cases = {case.name: case
@@ -227,8 +203,7 @@ class _WorkerState:
     def pull(self, deltas: Sequence[Dict]) -> None:
         """Install deltas streamed from other workers (never re-emitted)."""
         for delta in deltas:
-            install_delta(delta, self.database, self.cut_cache,
-                          self.result_cache)
+            install_delta(delta, self.database, self.cut_cache)
         if deltas:
             self.cursor.advance()
 
@@ -236,8 +211,7 @@ class _WorkerState:
         """Run one named case over the worker's shared caches."""
         from repro.engine.core import run_circuit
         return run_circuit(self.cases[name], self.config,
-                           cut_cache=self.cut_cache, sim_cache=self.sim_cache,
-                           result_cache=self.result_cache)
+                           cut_cache=self.cut_cache, sim_cache=self.sim_cache)
 
     def push(self) -> Optional[Dict]:
         """Delta of everything newly learnt since the last push."""
@@ -245,15 +219,12 @@ class _WorkerState:
 
     def stats(self) -> Dict[str, Dict[str, float]]:
         """Cumulative per-worker counters, in the shard-stats layout."""
-        stats = {
+        return {
             "database": self.database.stats(),
             "cut_cache": self.cut_cache.stats(),
             "sim_cache": {"hits": self.sim_cache.hits,
                           "misses": self.sim_cache.misses},
         }
-        if self.result_cache is not None:
-            stats["result_cache"] = self.result_cache.stats()
-        return stats
 
 
 def _worker_main(worker_id: int, config: "EngineConfig",
@@ -296,7 +267,6 @@ def _worker_main(worker_id: int, config: "EngineConfig",
 def run_pool_batch(batch: "BatchReport", cases: Sequence[BenchmarkCase],
                    config: "EngineConfig", database: McDatabase,
                    cut_cache: CutFunctionCache,
-                   result_cache: Optional["ResultCache"] = None,
                    workers: Optional[int] = None) -> None:
     """Run the cases over a persistent worker pool and merge the results.
 
@@ -317,9 +287,7 @@ def run_pool_batch(batch: "BatchReport", cases: Sequence[BenchmarkCase],
     # instances are not shipped — workers use the defaults)
     worker_config = replace(config, jobs=1, warm_start=None, persist=None,
                             backend=kernels.backend_name())
-    seed_bundle = database.to_bundle(
-        plan_keys=cut_cache.plan_keys(),
-        results=result_cache.entries() if result_cache is not None else None)
+    seed_bundle = database.to_bundle(plan_keys=cut_cache.plan_keys())
 
     ctx = multiprocessing.get_context(start_method())
     outbox = ctx.Queue()
@@ -369,7 +337,7 @@ def run_pool_batch(batch: "BatchReport", cases: Sequence[BenchmarkCase],
                 _, worker_id, index, report, delta, stats = message
                 indexed_reports.append((index, report))
                 if delta is not None:
-                    install_delta(delta, database, cut_cache, result_cache)
+                    install_delta(delta, database, cut_cache)
                     delta_log.append(delta)
                     if sent_deltas[worker_id] == len(delta_log) - 1:
                         # the tail is this worker's own delta: skip echoing
@@ -398,4 +366,4 @@ def run_pool_batch(batch: "BatchReport", cases: Sequence[BenchmarkCase],
                           if stats is not None]
     batch.reports.extend(report for _, report in
                          sorted(indexed_reports, key=lambda pair: pair[0]))
-    _aggregate_worker_stats(batch, database, cut_cache, result_cache)
+    _aggregate_worker_stats(batch, database, cut_cache)

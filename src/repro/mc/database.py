@@ -6,8 +6,10 @@ as the synthesis tiers can achieve.  Unlike the paper (which ships a
 pre-computed 12 MB file derived from the NIST optimal-circuit collection), the
 database here is *populated on demand*: the first time a representative is
 requested its recipe is synthesised and cached; the database can be saved to
-and loaded from JSON so that long optimisation campaigns can reuse earlier
-work (see DESIGN.md, substitution table).
+and loaded from a JSON warm-start bundle so that long optimisation campaigns
+can reuse earlier work (see DESIGN.md, substitution table).  A bundle holds
+learnt synthesis state only — recipes, classifications and cut-function plan
+keys — never finished circuits.
 
 This is the canonical (affine-representative-keyed) level of the two-level
 caching scheme: :class:`repro.cuts.cache.CutFunctionCache` resolves exact
@@ -145,16 +147,15 @@ class McDatabase:
 
     #: bundle file magic / schema version.  Version 3 is a content-addressed
     #: store: every recipe entry carries the canonical structural hash of
-    #: its XAG (entries sorted by it), next to classifications, plan keys
-    #: and an optional ``results`` section persisting the engine's
-    #: whole-circuit result cache.  Older versions (v1 bare recipe lists,
-    #: v2 bundles without hashes) are rejected; the optional ``cones``
-    #: section older v3 writers added is ignored.
+    #: its XAG (entries sorted by it), next to classifications and plan
+    #: keys.  Older versions (v1 bare recipe lists, v2 bundles without
+    #: hashes) are rejected; the ``cones`` and ``results`` sections older
+    #: v3 writers added are ignored.
     BUNDLE_FORMAT = "repro-warm-start"
     BUNDLE_VERSION = 3
 
-    def to_bundle(self, plan_keys: Optional[Iterable[Tuple[int, int]]] = None,
-                  results: Optional[Sequence[Dict]] = None) -> Dict:
+    def to_bundle(self, plan_keys: Optional[Iterable[Tuple[int, int]]] = None
+                  ) -> Dict:
         """Versioned warm-start bundle of everything the database has learnt.
 
         The bundle carries the reusable state layer by layer: synthesised
@@ -162,11 +163,10 @@ class McDatabase:
         results (serialised through
         :class:`~repro.affine.operations.AffineTransform`), and — when the
         caller passes them — the ``(table, num_vars)`` keys of the
-        :class:`~repro.cuts.cache.CutFunctionCache` plans resolved so far
-        and the engine's whole-circuit ``results``.  Plans are stored as keys
-        only: their recipe and transform are shared with the other sections,
-        so they are rebuilt on load without re-running classification or
-        synthesis.
+        :class:`~repro.cuts.cache.CutFunctionCache` plans resolved so far.
+        Plans are stored as keys only: their recipe and transform are shared
+        with the other sections, so they are rebuilt on load without
+        re-running classification or synthesis.
         """
         bundle: Dict = {
             "format": self.BUNDLE_FORMAT,
@@ -177,8 +177,6 @@ class McDatabase:
         if plan_keys is not None:
             bundle["plans"] = [[table, num_vars]
                                for table, num_vars in sorted(plan_keys)]
-        if results is not None:
-            bundle["results"] = list(results)
         return bundle
 
     def recipe_keys(self) -> List[Tuple[int, int]]:
@@ -275,7 +273,6 @@ class McDatabase:
             "recipes": installed,
             "classifications": installed_classifications,
             "plans": len(bundle.get("plans", [])),
-            "results": len(bundle.get("results", [])),
         }
 
     @staticmethod
@@ -299,8 +296,7 @@ class McDatabase:
                 f"{computed:#x}; rejecting the bundle")
 
     def save(self, path: Union[str, Path],
-             plan_keys: Optional[Iterable[Tuple[int, int]]] = None,
-             results: Optional[Sequence[Dict]] = None) -> None:
+             plan_keys: Optional[Iterable[Tuple[int, int]]] = None) -> None:
         """Persist the warm-start bundle as JSON, atomically.
 
         The bundle is serialised into a temporary file in the destination
@@ -309,7 +305,7 @@ class McDatabase:
         bundle or the new one on disk, never a truncated hybrid.
         """
         target = Path(path)
-        payload = json.dumps(self.to_bundle(plan_keys, results=results))
+        payload = json.dumps(self.to_bundle(plan_keys))
         fd, tmp_name = tempfile.mkstemp(dir=str(target.parent) or ".",
                                         prefix=target.name + ".", suffix=".tmp")
         try:
@@ -360,7 +356,7 @@ class BundleCursor:
     :meth:`collect` returns bundle-format entries for only the recipes and
     classifications learnt since — the database half of the engine pool's
     streaming delta protocol (:class:`repro.engine.parallel.DeltaCursor`
-    composes this with the cut-cache and result-cache diffs).  Both stores
+    composes this with the cut cache's plan-key diff).  Both stores
     are append-only (first write wins everywhere), so tracking *keys* is
     sufficient: an entry can be added but never changed or removed.
     """

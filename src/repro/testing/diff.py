@@ -307,10 +307,11 @@ def check_hash_consistency(xag: Xag,
                            rng: Optional[random.Random] = None) -> List[str]:
     """Invariance checks of the canonical graph hash; returns failures.
 
-    The hash (:func:`repro.xag.structhash.graph_hash`) is the identity every
-    cache layer keys on, so the harness pins its contract on every seed: it
-    must be invariant under a serialisation round-trip, under PI/PO renaming
-    and under gate creation-order permutation of equal graphs.  (Sensitivity
+    The hash (:func:`repro.xag.structhash.graph_hash`) is the content
+    address of warm-start recipe entries, so the harness pins its contract
+    on every seed: it must be invariant under a serialisation round-trip,
+    under PI/PO renaming and under gate creation-order permutation of equal
+    graphs.  (Sensitivity
     — different structures hashing differently — is checked against the
     shrunk reproducers by :func:`run_diff`.)
     """

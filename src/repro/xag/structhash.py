@@ -22,8 +22,8 @@ idiom), with three consumers:
   cones inside different circuits — or different users' circuits — produce
   identical hashes;
 * **whole-graph hashes** — :func:`graph_hash` combines the PI count and
-  the hash/complement of every PO driver, in output order.  The engine's
-  result cache and the warm-start bundle key on it.
+  the hash/complement of every PO driver, in output order.  Warm-start
+  bundles address their recipe entries by it.
 
 Canonicalisation mirrors the strash rules of
 :meth:`repro.xag.graph.Xag._resolve_gate` so that strash-equal structures

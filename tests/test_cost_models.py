@@ -7,7 +7,8 @@ import pytest
 from repro.circuits import control as C
 from repro.engine import EngineConfig, run_batch
 from repro.engine.cli import build_parser, config_from_args, main
-from repro.engine.core import resolved_flow, run_circuit, select_cases
+from repro.engine.core import (BatchReport, build_pipeline, resolved_flow,
+                               run_circuit, select_cases)
 from repro.rewriting import (CostModel, FheNoiseBudgetCost, McCost,
                              RewriteParams, cost_model, flow_script,
                              optimize, parse_flow, register_cost_model,
@@ -172,8 +173,20 @@ def test_resolved_flow_serialises_canonical_pipeline():
     depth_script = resolved_flow(EngineConfig(objective="mc-depth",
                                               max_rounds=None))
     assert "guard(" in depth_script and "mc-depth*" in depth_script
-    # a custom flow wins verbatim
+    # a custom flow wins, reported in canonical spelling
     assert resolved_flow(EngineConfig(flow="balance,mc*")) == "balance,mc*"
+    assert resolved_flow(EngineConfig(flow=" balance , mc* ")) == "balance,mc*"
+    assert resolved_flow(EngineConfig(flow="repeat(balance,mc*)")) \
+        == "repeat:8(balance,mc*)"
+    # ... prefixed with the baseline step size_baseline injects into it, so
+    # the reported script is the pipeline that runs
+    injected = EngineConfig(flow="mc*", size_baseline=True)
+    assert resolved_flow(injected) == "baseline,mc*"
+    assert resolved_flow(injected) == flow_script(build_pipeline(injected))
+    assert "[flow: baseline,mc*]" in BatchReport(config=injected).render()
+    # a script that already has a baseline step is reported unchanged
+    assert resolved_flow(EngineConfig(flow="mc,baseline,mc*",
+                                      size_baseline=True)) == "mc,baseline,mc*"
 
 
 def test_json_payload_reports_resolved_flow_and_cost(tmp_path):

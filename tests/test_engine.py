@@ -354,30 +354,47 @@ def test_run_batch_persist_then_warm_start(tmp_path):
 
 def test_warm_start_ignores_legacy_cones_section(tmp_path):
     """Older v3 bundles carry a ``cones`` section of ``(cone hash, table)``
-    pairs.  It is ignored on load: the warm run still misses no plan and
-    reproduces the cold run's (ANDs, depth, rounds) triples."""
-    from repro.xag.structhash import cone_hash
+    pairs, and some a ``results`` section of whole-circuit results keyed by
+    graph hash.  Both are ignored on load: the warm run still misses no
+    plan, synthesises nothing and reproduces the cold run's (ANDs, depth,
+    rounds) triples — even when a results entry for the very same circuit
+    and flow claims other numbers."""
+    from repro.engine.core import resolved_flow
+    from repro.xag.serialize import to_dict
+    from repro.xag.structhash import cone_hash, graph_hash
 
     bundle = tmp_path / "legacy.json"
     base = dict(suites=("epfl",), circuits=["decoder", "int2float"], max_rounds=1)
     cold = run_batch(EngineConfig(**base, persist=bundle))
     payload = json.loads(bundle.read_text())
-    assert "cones" not in payload
+    assert "cones" not in payload and "results" not in payload
     xag = full_adder_naive()
     payload["cones"] = sorted(
         [format(cone_hash(xag, cut.root, cut.leaves), "x"), cut_function(xag, cut)]
         for node_cuts in enumerate_cuts(xag).values() for cut in node_cuts)
-    bundle.write_text(json.dumps(payload))
-
-    warm = run_batch(EngineConfig(**base, warm_start=bundle))
-    assert warm.warm_start_loaded is True
-    assert warm.cut_cache_stats["plan_misses"] == 0
-    assert warm.database_stats["synthesis_calls"] == 0
+    config = EngineConfig(**base)
+    results = []
+    for case in select_cases(config):
+        network = case.build()
+        digest = format(graph_hash(network), "x")
+        # the entry layout older writers used; a hit would have replayed
+        # the bogus report instead of running the pipeline
+        results.append({"key": [digest, resolved_flow(config), "mc", 6, 12],
+                        "network": to_dict(network), "network_hash": digest,
+                        "report": {"ands_after": 0, "depth_after": 0,
+                                   "rounds": 0, "verified": True}})
 
     def triples(batch):
         return [(r.name, r.ands_after, r.depth_after, len(r.rounds))
                 for r in batch.reports]
-    assert triples(warm) == triples(cold)
+
+    for legacy in (payload, dict(payload, results=results)):
+        bundle.write_text(json.dumps(legacy))
+        warm = run_batch(EngineConfig(**base, warm_start=bundle))
+        assert warm.warm_start_loaded is True
+        assert warm.cut_cache_stats["plan_misses"] == 0
+        assert warm.database_stats["synthesis_calls"] == 0
+        assert triples(warm) == triples(cold)
 
 
 def test_run_batch_missing_warm_start_is_cold(tmp_path):
@@ -386,6 +403,33 @@ def test_run_batch_missing_warm_start_is_cold(tmp_path):
                                    warm_start=tmp_path / "missing.json"))
     assert batch.warm_start_loaded is False
     assert not batch.failed
+
+
+@pytest.mark.parametrize("section, entry, message", [
+    ("recipes", {"hash": "ab", "representative": 1},
+     "malformed recipe entry #0: 'num_vars'"),
+    ("plans", [1], "malformed plan entry #0"),
+])
+def test_cli_malformed_bundle_section_fails_with_context(
+        tmp_path, capsys, section, entry, message):
+    """A broken ``recipes`` or ``plans`` entry ends the run with an error
+    naming the bundle and the entry, not a bare traceback."""
+    bundle = McDatabase().to_bundle()
+    bundle[section] = [entry]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bundle))
+    assert main(["--circuits", "decoder", "--db", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err
+
+
+def test_cli_rejects_removed_result_cache_flag(capsys):
+    """The whole-circuit result cache is gone; its flag is an unknown
+    argument (exit 2), not a silently ignored one."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--circuits", "decoder", "--result-cache"])
+    assert excinfo.value.code == 2
+    assert "--result-cache" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -410,6 +454,25 @@ def test_jobs_two_matches_jobs_one():
     assert pooled.database_stats["synthesis_calls"] > 0
     # the merged shared store holds every worker's recipes
     assert pooled.database_stats["stored_recipes"] > 0
+    # every counter the workers report is summed: the pool's statistics
+    # carry the sequential run's keys, and counters stay integers
+    for section in ("database_stats", "cut_cache_stats"):
+        seq_stats = getattr(sequential, section)
+        pool_stats = getattr(pooled, section)
+        assert set(pool_stats) == set(seq_stats), section
+        for stats in (seq_stats, pool_stats):
+            for key, value in stats.items():
+                expected = float if key.endswith("_rate") else int
+                assert type(value) is expected, (section, key, value)
+    for key in ("stored_plans", "function_misses", "function_invalidations"):
+        assert pooled.cut_cache_stats[key] == sequential.cut_cache_stats[key]
+    # store sizes are read from the merged store, not summed...
+    for key in ("stored_recipes", "total_recipe_ands"):
+        assert pooled.database_stats[key] == sequential.database_stats[key]
+    # ...except the per-network function memo, which no store merges
+    assert pooled.cut_cache_stats["stored_functions"] == sum(
+        worker["cut_cache"]["stored_functions"]
+        for worker in pooled.worker_stats)
 
 
 def test_workers_capped_by_case_count():
@@ -463,170 +526,6 @@ def test_pool_run_persists_merged_bundle(tmp_path):
     assert warm.warm_start_loaded is True
     assert warm.cut_cache_stats["plan_misses"] == 0
     assert warm.database_stats["synthesis_calls"] == 0
-
-
-# ----------------------------------------------------------------------
-# whole-circuit result cache (content-addressed)
-# ----------------------------------------------------------------------
-def _synthetic_case(name, builder):
-    """Benchmark case over a zero-argument network builder."""
-    from repro.circuits.benchmark_case import BenchmarkCase, PaperNumbers
-
-    return BenchmarkCase(name=name, group="control",
-                         paper=PaperNumbers(1, 1, 1, 0, 1, 0, 0.0, 1, 0, 0.0),
-                         build_default=builder, build_full=builder)
-
-
-def test_result_cache_hits_renamed_permuted_copy():
-    """A renamed, creation-order-permuted copy of an optimised circuit must
-    hit the result cache and return bit-identical numbers — the pipeline
-    never runs (acceptance criterion of the content-addressing tentpole)."""
-    from repro.engine.core import ResultCache
-    from repro.testing.diff import _permuted_copy
-
-    def build_original():
-        return random_xag(random.Random(77), num_pis=5, num_gates=45,
-                          num_pos=2, and_bias=0.6)
-
-    def build_renamed():
-        from repro.xag.serialize import from_dict, to_dict
-
-        payload = to_dict(_permuted_copy(build_original(), random.Random(3)))
-        payload["name"] = "different-name"
-        payload["pi_names"] = [f"in{i}" for i in range(payload["num_pis"])]
-        payload["po_names"] = [f"out{i}" for i
-                               in range(len(payload["po_names"]))]
-        return from_dict(payload)
-
-    config = EngineConfig(suites=("epfl",), max_rounds=1)
-    cache = ResultCache()
-    database = McDatabase()
-    cold = run_circuit(_synthetic_case("original", build_original), config,
-                       database=database, result_cache=cache)
-    assert cold.error is None and cold.result_cache_hit is False
-    assert (cache.hits, cache.misses) == (0, 1)
-
-    warm = run_circuit(_synthetic_case("renamed", build_renamed), config,
-                       database=database, result_cache=cache)
-    assert warm.error is None and warm.result_cache_hit is True
-    assert (cache.hits, cache.misses) == (1, 1)
-    assert (warm.ands_after, warm.xors_after, warm.depth_after) == \
-        (cold.ands_after, cold.xors_after, cold.depth_after)
-    assert (warm.cost_before, warm.cost_after) == \
-        (cold.cost_before, cold.cost_after)
-    assert len(warm.rounds) == len(cold.rounds)
-    assert warm.verified == cold.verified
-    # the cached hit spends build time only — no pipeline stages ran
-    assert warm.convergence_seconds == 0.0
-
-
-def test_result_cache_key_ignores_execution_knobs():
-    """Backend/jobs/in-place change *how* the pipeline runs, never what it
-    produces (the A/B contract), so they must not fragment the key; the
-    cut parameters, flow and cost model do change the result and must."""
-    from repro.engine.core import ResultCache
-
-    digest = 0xABCDEF
-    base = EngineConfig(suites=("epfl",), max_rounds=1)
-    from dataclasses import replace
-    assert ResultCache.key_for(digest, replace(base, jobs=4)) == \
-        ResultCache.key_for(digest, base)
-    assert ResultCache.key_for(digest, replace(base, in_place=False)) == \
-        ResultCache.key_for(digest, base)
-    assert ResultCache.key_for(digest, replace(base, backend="python")) == \
-        ResultCache.key_for(digest, base)
-    assert ResultCache.key_for(digest, replace(base, cut_size=4)) != \
-        ResultCache.key_for(digest, base)
-    assert ResultCache.key_for(digest, replace(base, flow="balance,mc*")) != \
-        ResultCache.key_for(digest, base)
-    assert ResultCache.key_for(digest, replace(base, objective="size")) != \
-        ResultCache.key_for(digest, base)
-    assert ResultCache.key_for(digest + 1, base) != \
-        ResultCache.key_for(digest, base)
-
-
-def test_result_cache_rejects_tampered_network():
-    from repro.engine.core import ResultCache
-
-    def build():
-        return random_xag(random.Random(11), num_pis=4, num_gates=20)
-
-    config = EngineConfig(suites=("epfl",), max_rounds=1)
-    cache = ResultCache()
-    report = run_circuit(_synthetic_case("victim", build), config,
-                         result_cache=cache)
-    assert report.error is None and len(cache) == 1
-
-    entries = json.loads(json.dumps(cache.entries()))  # detached copy
-    (key,) = list(cache._entries)
-    # integrity: a hand-edited stored network must be rejected on read...
-    cache._entries[key]["network"]["outputs"][0] ^= 1
-    with pytest.raises(ValueError, match="hashes to"):
-        cache.network_for(key)
-    # ... and a tampered bundle entry must be rejected on install
-    entries[0]["network"]["outputs"][0] ^= 1
-    with pytest.raises(ValueError, match="hashing to"):
-        ResultCache().install(entries)
-    assert ResultCache().install(entries, validate=False) == 1
-
-
-@pytest.mark.parametrize("section, entry, message", [
-    ("results", {"key": ["ab", "mc,mc", "mc", 6, 12], "report": {}},
-     "malformed result entry #0: 'network'"),
-    ("plans", [1], "malformed plan entry #0"),
-])
-def test_cli_malformed_bundle_section_fails_with_context(
-        tmp_path, capsys, section, entry, message):
-    """A broken ``results`` or ``plans`` entry ends the run with an error
-    naming the bundle and the entry, not a bare traceback."""
-    bundle = McDatabase().to_bundle()
-    bundle[section] = [entry]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bundle))
-    assert main(["--circuits", "decoder", "--db", str(path),
-                 "--result-cache"]) == 2
-    err = capsys.readouterr().err
-    assert f"{path}: {message}" in err
-
-
-def test_result_cache_persists_and_shards_through_db(tmp_path):
-    """--result-cache results travel in the v3 bundle: a cold run stores
-    them, a warm run (sequential or sharded) replays without a pipeline."""
-    bundle = tmp_path / "results.json"
-    base = dict(suites=("epfl",), circuits=["decoder", "int2float"],
-                max_rounds=1, result_cache=True)
-    cold = run_batch(EngineConfig(**base, persist=bundle))
-    assert not cold.failed and bundle.exists()
-    assert cold.result_cache_stats["hits"] == 0
-    assert cold.result_cache_stats["misses"] == 2
-    assert cold.result_cache_stats["stored_results"] == 2
-    payload = json.loads(bundle.read_text())
-    assert len(payload["results"]) == 2
-
-    warm = run_batch(EngineConfig(**base, warm_start=bundle))
-    assert warm.warm_start_loaded is True
-    assert warm.result_cache_stats["hits"] == 2
-    assert warm.result_cache_stats["misses"] == 0
-    assert warm.cut_cache_stats["plan_misses"] == 0
-    for cold_report, warm_report in zip(cold.reports, warm.reports):
-        assert warm_report.result_cache_hit is True
-        assert warm_report.ands_after == cold_report.ands_after
-        assert warm_report.xors_after == cold_report.xors_after
-        assert warm_report.depth_after == cold_report.depth_after
-    assert "result cache" in warm.render()
-
-    sharded = run_batch(EngineConfig(**base, warm_start=bundle, jobs=2))
-    assert not sharded.failed
-    assert sharded.result_cache_stats["hits"] == 2
-    for report in sharded.reports:
-        assert report.result_cache_hit is True
-
-
-def test_result_cache_off_by_default():
-    batch = run_batch(EngineConfig(suites=("epfl",), circuits=["decoder"],
-                                   max_rounds=1))
-    assert batch.result_cache_stats is None
-    assert "result cache" not in batch.render()
 
 
 # ----------------------------------------------------------------------

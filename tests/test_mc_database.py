@@ -318,35 +318,37 @@ def test_load_rejects_v2_bundle(tmp_path):
         restored.install_bundle(bundle)
 
 
-def test_bundle_round_trips_cones_and_results(tmp_path):
-    """``save`` writes results but never a ``cones`` section; a v3 bundle
-    that still carries one (older writers persisted cone tables there)
-    installs its recipes, classifications and plans, ignoring the cones."""
+def test_bundle_ignores_legacy_cones_and_results(tmp_path):
+    """``save`` writes neither a ``cones`` nor a ``results`` section; a v3
+    bundle that still carries both (older writers persisted cone tables and
+    whole-circuit results there) installs its recipes, classifications and
+    plans, ignoring the rest."""
     database = McDatabase()
     database.plan_for(0xE8, 3)
-    results = [{"key": ["1234", "mc,mc*", "mc", 6, 12],
-                "network": {"num_pis": 1, "gates": [], "outputs": [2]},
-                "network_hash": "irrelevant-here",
-                "report": {"rounds": 1}}]
     path = tmp_path / "bundle.json"
-    database.save(path, plan_keys=[(0xE8, 3)], results=results)
+    database.save(path, plan_keys=[(0xE8, 3)])
 
     payload = json.loads(path.read_text())
-    assert "cones" not in payload
-    assert payload["results"] == results
+    assert sorted(payload) == ["classifications", "format", "plans",
+                               "recipes", "version"]
     payload["cones"] = [["00ff", 0xE8], ["ab12", 0x96]]
+    payload["results"] = [{"key": ["1234", "mc,mc*", "mc", 6, 12],
+                           "network": {"num_pis": 1, "gates": [],
+                                       "outputs": [2]},
+                           "network_hash": "irrelevant-here",
+                           "report": {"rounds": 1}}]
     restored = McDatabase()
     counts = restored.install_bundle(payload)
-    assert "cones" not in counts
-    assert (counts["recipes"], counts["plans"], counts["results"]) == (1, 1, 1)
+    assert sorted(counts) == ["classifications", "plans", "recipes"]
+    assert (counts["recipes"], counts["plans"]) == (1, 1)
     assert counts["classifications"] >= 1
     assert restored.materialize_plan(0xE8, 3).num_ands == 1
     assert restored.stats()["classification_misses"] == 0
     assert restored.stats()["synthesis_calls"] == 0
-    # sections are omitted entirely when nothing is passed
+    # the plans section is omitted entirely when no keys are passed
     database.save(path)
     payload = json.loads(path.read_text())
-    assert "plans" not in payload and "results" not in payload
+    assert "plans" not in payload
 
 
 def test_stats_keys():

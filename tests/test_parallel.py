@@ -68,7 +68,9 @@ def test_delta_cursor_emits_only_newly_learnt_entries():
     delta = state.push()
     assert delta is not None
     assert delta["recipes"] and delta["plans"]
-    assert "cones" not in delta            # cone tables are never streamed
+    # only learnt synthesis state streams: no cone tables, no results
+    assert sorted(delta) == ["classifications", "format", "plans",
+                             "recipes", "version"]
     assert state.push() is None            # cursor drained
 
     # installing the delta elsewhere and advancing must not re-emit it
@@ -132,13 +134,13 @@ def test_pool_reports_actual_workers_and_wall_times():
 def test_spawn_pool_matches_sequential_with_caches_and_persist(
         tmp_path, monkeypatch):
     """Start-method parity (the strictest pickling regime): jobs=4 under
-    ``spawn`` with the result cache and a persisted bundle must reproduce
-    the sequential run exactly — identical per-circuit numbers in registry
+    ``spawn`` with shared caches and a persisted bundle must reproduce the
+    sequential run exactly — identical per-circuit numbers in registry
     order and a byte-for-byte identical merged bundle."""
     monkeypatch.setenv("REPRO_START_METHOD", "spawn")
     base = dict(suites=("epfl",),
                 circuits=["decoder", "int2float", "alu_ctrl", "arbiter"],
-                max_rounds=1, result_cache=True)
+                max_rounds=1)
     seq_bundle = tmp_path / "seq.json"
     pool_bundle = tmp_path / "pool.json"
     sequential = run_batch(EngineConfig(**base, jobs=1, persist=seq_bundle))

@@ -1,11 +1,12 @@
 """Canonical structural hashing (:mod:`repro.xag.structhash`).
 
-The hash is the identity every cache layer keys on (cone tables, warm-start
-bundles, the engine's whole-circuit result cache), so these tests pin its
-contract directly: strash-style canonicalisation of complements and sibling
-order, invariance under renaming / creation order / serialisation, leaf
-relativity of cone hashes, and sensitivity to everything that *does* change
-the computed functions (PI roles, PO order, output complements).
+The graph hash is the content address of warm-start recipe entries and
+the identity the differential harness's ``check_hash_consistency`` pins on
+every seed, so these tests pin its contract directly: strash-style
+canonicalisation of complements and sibling order, invariance under
+renaming / creation order / serialisation, leaf relativity of cone hashes,
+and sensitivity to everything that *does* change the computed functions
+(PI roles, PO order, output complements).
 """
 
 import os
