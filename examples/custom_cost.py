@@ -42,10 +42,12 @@ class GarbledCircuitCost(CostModel):
     def __init__(self, kappa=128):
         self.kappa = kappa  # ciphertext width (security parameter)
 
-    def skip_zero_saving(self, allow_zero_gain):
-        # zero-AND-saving candidates can still shed XOR gates; examine them
-        # only when the caller opted into zero-gain acceptance.
-        return not allow_zero_gain
+    def min_and_gain(self, allow_zero_gain):
+        # the smallest AND gain `acceptable` takes: zero-AND-gain candidates
+        # can still shed XOR gates, but only when the caller opted in.  The
+        # rewriter skips the plan lookup of every candidate that provably
+        # cannot reach it.
+        return 0 if allow_zero_gain else 1
 
     def key(self, candidate):
         return (candidate.gain_ands, candidate.gain_gates)

@@ -24,7 +24,14 @@ behind one object that the cut enumerator (:func:`repro.cuts.enumeration
   through to the :class:`~repro.mc.database.McDatabase`, which keys recipes
   by the *affine class representative*.  The net effect is that a cut
   function hits the MC database (and affine classification) once per batch
-  of circuits, not once per cut per round.
+  of circuits, not once per cut per round;
+
+* **multiplicative-complexity lower bounds** are memoised beside the plans,
+  under the same key.  :meth:`CutFunctionCache.prunes` answers "can any
+  plan for this function cost at most ``k`` ANDs?" from
+  :func:`repro.mc.bounds.lower_bound` alone, without touching the
+  database, so the rewriter skips the lookup of a candidate that provably
+  cannot win.
 
 The cache is deliberately long-lived: :func:`repro.rewriting.pipeline.run_pipeline`
 keeps one across all passes and rounds of a pipeline, and
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.mc.bounds import lower_bound
 from repro.mc.database import ImplementationPlan, McDatabase
 from repro.tt.bits import projection, table_mask
 from repro.xag.graph import SubstitutionResult, Xag, lit_node
@@ -55,6 +63,8 @@ class CutFunctionCache:
         #: root node → memo keys rooted there, for per-root invalidation.
         self._root_keys: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
         self._plans: Dict[Tuple[int, int], ImplementationPlan] = {}
+        #: multiplicative-complexity lower bounds, same keys as the plans.
+        self._lower_bounds: Dict[Tuple[int, int], int] = {}
         self._bound_xag: Optional[Xag] = None
         self._bound_epoch = -1
         self._bound_mutation_epoch = -1
@@ -62,6 +72,8 @@ class CutFunctionCache:
         self.function_misses = 0
         self.plan_hits = 0
         self.plan_misses = 0
+        #: candidates :meth:`prunes` ruled out before any plan lookup.
+        self.plans_pruned = 0
         #: cone-function entries dropped by substitution events.
         self.function_invalidations = 0
 
@@ -242,6 +254,26 @@ class CutFunctionCache:
         self._plans[key] = plan
         return plan
 
+    def prunes(self, table: int, num_vars: int, max_ands: int) -> bool:
+        """True when no plan for ``table`` can use ``max_ands`` ANDs or fewer.
+
+        Every plan realises its function, so it has at least the
+        multiplicative-complexity lower bound's AND count; a candidate whose
+        budget lies below the bound can be dropped without a lookup.  The
+        bound is memoised per ``(table, num_vars)``; each ``True`` answer
+        counts one :attr:`plans_pruned`.  Neither the plan memo nor the
+        database is touched.
+        """
+        table &= table_mask(num_vars)
+        key = (table, num_vars)
+        bound = self._lower_bounds.get(key)
+        if bound is None:
+            bound = self._lower_bounds[key] = lower_bound(table, num_vars)
+        if bound > max_ands:
+            self.plans_pruned += 1
+            return True
+        return False
+
     # ------------------------------------------------------------------
     # persistence (warm-start bundles)
     # ------------------------------------------------------------------
@@ -296,6 +328,7 @@ class CutFunctionCache:
             "plan_hits": self.plan_hits,
             "plan_misses": self.plan_misses,
             "plan_hit_rate": self.plan_hits / plan_total if plan_total else 0.0,
+            "plans_pruned": self.plans_pruned,
         }
 
     def clear(self) -> None:
@@ -304,6 +337,7 @@ class CutFunctionCache:
         self._interiors.clear()
         self._root_keys.clear()
         self._plans.clear()
+        self._lower_bounds.clear()
         if self._bound_xag is not None:
             self._bound_xag.unsubscribe(self)
         self._bound_xag = None
@@ -313,6 +347,7 @@ class CutFunctionCache:
         self.function_misses = 0
         self.plan_hits = 0
         self.plan_misses = 0
+        self.plans_pruned = 0
         self.function_invalidations = 0
 
     def __len__(self) -> int:

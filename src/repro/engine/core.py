@@ -284,6 +284,7 @@ class BatchReport:
         plan_misses = self.cut_cache_stats.get("plan_misses", 0)
         plan_total = plan_hits + plan_misses
         plan_rate = plan_hits / plan_total if plan_total else 0.0
+        plans_pruned = self.cut_cache_stats.get("plans_pruned", 0)
         # report the workers *actually* spawned, not the configured jobs —
         # a clamped or auto-resolved pool must not misreport its width
         jobs_note = f" [{self.workers} workers]" if self.workers > 1 else ""
@@ -298,7 +299,7 @@ class BatchReport:
             f"{len(self.succeeded)}/{len(self.reports)} circuits in "
             f"{self.total_seconds:.2f}s{jobs_note}{warm_note}{mode_note} | plan cache "
             f"{plan_hits:.0f} hits / {plan_misses:.0f} misses "
-            f"({round(100 * plan_rate)}% hit rate) | db "
+            f"({round(100 * plan_rate)}% hit rate), {plans_pruned:.0f} pruned | db "
             f"{self.database_stats.get('stored_recipes', 0):.0f} recipes / "
             f"{self.database_stats.get('synthesis_calls', 0):.0f} synthesis calls | "
             f"sim cache {self.sim_cache_hits} hits / {self.sim_cache_misses} misses")

@@ -20,7 +20,13 @@ A :class:`CostModel` owns four decisions:
   root-level gain is computed against the maintained levels of
   :class:`~repro.xag.levels.LevelTracker` and any candidate with
   ``gain_depth < 0`` is rejected, so no node level — hence no critical
-  AND-level — can ever increase.
+  AND-level — can ever increase.  :meth:`CostModel.min_and_gain` states
+  the smallest AND gain the veto can ever accept; the rewriter uses it to
+  skip, *before* classification and recipe lookup, every candidate whose
+  MFFC saving minus the cut function's multiplicative-complexity lower
+  bound (:func:`repro.mc.bounds.lower_bound`) falls short of it.  Only
+  candidates the veto would refuse anyway are skipped, so pruning never
+  changes a selection.
 * **convergence** — :meth:`CostModel.made_progress` decides whether a
   completed round improved the model's cost; convergence loops and
   ``Repeat`` fixpoints consult it instead of comparing AND counts directly.
@@ -79,14 +85,19 @@ class CostModel:
     examine_and_free_cones: bool = False
 
     # -- candidate-level hooks ----------------------------------------
-    def skip_zero_saving(self, allow_zero_gain: bool) -> bool:
-        """Skip candidates whose MFFC saves no AND gate *before* pricing.
+    def min_and_gain(self, allow_zero_gain: bool) -> Optional[int]:
+        """The smallest ``gain_ands`` :meth:`acceptable` can ever accept.
 
-        A pre-filter applied before the plan lookup (it saves the database
-        traffic, not just the comparison); return ``False`` whenever a
-        zero-AND-saving candidate could still win under this model.
+        ``None`` (the default) means no such floor exists — the model may
+        accept AND regressions — and disables pruning.  With a floor ``g``
+        the rewriter drops, *before* the plan lookup, every candidate whose
+        MFFC saving ``s`` cannot reach it: ``s < g`` outright, and ``s - g <
+        LB(f)`` for the multiplicative-complexity lower bound ``LB`` of the
+        cut function (every plan needs at least ``LB`` ANDs).  Both skips
+        save database traffic, not just a comparison.  A floor that is too
+        high silently loses rewrites; one that is too low only prunes less.
         """
-        return False
+        return None
 
     def key(self, candidate: "Candidate") -> Tuple[int, ...]:
         """Lexicographic sort key of ``candidate`` (greater wins)."""
@@ -134,8 +145,8 @@ class McCost(CostModel):
     description = "AND count (the paper's multiplicative-complexity objective)"
     metric_name = "ANDs"
 
-    def skip_zero_saving(self, allow_zero_gain: bool) -> bool:
-        return not allow_zero_gain
+    def min_and_gain(self, allow_zero_gain: bool) -> Optional[int]:
+        return 0 if allow_zero_gain else 1
 
     def key(self, candidate: "Candidate") -> Tuple[int, ...]:
         return (candidate.gain_ands, candidate.gain_gates)
@@ -192,6 +203,10 @@ class McDepthCost(CostModel):
     description = "AND count, then multiplicative depth (never deepens)"
     metric_name = "ANDs"
     depth_aware = True
+
+    def min_and_gain(self, allow_zero_gain: bool) -> Optional[int]:
+        # zero-AND-gain candidates may still lower the root's AND-level
+        return 0
 
     def key(self, candidate: "Candidate") -> Tuple[int, ...]:
         return (candidate.gain_ands, candidate.gain_depth,
@@ -252,6 +267,9 @@ class FheNoiseBudgetCost(CostModel):
         self.level_cap = level_cap
         if name is not None:
             self.name = name
+
+    def min_and_gain(self, allow_zero_gain: bool) -> Optional[int]:
+        return 0
 
     def key(self, candidate: "Candidate") -> Tuple[int, ...]:
         return (candidate.gain_depth, candidate.gain_ands,

@@ -12,6 +12,18 @@ root's maximum fanout-free cone (they disappear if the root is re-expressed)
 minus the AND gates of the recipe (the affine re-wiring is AND-free).  The
 best positive-gain candidate of each node is recorded.
 
+Unlike Alg. 1, most cuts never reach classification.  No recipe beats the
+multiplicative complexity of its function, and ``MC(f) >= deg(f) - 1``
+(Dickson's rank gives the exact value for quadratics; see
+:func:`repro.mc.bounds.lower_bound`), so a candidate's AND gain is at most
+its MFFC saving minus that bound.  When the cost model states the smallest
+AND gain it can accept (:meth:`~repro.rewriting.cost.CostModel.min_and_gain`),
+every candidate whose bound already rules that gain out is dropped before
+the plan lookup (:meth:`repro.cuts.cache.CutFunctionCache.prunes`).  Such a
+candidate is one the veto would refuse anyway, and plans depend on the
+truth table alone, so pruning changes no selection — only how many
+functions are classified and synthesised.
+
 *Phase 2 — application.*  Two interchangeable application strategies exist:
 
 * **in place** (the default, ``RewriteParams.in_place=True``): each winning
@@ -398,11 +410,12 @@ class CutRewriter:
         plan_misses_before = cache.plan_misses
         depth_aware = model.depth_aware
         node_levels = self._levels(xag).levels() if depth_aware else None
-        # both pre-filters run before the plan lookup: they save database
-        # traffic, not just a comparison, so the cache statistics depend on
-        # the model honouring them consistently.
-        skip_zero_saving = model.skip_zero_saving(params.allow_zero_gain)
         allow_zero_gain = params.allow_zero_gain
+        # the smallest AND gain the model can accept (None: no floor).  Both
+        # skips below run before the plan lookup: they save database
+        # traffic, not just a comparison, so the cache statistics depend on
+        # the model stating its floor exactly.
+        min_gain = model.min_and_gain(allow_zero_gain)
 
         # Sweep A: structural filters and gain accounting for every cut of
         # every worklist node.  Nothing here needs the cone *function*, so
@@ -438,9 +451,8 @@ class CutRewriter:
                     node_mffc = mffc(xag, node)
                 saved_ands = sum(1 for n in interior_ands if n in node_mffc)
                 saved_gates = sum(1 for n in interior if n in node_mffc)
-                if skip_zero_saving and saved_ands == 0:
-                    # depth-aware models keep zero-AND-saving candidates:
-                    # they may still lower the root's AND-level.
+                if min_gain is not None and saved_ands < min_gain:
+                    # no plan has negative AND cost
                     continue
                 items.append((cut, saved_ands, saved_gates))
                 if backend.accelerated and not cache.has_cone_function(
@@ -471,6 +483,11 @@ class CutRewriter:
                 table = prefetched.get((node, cut.leaves))
                 if table is None:
                     table = cache.cone_function(xag, node, cut.leaves)
+                if min_gain is not None and cache.prunes(
+                        table, cut.size, saved_ands - min_gain):
+                    # every plan's AND cost exceeds the saving the model
+                    # needs: the veto would refuse this candidate.
+                    continue
                 plan = cache.plan_for(table, cut.size)
                 stats.candidates_evaluated += 1
 

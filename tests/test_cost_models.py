@@ -30,8 +30,8 @@ class _AndWeightedCost(CostModel):
         if name is not None:
             self.name = name
 
-    def skip_zero_saving(self, allow_zero_gain):
-        return not allow_zero_gain
+    def min_and_gain(self, allow_zero_gain):
+        return 1
 
     def key(self, candidate):
         return (candidate.gain_ands, candidate.gain_gates)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.circuits import control
 from repro.testing import full_adder_naive, random_xag
 from repro.cuts import CutFunctionCache, cut_function, enumerate_cuts
 from repro.engine import EngineConfig, available_cases, run_batch, run_circuit
@@ -90,7 +91,9 @@ def test_cut_function_cache_plans_match_database():
 
 def test_rewriter_shares_cut_cache_across_rounds():
     """Plans resolved in round 1 must be cache hits in round 2."""
-    xag = random_xag(random.Random(3), num_pis=6, num_gates=40)
+    # int2float keeps candidates the lower bound cannot rule out, so its
+    # rounds still resolve plans with pruning on
+    xag = control.int_to_float()
     rewriter = CutRewriter(params=RewriteParams(cut_size=4))
     first, stats1 = rewriter.rewrite(xag)
     _, stats2 = rewriter.rewrite(first)
@@ -168,13 +171,14 @@ def test_run_circuit_survives_broken_case():
 
 
 def test_run_batch_shares_caches_and_renders():
-    config = EngineConfig(suites=("epfl",), circuits=["decoder"], max_rounds=1)
+    # decoder has no winning candidate: pruning skips all its plan lookups
+    config = EngineConfig(suites=("epfl",), circuits=["int2float"], max_rounds=1)
     batch = run_batch(config)
     assert len(batch.reports) == 1 and not batch.failed
     assert batch.total_seconds > 0
     assert batch.cut_cache_stats["plan_misses"] > 0
     rendered = batch.render()
-    assert "decoder" in rendered
+    assert "int2float" in rendered
     assert "plan cache" in rendered
 
 
@@ -210,7 +214,7 @@ def test_cli_list(capsys):
 
 def test_cli_runs_and_writes_json(tmp_path, capsys):
     json_path = tmp_path / "report.json"
-    exit_code = main(["--suite", "epfl", "--circuits", "decoder", "--rounds", "1",
+    exit_code = main(["--suite", "epfl", "--circuits", "int2float", "--rounds", "1",
                       "--json", str(json_path)])
     assert exit_code == 0
     payload = json.loads(json_path.read_text())
@@ -220,7 +224,7 @@ def test_cli_runs_and_writes_json(tmp_path, capsys):
     assert payload["summary"]["warm_start_loaded"] is False
     assert payload["summary"]["cut_cache"]["plan_misses"] > 0
     circuit = payload["circuits"][0]
-    assert circuit["name"] == "decoder"
+    assert circuit["name"] == "int2float"
     assert circuit["verified"] is True
     assert set(circuit["stage_seconds"]) == {"build", "baseline", "one_round",
                                              "convergence", "verify",
@@ -229,7 +233,7 @@ def test_cli_runs_and_writes_json(tmp_path, capsys):
     # "mc-depth" guarantee, so only presence is asserted here)
     assert circuit["mult_depth_before"] >= 0
     assert circuit["mult_depth_after"] >= 0
-    assert "decoder" in capsys.readouterr().out
+    assert "int2float" in capsys.readouterr().out
 
 
 def test_cli_rejects_negative_rounds(capsys):
@@ -466,6 +470,11 @@ def test_jobs_two_matches_jobs_one():
                 assert type(value) is expected, (section, key, value)
     for key in ("stored_plans", "function_misses", "function_invalidations"):
         assert pooled.cut_cache_stats[key] == sequential.cut_cache_stats[key]
+    # pruning depends on the table and the saving only, never on what the
+    # (per-worker) caches already hold
+    assert pooled.cut_cache_stats["plans_pruned"] > 0
+    assert pooled.cut_cache_stats["plans_pruned"] == \
+        sequential.cut_cache_stats["plans_pruned"]
     # store sizes are read from the merged store, not summed...
     for key in ("stored_recipes", "total_recipe_ands"):
         assert pooled.database_stats[key] == sequential.database_stats[key]
@@ -540,12 +549,14 @@ def test_batch_report_summary_pins_meaningful_metrics():
                         warm_start_loaded=True)
     batch.reports = [CircuitReport(name="decoder", group="control")]
     batch.total_seconds = 1.5
-    batch.cut_cache_stats = {"plan_hits": 30, "plan_misses": 10}
+    batch.cut_cache_stats = {"plan_hits": 30, "plan_misses": 10,
+                             "plans_pruned": 7}
     batch.database_stats = {"stored_recipes": 4, "synthesis_calls": 5}
     summary = batch.render().splitlines()[-1]
     assert summary == ("1/1 circuits in 1.50s [2 workers] [warm start] "
                        "[python kernels] | "
-                       "plan cache 30 hits / 10 misses (75% hit rate) | "
+                       "plan cache 30 hits / 10 misses (75% hit rate), "
+                       "7 pruned | "
                        "db 4 recipes / 5 synthesis calls | "
                        "sim cache 0 hits / 0 misses")
     assert "classification hit rate" not in batch.render()

@@ -64,7 +64,7 @@ def test_resolve_jobs_auto_and_validation():
 def test_delta_cursor_emits_only_newly_learnt_entries():
     state = _WorkerState(EngineConfig(suites=("epfl",), max_rounds=1), None)
     assert state.push() is None            # nothing learnt yet
-    state.run("decoder")
+    state.run("int2float")
     delta = state.push()
     assert delta is not None
     assert delta["recipes"] and delta["plans"]
@@ -90,7 +90,7 @@ def test_delta_cursor_emits_only_newly_learnt_entries():
 
 def test_install_delta_is_idempotent():
     state = _WorkerState(EngineConfig(suites=("epfl",), max_rounds=1), None)
-    state.run("decoder")
+    state.run("int2float")
     delta = state.push()
     database = McDatabase()
     cut_cache = CutFunctionCache(database)
@@ -105,10 +105,11 @@ def test_worker_seeded_with_bundle_reuses_every_plan():
     """The seed bundle ships the whole shared store: a worker handed a case
     another worker already solved does no synthesis at all."""
     first = _WorkerState(EngineConfig(suites=("epfl",), max_rounds=1), None)
-    first.run("decoder")
+    first.run("int2float")
+    assert first.stats()["cut_cache"]["plan_misses"] > 0
     seed = first.push()
     second = _WorkerState(EngineConfig(suites=("epfl",), max_rounds=1), seed)
-    second.run("decoder")
+    second.run("int2float")
     assert second.stats()["database"]["synthesis_calls"] == 0
     assert second.stats()["cut_cache"]["plan_misses"] == 0
 
