@@ -11,12 +11,15 @@ behind one object that the cut enumerator (:func:`repro.cuts.enumeration
 * **cone functions** are memoised per network, keyed by ``(root, leaves)``;
   a miss simulates the ≤6-leaf cone with projection truth tables (cheaper
   than hashing the cone to look its table up anywhere else).  The memo
-  subscribes to the bound network's mutation events: an in-place
-  substitution (:meth:`repro.xag.graph.Xag.substitute_node`) invalidates
-  only the entries rooted in the **dirty transitive fanout** of the rewired
-  nodes, so memoised functions for untouched cones survive whole
-  convergence flows.  Binding to a different network — or a rollback of the
-  bound one — drops the memo wholesale (:meth:`CutFunctionCache.bind`);
+  subscribes to the bound network's mutation events, but an in-place
+  substitution (:meth:`repro.xag.graph.Xag.substitute_node`) drops
+  nothing: it only records its dirty, revived and killed nodes.  The next
+  read expands everything recorded since the previous read to its
+  transitive fanout once (:meth:`repro.xag.graph.Xag.edited_closure`) and
+  drops the entries rooted there, so a round of substitutions costs one
+  fanout walk and memoised functions for untouched cones survive whole
+  convergence flows.  Binding to a different network — or a rollback of
+  the bound one — drops the memo wholesale (:meth:`CutFunctionCache.bind`);
 
 * **implementation plans** are memoised by the network-independent key
   ``(truth table, num_vars)``.  This is the first level of a two-level
@@ -40,7 +43,7 @@ keeps one across all passes and rounds of a pipeline, and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.mc.bounds import lower_bound
 from repro.mc.database import ImplementationPlan, McDatabase
@@ -62,6 +65,9 @@ class CutFunctionCache:
         self._interiors: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
         #: root node → memo keys rooted there, for per-root invalidation.
         self._root_keys: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+        #: dirty, revived and killed nodes of the substitutions since the
+        #: last read (expanded by :meth:`bind`).
+        self._edited: Set[int] = set()
         self._plans: Dict[Tuple[int, int], ImplementationPlan] = {}
         #: multiplicative-complexity lower bounds, same keys as the plans.
         self._lower_bounds: Dict[Tuple[int, int], int] = {}
@@ -74,7 +80,9 @@ class CutFunctionCache:
         self.plan_misses = 0
         #: candidates :meth:`prunes` ruled out before any plan lookup.
         self.plans_pruned = 0
-        #: cone-function entries dropped by substitution events.
+        #: cone-function entries dropped when recorded substitutions were
+        #: expanded at a read (entries of an abandoned network, dropped
+        #: wholesale by a rebind, are not counted).
         self.function_invalidations = 0
 
     @classmethod
@@ -104,19 +112,22 @@ class CutFunctionCache:
         does a rollback of the bound network (rollback recycles node
         indices — detected via the network's rollback epoch, exactly like
         :meth:`repro.xag.bitsim.BitSimulator.sync`).  In-place substitutions
-        of the bound network do *not* drop the memo: the cache subscribes to
-        the network's mutation events and surgically removes only the
-        entries whose cone may contain a rewired node (the dirty transitive
-        fanout).  The plan memo is keyed by truth tables and survives
-        rebinding.
+        of the bound network do *not* drop the memo: the cache records the
+        nodes each one changed, and the first bind after them removes only
+        the entries whose cone may contain such a node (the roots in their
+        transitive fanout).  Every read goes through here.  The plan memo
+        is keyed by truth tables and survives rebinding.
         """
         if (xag is self._bound_xag
                 and xag._rollback_epoch == self._bound_epoch
                 and xag._mutation_epoch == self._bound_mutation_epoch):
+            if self._edited:
+                self._drop_edited(xag)
             return
         self._functions.clear()
         self._interiors.clear()
         self._root_keys.clear()
+        self._edited.clear()
         if self._bound_xag is not None and self._bound_xag is not xag:
             self._bound_xag.unsubscribe(self)
         self._bound_xag = xag
@@ -125,19 +136,27 @@ class CutFunctionCache:
         xag.subscribe(self)
 
     def on_substitution(self, xag: Xag, result: SubstitutionResult) -> None:
-        """Drop memoised cone functions invalidated by an in-place edit.
+        """Record the nodes an in-place edit changed (expanded at the next read).
 
         A memo entry ``(root, leaves)`` is only stale when a rewired (or
         killed/revived) node sits *inside* its cone, which requires ``root``
         to lie in the transitive fanout of that node — so everything outside
-        the dirty TFO survives.
+        the expanded set survives.
         """
         if xag is not self._bound_xag:
             return
+        edited = self._edited
+        edited.update(result.dirty)
+        edited.update(result.revived)
+        edited.update(result.killed)
+        self._bound_mutation_epoch = xag._mutation_epoch
+
+    def _drop_edited(self, xag: Xag) -> None:
+        """Drop the entries rooted in the closure of the recorded edits."""
         functions = self._functions
         interiors = self._interiors
         root_keys = self._root_keys
-        for root in result.affected(xag):
+        for root in xag.edited_closure(self._edited):
             keys = root_keys.pop(root, None)
             if not keys:
                 continue
@@ -145,7 +164,7 @@ class CutFunctionCache:
                 if functions.pop(key, None) is not None:
                     self.function_invalidations += 1
                 interiors.pop(key, None)
-        self._bound_mutation_epoch = xag._mutation_epoch
+        self._edited.clear()
 
     def on_rollback(self, xag: Xag) -> None:
         """A rollback recycles node indices: drop the whole cone-function memo."""
@@ -154,6 +173,7 @@ class CutFunctionCache:
         self._functions.clear()
         self._interiors.clear()
         self._root_keys.clear()
+        self._edited.clear()
         self._bound_epoch = xag._rollback_epoch
 
     def cone_function(self, xag: Xag, root: int, leaves: Tuple[int, ...],
@@ -315,7 +335,16 @@ class CutFunctionCache:
     # bookkeeping
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
-        """Counters for the engine report and the ablation benchmarks."""
+        """Counters for the engine report and the ablation benchmarks.
+
+        ``function_invalidations`` counts memo entries dropped when recorded
+        substitutions are expanded at a read; this call expands any still
+        pending first.  Entries of a network the memo is rebound away from
+        (a snapshot restore abandoning it) are dropped wholesale and not
+        counted.
+        """
+        if self._edited:
+            self._drop_edited(self._bound_xag)
         function_total = self.function_hits + self.function_misses
         plan_total = self.plan_hits + self.plan_misses
         return {
@@ -336,6 +365,7 @@ class CutFunctionCache:
         self._functions.clear()
         self._interiors.clear()
         self._root_keys.clear()
+        self._edited.clear()
         self._plans.clear()
         self._lower_bounds.clear()
         if self._bound_xag is not None:

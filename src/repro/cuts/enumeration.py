@@ -16,7 +16,7 @@ tables per ``(root, leaves)`` across the rounds of a flow.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cuts.cut import Cut
 from repro.tt.bits import popcount
@@ -32,14 +32,21 @@ def _merge_node_cuts(xag: Xag, node: int,
                      ) -> List[Tuple[int, ...]]:
     """Kept leaf tuples of one gate from its fan-ins' merge sets.
 
-    Leaf sets are remapped into a *local* bit space (one bit per distinct
-    leaf seen across both fan-ins, at most ``2 * cut_limit * cut_size``
-    bits), so the pairwise union is one machine-word ``|``, the size check
-    one ``bit_count`` and dominance filtering a subset test — no big-int
-    churn over the full node-index space.  This is the single definition
-    of the per-node cut computation, shared by the one-shot enumeration
-    and the incremental :class:`CutSetCache` so the two can never drift
-    apart.
+    Leaf sets are remapped into a *local* bit space: one bit per distinct
+    leaf seen across both fan-ins, numbered in **descending** node order.
+    The pairwise union is then one machine-word ``|`` and the size check one
+    ``bit_count``, and among sets of equal size the larger mask is the one
+    whose sorted leaf tuple is lexicographically smaller (the highest
+    differing bit is the smallest differing leaf).  Sorting the unions by
+    ``(popcount, -mask)`` is therefore exactly the ``(size, leaves)``
+    priority order.  The dominance filter walks that order, testing each
+    union against the already-kept ones only (a strict subset is smaller,
+    so it comes first, and domination is transitive), and stops at
+    ``cut_limit`` survivors — only those are converted back to tuples.
+
+    This is the single definition of the per-node cut computation, shared
+    by the one-shot enumeration and the incremental :class:`CutSetCache`
+    so the two can never drift apart.
     """
     f0, f1 = xag.fanins(node)
     cuts0 = merge_sets[lit_node(f0)]
@@ -49,70 +56,47 @@ def _merge_node_cuts(xag: Xag, node: int,
         distinct.update(leaves)
     for leaves in cuts1:
         distinct.update(leaves)
-    local_leaves = sorted(distinct)
-    index = {leaf: bit for bit, leaf in enumerate(local_leaves)}
-    masks0 = [_leaves_to_mask(leaves, index) for leaves in cuts0]
-    masks1 = [_leaves_to_mask(leaves, index) for leaves in cuts1]
+    local_leaves = sorted(distinct, reverse=True)
+    bit = {leaf: 1 << position
+           for position, leaf in enumerate(local_leaves)}.__getitem__
+    masks1 = [sum(map(bit, leaves)) for leaves in cuts1]
+    unions = {mask0 | mask1
+              for mask0 in [sum(map(bit, leaves)) for leaves in cuts0]
+              for mask1 in masks1}
 
     # note: a vectorised variant of this merge (uint64 outer union +
     # broadcast subset tests) measures *slower* than the scalar loop at the
     # typical ~13x13 batch size, so the merge stays pure Python on every
     # backend.
-    masks: List[int] = []
-    seen = set()
-    for mask0 in masks0:
-        for mask1 in masks1:
-            union = mask0 | mask1
-            if union in seen or popcount(union) > cut_size:
-                continue
-            seen.add(union)
-            masks.append(union)
-    kept = _filter_dominated_masks(masks)
-    candidates = [_mask_to_leaves(mask, local_leaves) for mask in kept]
-    candidates.sort(key=lambda leaves: (len(leaves), leaves))
-    return candidates[:cut_limit]
-
-
-def _leaves_to_mask(leaves: Tuple[int, ...], index: Dict[int, int]) -> int:
-    """Local bitmask of a leaf tuple."""
-    mask = 0
-    for leaf in leaves:
-        mask |= 1 << index[leaf]
-    return mask
-
-
-def _mask_to_leaves(mask: int, local_leaves: List[int]) -> Tuple[int, ...]:
-    """Node-index tuple of a local leaf bitmask (local bits are assigned in
-    ascending node order, so extraction is already sorted)."""
-    leaves = []
-    while mask:
-        low = mask & -mask
-        leaves.append(local_leaves[low.bit_length() - 1])
-        mask ^= low
-    return tuple(leaves)
-
-
-def _filter_dominated_masks(masks: List[int]) -> List[int]:
-    """Drop masks that strictly contain another mask (they are dominated).
-
-    The survivor set is order-independent, so the scan may sort by
-    popcount and test each mask only against already-kept (necessarily
-    smaller) ones: domination is transitive, so a mask dominated by a
-    *dropped* mask is also dominated by that mask's kept dominator.
-    """
-    if len(masks) <= 1:
-        return list(masks)
-    ordered = sorted(masks, key=popcount)
-    keep: List[int] = []
-    for mask in ordered:
-        for other in keep:
-            # other ⊆ mask is (other & mask) == other (strict: dedup
-            # upstream guarantees other != mask)
+    ranked: List[Tuple[int, int]] = []
+    for union in unions:
+        size = popcount(union)
+        if size <= cut_size:
+            ranked.append((size, -union))
+    ranked.sort()
+    kept: List[int] = []
+    for _, negated in ranked:
+        mask = -negated
+        for other in kept:
+            # other ⊆ mask is (other & mask) == other (strict: the unions
+            # are distinct)
             if other & mask == other:
                 break
         else:
-            keep.append(mask)
-    return keep
+            kept.append(mask)
+            if len(kept) == cut_limit:
+                break
+
+    candidates: List[Tuple[int, ...]] = []
+    for mask in kept:
+        leaves = []
+        while mask:
+            low = mask & -mask
+            leaves.append(local_leaves[low.bit_length() - 1])
+            mask ^= low
+        leaves.reverse()
+        candidates.append(tuple(leaves))
+    return candidates
 
 
 def enumerate_cuts(xag: Xag, cut_size: int = 6, cut_limit: int = 12) -> Dict[int, List[Cut]]:
@@ -158,11 +142,13 @@ class CutSetCache:
     node on every call — O(network) per rewriting round even when a round
     only touched a few cones.  This cache keeps the per-node merge sets
     alive across rounds and subscribes to the network's mutation events
-    (:meth:`repro.xag.graph.Xag.subscribe`): an in-place substitution drops
-    only the entries in the **transitive fanout** of the rewired nodes —
-    exactly the nodes whose transitive fan-in (and therefore cut sets)
-    changed.  The next :meth:`cuts` call recomputes just the missing
-    entries in topological order.
+    (:meth:`repro.xag.graph.Xag.subscribe`).  An in-place substitution only
+    records its dirty, revived and killed nodes; the next :meth:`cuts`
+    call expands everything recorded since the previous call to its
+    transitive fanout once (:meth:`repro.xag.graph.Xag.edited_closure`) —
+    exactly the nodes whose transitive fan-in, and therefore cut sets,
+    changed — drops those entries and recomputes the missing ones in
+    topological order.
     """
 
     def __init__(self, cut_size: int = 6, cut_limit: int = 12) -> None:
@@ -174,11 +160,15 @@ class CutSetCache:
         self.cut_limit = cut_limit
         self._merge: Dict[int, List[Tuple[int, ...]]] = {}
         self._cuts: Dict[int, List[Cut]] = {}
+        #: dirty, revived and killed nodes of the substitutions since the
+        #: last :meth:`cuts` call (expanded there).
+        self._edited: Set[int] = set()
         self._bound_xag: Optional[Xag] = None
         self._bound_epoch = -1
         self._bound_mutation_epoch = -1
         #: nodes recomputed across all calls (the benchmark counter).
         self.nodes_recomputed = 0
+        #: cut sets dropped when recorded edits were expanded.
         self.invalidations = 0
 
     def bind(self, xag: Xag) -> None:
@@ -189,6 +179,7 @@ class CutSetCache:
             return
         self._merge.clear()
         self._cuts.clear()
+        self._edited.clear()
         if self._bound_xag is not None and self._bound_xag is not xag:
             self._bound_xag.unsubscribe(self)
         self._bound_xag = xag
@@ -197,13 +188,13 @@ class CutSetCache:
         xag.subscribe(self)
 
     def on_substitution(self, xag: Xag, result: SubstitutionResult) -> None:
-        """Drop cut sets of every node whose transitive fan-in changed."""
+        """Record the nodes an in-place edit changed (expanded lazily)."""
         if xag is not self._bound_xag:
             return
-        for node in result.affected(xag):
-            if self._merge.pop(node, None) is not None:
-                self.invalidations += 1
-            self._cuts.pop(node, None)
+        edited = self._edited
+        edited.update(result.dirty)
+        edited.update(result.revived)
+        edited.update(result.killed)
         self._bound_mutation_epoch = xag._mutation_epoch
 
     def on_rollback(self, xag: Xag) -> None:
@@ -212,6 +203,7 @@ class CutSetCache:
             return
         self._merge.clear()
         self._cuts.clear()
+        self._edited.clear()
         self._bound_epoch = xag._rollback_epoch
 
     def cuts(self, xag: Xag) -> Dict[int, List[Cut]]:
@@ -219,6 +211,12 @@ class CutSetCache:
         self.bind(xag)
         merge_sets = self._merge
         result = self._cuts
+        if self._edited:
+            for node in xag.edited_closure(self._edited):
+                if merge_sets.pop(node, None) is not None:
+                    self.invalidations += 1
+                result.pop(node, None)
+            self._edited.clear()
         for node in xag.topological_order():
             if node in merge_sets:
                 continue

@@ -207,8 +207,12 @@ class NumpyBackend:
         private slot.  Evaluating with 6-variable projections and masking
         the result to ``table_mask(len(leaves))`` matches the per-cone
         reference exactly, because an ``n``-variable projection is the low
-        ``2**n`` rows of the 6-variable one.
+        ``2**n`` rows of the 6-variable one.  A cone with more than 6 leaves
+        fits neither the 6 projection slots nor one word; it is simulated by
+        the per-cone reference instead.
         """
+        from repro.cuts.cache import _simulate_cone
+
         kinds = xag._kind
         fanin0 = xag._fanin0
         fanin1 = xag._fanin1
@@ -222,8 +226,13 @@ class NumpyBackend:
         and_flags: List[bool] = []
         levels: List[int] = []
         root_slots: List[Tuple[int, int]] = []  # (slot, num_vars) per request
+        wide: Dict[int, int] = {}  # request index → reference table
 
-        for root, leaves, interior in requests:
+        for index, (root, leaves, interior) in enumerate(requests):
+            if len(leaves) > 6:
+                wide[index] = _simulate_cone(xag, root, leaves, interior)
+                root_slots.append((0, 0))
+                continue
             slot_of: Dict[int, int] = {0: 0}
             slot_level: Dict[int, int] = {0: 0}
             for position, leaf in enumerate(leaves):
@@ -276,8 +285,9 @@ class NumpyBackend:
                 result = np.where(ands, a & b, a ^ b)
                 values[out_arr[batch]] = result
                 start = end
-        return [int(values[slot]) & table_mask(num_vars)
-                for slot, num_vars in root_slots]
+        return [wide[index] if index in wide
+                else int(values[slot]) & table_mask(num_vars)
+                for index, (slot, num_vars) in enumerate(root_slots)]
 
     # ------------------------------------------------------------------
     # packed-word simulator store

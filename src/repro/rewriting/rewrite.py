@@ -12,6 +12,15 @@ root's maximum fanout-free cone (they disappear if the root is re-expressed)
 minus the AND gates of the recipe (the affine re-wiring is AND-free).  The
 best positive-gain candidate of each node is recorded.
 
+Selection builds only the structure a candidate can still use.  The root's
+MFFC comes first: a root whose MFFC holds fewer ANDs than the model's floor
+is skipped without looking at a cone.  Each cut's (ANDs, gates) saving is
+one walk down the MFFC that stops at the cut's leaves
+(:func:`repro.cuts.mffc.mffc_saving`); that is the cut cone ∩ MFFC, because
+every path from the root to an MFFC node stays inside the MFFC.  A cone
+interior is built only when a surviving candidate's function is not
+memoised yet, or, under a floor of 0, to check a zero-saving cut for an AND.
+
 Unlike Alg. 1, most cuts never reach classification.  No recipe beats the
 multiplicative complexity of its function, and ``MC(f) >= deg(f) - 1``
 (Dickson's rank gives the exact value for quadratics; see
@@ -60,7 +69,7 @@ from repro import kernels
 from repro.cuts.cache import CutFunctionCache
 from repro.cuts.cut import Cut
 from repro.cuts.enumeration import CutSetCache
-from repro.cuts.mffc import mffc
+from repro.cuts.mffc import mffc, mffc_saving
 from repro.mc.database import ImplementationPlan, McDatabase
 from repro.rewriting.cost import CostModel, cost_model
 from repro.rewriting.insert import insert_plan
@@ -68,7 +77,7 @@ from repro.xag.bitsim import SimulationCache
 from repro.xag.cleanup import sweep, sweep_owned
 from repro.xag.depth import multiplicative_depth
 from repro.xag.equivalence import equivalence_stimulus, equivalent
-from repro.xag.graph import Xag, lit_node, literal
+from repro.xag.graph import NodeKind, Xag, lit_node, literal
 from repro.xag.levels import LevelCache, LevelTracker
 
 
@@ -426,6 +435,9 @@ class CutRewriter:
         # order this sweep produced them, so the selection decisions (and
         # the cache hit/miss counters) are identical on every backend.
         backend = kernels.active_backend()
+        kinds = xag._kind
+        and_kind = NodeKind.AND
+        skip_and_free = not model.examine_and_free_cones
         work: List[Tuple[int, List[Tuple[Cut, int, int]]]] = []
         missing: List[Tuple[int, Tuple[int, ...], List[int]]] = []
         for node in xag.gates():
@@ -435,29 +447,34 @@ class CutRewriter:
             if not node_cuts:
                 continue
             stats.nodes_considered += 1
-            node_mffc = None
+            # MFFC first: a cut saves at most the MFFC's ANDs, so a root
+            # whose MFFC holds fewer than the floor has no candidate.
+            node_mffc = mffc(xag, node)
+            if min_gain and sum(1 for n in node_mffc
+                                if kinds[n] == and_kind) < min_gain:
+                continue
             items: List[Tuple[Cut, int, int]] = []
 
             for cut in node_cuts:
-                if cut.size < 2 or cut.size > params.cut_size or node in cut.leaves:
+                leaves = cut.leaves
+                if cut.size < 2 or cut.size > params.cut_size or node in leaves:
                     continue
-                interior = cache.cone_interior(xag, node, cut.leaves)
-                interior_ands = [n for n in interior if xag.is_and(n)]
-                if not interior_ands and not model.examine_and_free_cones:
-                    # AND-free cones have nothing to offer an AND-count
-                    # objective (XOR gates are depth-transparent too).
-                    continue
-                if node_mffc is None:
-                    node_mffc = mffc(xag, node)
-                saved_ands = sum(1 for n in interior_ands if n in node_mffc)
-                saved_gates = sum(1 for n in interior if n in node_mffc)
+                saved_ands, saved_gates = mffc_saving(xag, node, leaves,
+                                                      node_mffc)
                 if min_gain is not None and saved_ands < min_gain:
                     # no plan has negative AND cost
                     continue
+                if not saved_ands and skip_and_free and not any(
+                        kinds[n] == and_kind
+                        for n in cache.cone_interior(xag, node, leaves)):
+                    # AND-free cones have nothing to offer an AND-count
+                    # objective (XOR gates are depth-transparent too).
+                    continue
                 items.append((cut, saved_ands, saved_gates))
                 if backend.accelerated and not cache.has_cone_function(
-                        xag, node, cut.leaves):
-                    missing.append((node, cut.leaves, interior))
+                        xag, node, leaves):
+                    missing.append((node, leaves,
+                                    cache.cone_interior(xag, node, leaves)))
             if items:
                 work.append((node, items))
 

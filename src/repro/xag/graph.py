@@ -113,10 +113,13 @@ class SubstitutionResult:
     * ``touched_refs`` — nodes whose reference count changed (used by the
       rewriter to seed the next convergence round's dirty worklist: a
       changed fanout count can grow or shrink MFFCs above it).
+
+    Observers record ``dirty``, ``revived`` and ``killed`` and expand them
+    with :meth:`Xag.edited_closure` when they are next read, so a batch of
+    substitutions costs one fanout walk instead of one per event.
     """
 
-    __slots__ = ("pairs", "dirty", "killed", "revived", "touched_refs",
-                 "_affected")
+    __slots__ = ("pairs", "dirty", "killed", "revived", "touched_refs")
 
     def __init__(self) -> None:
         self.pairs: List[Tuple[int, int]] = []
@@ -124,24 +127,6 @@ class SubstitutionResult:
         self.killed: List[int] = []
         self.revived: List[int] = []
         self.touched_refs: Set[int] = set()
-        self._affected: Optional[Set[int]] = None
-
-    def affected(self, xag: "Xag") -> Set[int]:
-        """Live nodes whose transitive fan-in changed, plus the killed ones.
-
-        This is the invalidation set every observer needs (memoised cone
-        functions, cut sets).  It is computed once per event and shared —
-        observers receiving the same result object during one notification
-        round must not each pay for their own fanout traversal.
-        """
-        if self._affected is None:
-            seeds = set(self.dirty)
-            seeds.update(self.killed)
-            seeds.update(self.revived)
-            affected = xag.transitive_fanout(seeds) if seeds else set()
-            affected.update(self.killed)
-            self._affected = affected
-        return self._affected
 
 
 class Xag:
@@ -466,6 +451,23 @@ class Xag:
                     seen.add(fo)
                     stack.append(fo)
         return seen
+
+    def edited_closure(self, edited: Set[int]) -> Set[int]:
+        """Nodes whose transitive fan-in may differ since ``edited`` changed.
+
+        ``edited`` collects the ``dirty``, ``revived`` and ``killed`` nodes
+        of any number of :class:`SubstitutionResult` events.  The answer is
+        the live transitive fanout of ``edited`` in the current network plus
+        the edited nodes that are dead now.  Walked once after a batch of
+        events, it agrees with the union of the per-event closures on every
+        node that existed before the batch: a fanout path that did not exist
+        at some event was created by a later rewire or revival, whose node
+        is itself in ``edited``.
+        """
+        dead = self._dead
+        closure = self.transitive_fanout(edited)
+        closure.update(node for node in edited if dead[node])
+        return closure
 
     def substitute_node(self, old: int, new_lit: int) -> SubstitutionResult:
         """Redirect every reference of ``old`` to ``new_lit``, in place.

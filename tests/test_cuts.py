@@ -1,11 +1,16 @@
 """Tests for cut enumeration, cut functions and MFFC computation."""
 
+import random
+
 import pytest
 
+from repro.engine import EngineConfig
+from repro.engine.core import select_cases
 from repro.testing import full_adder_naive, random_xag
 from repro.cuts import Cut, cut_and_count, cut_cone, cut_function, enumerate_cuts, mffc, \
     mffc_and_count
-from repro.xag.graph import Xag, lit_node
+from repro.cuts.mffc import mffc_saving
+from repro.xag.graph import Xag, lit_node, literal
 from repro.xag.simulate import node_truth_tables
 from repro.tt.operations import shrink_to_support
 from repro.tt.bits import projection
@@ -140,3 +145,126 @@ def test_mffc_of_non_gate_is_empty():
     xag = Xag()
     a = xag.create_pi()
     assert mffc(xag, lit_node(a)) == set()
+
+
+# ----------------------------------------------------------------------
+# which cuts survive the limit: an oracle independent of the merge
+# ----------------------------------------------------------------------
+def _reference_cut_sets(xag, cut_size, cut_limit):
+    """Priority cuts from plain leaf sets (no bit masks, no shared code).
+
+    A gate's cuts are the pairwise unions of its fan-ins' kept-plus-trivial
+    sets with at most ``cut_size`` leaves, minus strict supersets of
+    another union, sorted by (size, sorted leaves), first ``cut_limit``.
+    """
+    merge = {}
+    result = {}
+    for node in xag.topological_order():
+        if xag.is_constant(node):
+            merge[node] = [frozenset()]
+            result[node] = []
+            continue
+        if xag.is_pi(node):
+            merge[node] = [frozenset([node])]
+            result[node] = []
+            continue
+        f0, f1 = (lit_node(lit) for lit in xag.fanins(node))
+        unions = {left | right for left in merge[f0] for right in merge[f1]
+                  if len(left | right) <= cut_size}
+        minimal = [cut for cut in unions
+                   if not any(other < cut for other in unions)]
+        kept = sorted(minimal, key=lambda cut: (len(cut), sorted(cut)))
+        kept = kept[:cut_limit]
+        result[node] = [tuple(sorted(cut)) for cut in kept]
+        merge[node] = kept + [frozenset([node])]
+    return result
+
+
+def _leaf_tuples(cuts):
+    return {node: [cut.leaves for cut in node_cuts]
+            for node, node_cuts in cuts.items()}
+
+
+CUT_SETTINGS = [(6, 12), (4, 8), (3, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("cut_size,cut_limit", CUT_SETTINGS)
+def test_cut_priority_matches_set_based_reference(cut_size, cut_limit):
+    """Seeded property: the kept cuts and their order equal the oracle's."""
+    rng = random.Random(cut_size * 100 + cut_limit)
+    for trial in range(30):
+        xag = random_xag(rng, num_pis=rng.randint(3, 10),
+                         num_gates=rng.randint(10, 70),
+                         and_bias=rng.random(),
+                         locality=rng.choice([None, 4, 8]))
+        assert _leaf_tuples(enumerate_cuts(xag, cut_size, cut_limit)) == \
+            _reference_cut_sets(xag, cut_size, cut_limit), trial
+
+
+@pytest.mark.parametrize("cut_size,cut_limit", CUT_SETTINGS)
+def test_cut_priority_matches_reference_on_registry_circuits(cut_size,
+                                                             cut_limit):
+    config = EngineConfig(suites=("epfl",),
+                          circuits=["int2float", "router", "alu_ctrl"])
+    for case in select_cases(config):
+        xag = case.build()
+        assert _leaf_tuples(enumerate_cuts(xag, cut_size, cut_limit)) == \
+            _reference_cut_sets(xag, cut_size, cut_limit), case.name
+
+
+# ----------------------------------------------------------------------
+# the MFFC saving walk
+# ----------------------------------------------------------------------
+def _cone_saving(xag, root, leaves):
+    """(ANDs, gates) of cut cone ∩ MFFC, from the two sets themselves."""
+    shared = set(cut_cone(xag, root, leaves)) & mffc(xag, root)
+    return sum(1 for node in shared if xag.is_and(node)), len(shared)
+
+
+def _random_substitution(xag, rng):
+    """Redirect a random gate to a random literal outside its fanout."""
+    node = rng.choice(list(xag.gates()))
+    forbidden = xag.transitive_fanout([node])
+    targets = [n for n in xag.topological_order()
+               if not xag.is_constant(n) and n not in forbidden]
+    if targets:
+        xag.substitute_node(node, literal(rng.choice(targets),
+                                          rng.random() < 0.5))
+
+
+def test_mffc_saving_equals_cone_and_mffc_intersection():
+    checked = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        xag = random_xag(rng, num_pis=6, num_gates=50, and_bias=0.6)
+        for phase in range(3):
+            for node, node_cuts in enumerate_cuts(xag).items():
+                if not node_cuts:
+                    continue
+                cone = mffc(xag, node)
+                for cut in node_cuts:
+                    assert mffc_saving(xag, node, cut.leaves, cone) == \
+                        _cone_saving(xag, node, cut.leaves), (seed, phase, cut)
+                    checked += 1
+            for _ in range(4):
+                _random_substitution(xag, rng)
+    assert checked > 1000
+
+
+def test_mffc_saving_stops_at_leaves():
+    """An MFFC node the root reaches only through a leaf is not saved."""
+    xag = Xag()
+    a, b, c, d = xag.create_pis(4)
+    inner = xag.create_and(a, b)
+    leaf = xag.create_xor(inner, c)
+    root = xag.create_and(leaf, d)
+    xag.create_po(root, "y")
+    root_node = lit_node(root)
+    cone = mffc(xag, root_node)
+    assert cone == {lit_node(inner), lit_node(leaf), root_node}
+    leaves = tuple(sorted((lit_node(leaf), lit_node(d))))
+    assert mffc_saving(xag, root_node, leaves, cone) == (1, 1)
+    assert _cone_saving(xag, root_node, leaves) == (1, 1)
+    leaves = tuple(sorted((lit_node(inner), lit_node(c), lit_node(d))))
+    assert mffc_saving(xag, root_node, leaves, cone) == (1, 2)
+    assert mffc_saving(xag, root_node, xag.pis(), cone) == (2, 3)

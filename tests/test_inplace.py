@@ -9,7 +9,7 @@ from repro.testing import random_xag
 from repro.circuits import arithmetic as A
 from repro.circuits import control as C
 from repro.cuts.cache import CutFunctionCache
-from repro.cuts.enumeration import CutSetCache, enumerate_cuts
+from repro.cuts.enumeration import CutSetCache, cut_function, enumerate_cuts
 from repro.rewriting import (CutRewriter, RewriteParams, optimize,
                              run_pipeline, standard_flow)
 from repro.xag import (BitSimulator, LevelTracker, StructHashTracker,
@@ -32,6 +32,30 @@ def recount_fanouts(xag):
     for lit in xag.po_literals():
         counts[lit_node(lit)] += 1
     return counts
+
+
+def fanin_cone(xag, node):
+    """Every node ``node`` depends on, dead ones included."""
+    cone = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n in cone:
+            continue
+        cone.add(n)
+        if xag.is_gate(n):
+            stack.extend(lit_node(lit) for lit in xag.fanins(n))
+    return cone
+
+
+def check_cut_memos(xag, cut_sets, functions):
+    """The maintained cut sets and cone functions equal uncached ones."""
+    cuts = cut_sets.cuts(xag)
+    assert cuts == enumerate_cuts(xag)
+    for node_cuts in cuts.values():
+        for cut in node_cuts:
+            assert functions.cone_function(xag, cut.root, cut.leaves) == \
+                cut_function(xag, cut)
 
 
 # ----------------------------------------------------------------------
@@ -143,19 +167,39 @@ def test_rollback_across_substitution_is_rejected():
 # ----------------------------------------------------------------------
 def test_fanout_refcount_and_simulation_invariants_under_random_edits():
     """After random substitute_node/rollback sequences the maintained
-    fan-out counts must equal a from-scratch recount and the incremental
-    simulator must agree with a fresh full simulation."""
+    fan-out counts must equal a from-scratch recount, the incremental
+    simulator must agree with a fresh full simulation, and the cut-set and
+    cone-function memos must agree with uncached recomputation.  The memos
+    are read every third step only, so the edits they record span several
+    substitutions, constant collapses, kill-then-revive and rollback events
+    before they are expanded."""
+    revivals = 0
     for seed in range(8):
         rng = random.Random(seed)
         xag = random_xag(rng, num_pis=5, num_gates=30, and_bias=0.6)
         words, mask, _ = equivalence_stimulus(xag.num_pis)
         sim = BitSimulator(xag, words, mask)
         sim.sync()
+        cut_sets = CutSetCache()
+        functions = CutFunctionCache()
+        check_cut_memos(xag, cut_sets, functions)
 
         for step in range(12):
             action = rng.random()
             live_gates = [n for n in xag.gates()]
-            if action < 0.55 and live_gates:
+            dead_gates = [n for n in range(xag.num_nodes)
+                          if xag.is_gate(n) and xag.is_dead(n)]
+            if action < 0.15 and live_gates and dead_gates:
+                # redirect a live gate onto a dead one: revives it (and its
+                # dead fan-in cone) after an earlier substitution killed it
+                node = rng.choice(live_gates)
+                revivable = [d for d in dead_gates
+                             if node not in fanin_cone(xag, d)]
+                if revivable:
+                    xag.substitute_node(node, literal(rng.choice(revivable),
+                                                      rng.random() < 0.5))
+                    revivals += 1
+            elif action < 0.55 and live_gates:
                 # redirect a random gate to a random non-cycle literal
                 # (exercises rewires, complement handling, cascades, GC)
                 node = rng.choice(live_gates)
@@ -196,6 +240,10 @@ def test_fanout_refcount_and_simulation_invariants_under_random_edits():
                     f0, f1 = xag.fanins(n)
                     assert lit_node(f0) in seen and lit_node(f1) in seen
                 seen.add(n)
+            # invariant 4: cut sets and cone functions match uncached ones
+            if step % 3 == 2:
+                check_cut_memos(xag, cut_sets, functions)
+    assert revivals > 0
 
 
 def test_maintained_levels_under_random_edit_and_balance_sequences():

@@ -140,20 +140,26 @@ def test_apply_input_transform_parity(num_vars):
 # batched cone simulation
 # ----------------------------------------------------------------------
 @requires_numpy
-def test_simulate_cones_matches_per_cone_reference():
+@pytest.mark.parametrize("cut_size", [6, 8])
+def test_simulate_cones_matches_per_cone_reference(cut_size):
+    """Bit-exact batched tables, also for cones wider than one word."""
     backend = kernels.set_backend("numpy")
     try:
+        widest = 0
         for seed in range(6):
-            xag = random_xag(random.Random(seed), num_pis=6, num_gates=50)
+            xag = random_xag(random.Random(seed), num_pis=10, num_gates=50)
             requests = []
             expected = []
-            for node, cuts in enumerate_cuts(xag).items():
+            for node, cuts in enumerate_cuts(xag, cut_size=cut_size).items():
                 for cut in cuts:
                     interior = cut_cone(xag, cut.root, cut.leaves)
                     requests.append((cut.root, cut.leaves, interior))
                     expected.append(_simulate_cone(xag, cut.root, cut.leaves,
                                                    interior))
+                    widest = max(widest, cut.size)
             assert backend.simulate_cones(xag, requests) == expected
+        # the wide case must exercise cones beyond one 64-bit word
+        assert (widest > 6) == (cut_size > 6)
     finally:
         kernels.set_backend("auto")
 
@@ -359,6 +365,21 @@ def test_converged_batch_cache_counters_match_across_backends():
     assert python.cut_cache_stats["function_misses"] > 0
     assert python.cut_cache_stats == numpy.cut_cache_stats
     assert python.database_stats == numpy.database_stats
+
+
+@requires_numpy
+def test_wide_cuts_give_the_same_result_on_both_backends():
+    """7-leaf cuts: the numpy batch must not alias a 7th leaf with an
+    interior slot, which yields 50 ANDs and a wrong network here."""
+    base = dict(suites=("epfl",), circuits=["int2float"], cut_size=7,
+                max_rounds=1, verify_limit=0)
+    rows = []
+    for backend in ("python", "numpy"):
+        batch = run_batch(EngineConfig(**base, backend=backend))
+        report = batch.reports[0]
+        assert report.error is None
+        rows.append((report.ands_after, report.xors_after, report.depth_after))
+    assert rows[0] == rows[1]
 
 
 @requires_numpy
