@@ -161,107 +161,6 @@ class _State:
         return table_from_spectrum(values, self.num_vars)
 
 
-class _NpState(_State):
-    """:class:`_State` with the permutation held as a numpy index array.
-
-    Used when the active backend is accelerated: gathers, magnitude
-    maxima and table materialisation become single vectorised calls.
-    Every decision quantity is the same exact integer as the reference
-    state's, so the exploration (and therefore the result) is identical.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def initial(cls, num_vars: int, spectrum, magnitudes) -> "_NpState":
-        import numpy as np
-        return cls(num_vars, spectrum, magnitudes,
-                   np.arange(len(spectrum)), 1, 0, [])
-
-    def copy(self) -> "_NpState":
-        return _NpState(self.num_vars, self.spectrum, self.magnitudes,
-                        self.perm.copy(), self.sign, self.linear_sign,
-                        list(self.ops))
-
-    def coefficient(self, w: int) -> int:
-        value = self.sign * int(self.spectrum[self.perm[w]])
-        return -value if popcount(self.linear_sign & w) & 1 else value
-
-    def xor_output(self, var: int) -> None:
-        self.perm = self.perm[_xor_index(1 << var, self.size)]
-        if (self.linear_sign >> var) & 1:
-            self.sign = -self.sign
-        self.ops.append(AffineOp("xor_output", var))
-
-    def apply_placement(self, source: int, position: int) -> None:
-        ops, mperm, minv = _placement_data(source, position, self.num_vars)
-        self.perm = self.perm[_placement_index(source, position, self.num_vars)]
-        self.linear_sign = gf2.mat_vec(minv, self.linear_sign)
-        self.ops.extend(ops)
-
-    def tied_best(self, candidates: List[int]) -> List[int]:
-        cands = _candidate_index(self.size, candidates)
-        selected = self.magnitudes[self.perm[cands]]
-        return cands[selected == selected.max()].tolist()
-
-    def table(self) -> int:
-        values = self.spectrum[self.perm]
-        if self.sign < 0:
-            values = -values
-        if self.linear_sign:
-            values = values * _sign_vector(self.linear_sign, self.size)
-        from repro import kernels
-        return kernels.active_backend().table_from_spectrum(
-            values, self.num_vars)
-
-
-#: small memoised numpy index/sign helpers for :class:`_NpState`.
-_NP_INDEX_CACHE: dict = {}
-
-
-def _xor_index(mask: int, size: int):
-    key = ("xor", mask, size)
-    index = _NP_INDEX_CACHE.get(key)
-    if index is None:
-        import numpy as np
-        index = np.arange(size) ^ mask
-        _NP_INDEX_CACHE[key] = index
-    return index
-
-
-def _placement_index(source: int, position: int, num_vars: int):
-    key = ("place", source, position, num_vars)
-    index = _NP_INDEX_CACHE.get(key)
-    if index is None:
-        import numpy as np
-        _, mperm, _ = _placement_data(source, position, num_vars)
-        index = np.asarray(mperm)
-        _NP_INDEX_CACHE[key] = index
-    return index
-
-
-def _candidate_index(size: int, candidates: List[int]):
-    key = ("cands", size, candidates[0], len(candidates))
-    index = _NP_INDEX_CACHE.get(key)
-    if index is None:
-        import numpy as np
-        index = np.asarray(candidates)
-        _NP_INDEX_CACHE[key] = index
-    return index
-
-
-def _sign_vector(linear: int, size: int):
-    key = ("sign", linear, size)
-    vector = _NP_INDEX_CACHE.get(key)
-    if vector is None:
-        import numpy as np
-        parity = np.asarray(
-            [popcount(linear & w) & 1 for w in range(size)], dtype=np.int32)
-        vector = 1 - 2 * parity
-        _NP_INDEX_CACHE[key] = vector
-    return vector
-
-
 class AffineClassifier:
     """Affine classification with configurable strategy and tie budget."""
 
@@ -386,20 +285,10 @@ class AffineClassifier:
         max_magnitude = max(magnitudes)
         zero_targets = [w for w in range(size) if magnitudes[w] == max_magnitude]
 
-        from repro import kernels
-        backend = kernels.active_backend()
-        if backend.accelerated and num_vars <= backend.MAX_DENSE_VARS:
-            import numpy as np
-            state_cls = _NpState
-            spectrum = np.asarray(spectrum, dtype=np.int32)
-            magnitudes = np.abs(spectrum)
-        else:
-            state_cls = _State
-
         for index, target in enumerate(zero_targets):
             if index > 0 and (budget[0] <= 0 or best[0] is not None and index >= 4):
                 break
-            state = state_cls.initial(num_vars, spectrum, magnitudes)
+            state = _State.initial(num_vars, spectrum, magnitudes)
             self._greedy_pass(state, target, budget, consider, allow_branching=(index == 0))
 
         assert best[0] is not None
@@ -471,21 +360,6 @@ class AffineClassifier:
         if state.coefficient(1 << position) < 0:
             state.flip_input(position)
 
-    def _placement_matrix(self, source: int, position: int, num_vars: int) -> List[int]:
-        """Invertible ``M`` with row ``j = e_j`` for ``j < position`` and row
-        ``position = source``; remaining rows complete the basis greedily.
-
-        Applying ``x -> M x`` to the function maps spectral index ``source``
-        to ``e_position`` while fixing indices ``0, e_0, .., e_{position-1}``.
-        The construction is a pure function of its arguments and is executed
-        hundreds of thousands of times per crypto circuit, so it is memoised
-        process-wide.
-        """
-        return _placement_matrix_rows(source, position, num_vars)
-
-
-#: (source, position, num_vars) → placement matrix rows (deterministic).
-_PLACEMENT_CACHE: dict = {}
 
 #: (source, position, num_vars) → (elementary ops, spectral index
 #: permutation of ``x -> M x``, inverse matrix rows) — everything a
@@ -494,10 +368,14 @@ _PLACEMENT_DATA_CACHE: dict = {}
 
 
 def _placement_matrix_rows(source: int, position: int, num_vars: int) -> List[int]:
-    key = (source, position, num_vars)
-    cached = _PLACEMENT_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
+    """Invertible ``M`` with row ``j = e_j`` for ``j < position`` and row
+    ``position = source``; remaining rows complete the basis greedily.
+
+    Applying ``x -> M x`` to the function maps spectral index ``source``
+    to ``e_position`` while fixing indices ``0, e_0, .., e_{position-1}``.
+    The construction is a pure function of its arguments; its one caller,
+    :func:`_placement_data`, memoises it process-wide.
+    """
     rows: List[int] = [1 << j for j in range(position)]
     rows.append(source)
     for var in range(num_vars):
@@ -508,7 +386,6 @@ def _placement_matrix_rows(source: int, position: int, num_vars: int) -> List[in
             rows.append(candidate)
     if len(rows) != num_vars or not gf2.is_invertible(rows):
         raise AssertionError("failed to build placement matrix")
-    _PLACEMENT_CACHE[key] = tuple(rows)
     return rows
 
 

@@ -111,19 +111,13 @@ class AffineTransform:
     # ------------------------------------------------------------------
     # updates (composition with an elementary operation applied *after*)
     # ------------------------------------------------------------------
-    def _compose_input(self, op_matrix: Sequence[int], op_offset: int) -> None:
-        """Account for ``new(x) = current(M x ^ m)``."""
-        self.offset = gf2.mat_vec(self.matrix, op_offset) ^ self.offset
-        self.matrix = gf2.mat_mul(self.matrix, op_matrix)
-        self.output_const ^= bin(self.output_linear & op_offset).count("1") & 1
-        self.output_linear = gf2.vec_mat(self.output_linear, op_matrix)
-
     def apply_op(self, op: AffineOp) -> None:
         """Update the transform for an elementary operation applied to the function.
 
-        Each elementary operation composes with the closed form through a
-        structured matrix, so the generic :meth:`_compose_input` (a full
-        ``A · M`` product) specialises to per-row bit twiddles: a swap
+        Each elementary input operation is a structured matrix ``M``, so
+        the generic composition for ``new(x) = current(M x ^ m)`` (matrix
+        ``A · M``, offset ``A m ^ b``, linear part ``c · M``) specialises
+        to per-row bit twiddles: a swap
         exchanges two columns of ``A`` (and two bits of ``c``), a
         translation XORs column ``a`` into column ``b``, and an input flip
         folds column ``a`` of ``A`` into the offset.
@@ -157,10 +151,6 @@ class AffineTransform:
             self.output_linear ^= 1 << op.a
         else:
             raise ValueError(f"unknown affine operation {op.kind!r}")
-
-    def apply_input_matrix(self, matrix: Sequence[int], offset: int = 0) -> None:
-        """Update the transform for a whole input transform ``x -> M x ^ m``."""
-        self._compose_input(list(matrix), offset)
 
     # ------------------------------------------------------------------
     # evaluation

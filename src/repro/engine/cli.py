@@ -142,10 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="verify equivalence up to this many gates, 0 disables "
                              "(default: 20000)")
     parser.add_argument("--backend", default="auto", choices=BACKEND_CHOICES,
-                        help="kernel backend: auto picks numpy when "
-                             "importable, else the pure-Python reference "
-                             "(REPRO_BACKEND overrides); both give "
-                             "bit-identical results (default: auto)")
+                        help="kernel backend of the batched cut-cone "
+                             "simulation, the one kernel numpy serves: auto "
+                             "picks numpy when importable, else the "
+                             "pure-Python reference (REPRO_BACKEND "
+                             "overrides); both give bit-identical results "
+                             "(default: auto)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the per-circuit numbers as JSON")
     parser.add_argument("--list", action="store_true", dest="list_only",

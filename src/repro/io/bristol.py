@@ -19,9 +19,13 @@ Format summary (one gate per line)::
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.xag.graph import FALSE, Xag, lit_complemented, lit_node
+from repro.xag.graph import Xag, lit_complemented, lit_node
+
+#: gate name → (inputs, outputs); MAND takes ``2k`` inputs to ``k`` outputs.
+_ARITY = {"XOR": (2, 1), "AND": (2, 1), "INV": (1, 1), "NOT": (1, 1),
+          "EQW": (1, 1), "EQ": (1, 1)}
 
 
 def write_bristol(xag: Xag, input_widths: Optional[Sequence[int]] = None,
@@ -51,20 +55,14 @@ def write_bristol(xag: Xag, input_widths: Optional[Sequence[int]] = None,
         nonlocal next_wire
         node = lit_node(lit)
         if node == 0:
-            # Bristol fashion has no constant wires: materialise constant 0 as
-            # x0 XOR x0 (and constant 1 by inverting it) once.
-            if "zero" not in special_wires:
-                special_wires["zero"] = next_wire
-                lines.append(f"2 1 0 0 {next_wire} XOR")
+            # constants are driven once each by Bristol's EQ gate, whose
+            # input field is the constant value itself
+            value = int(lit_complemented(lit))
+            if value not in constant_wire:
+                constant_wire[value] = next_wire
+                lines.append(f"1 1 {value} {next_wire} EQ")
                 next_wire += 1
-            zero = special_wires["zero"]
-            if not lit_complemented(lit):
-                return zero
-            if "one" not in special_wires:
-                special_wires["one"] = next_wire
-                lines.append(f"1 1 {zero} {next_wire} INV")
-                next_wire += 1
-            return special_wires["one"]
+            return constant_wire[value]
         base = wire_of_node[node]
         if not lit_complemented(lit):
             return base
@@ -74,7 +72,7 @@ def write_bristol(xag: Xag, input_widths: Optional[Sequence[int]] = None,
             next_wire += 1
         return inverted_wire[node]
 
-    special_wires: Dict[str, int] = {}
+    constant_wire: Dict[int, int] = {}
 
     for node in xag.gates():
         f0, f1 = xag.fanins(node)
@@ -104,7 +102,13 @@ def write_bristol(xag: Xag, input_widths: Optional[Sequence[int]] = None,
 
 
 def read_bristol(text: str) -> Xag:
-    """Parse a Bristol Fashion netlist into an XAG."""
+    """Parse a Bristol Fashion netlist into an XAG.
+
+    A malformed gate line (a field that is not an integer, a wire count
+    that does not match the line or the gate's arity, an input wire no
+    earlier line drives) and an output wire no gate drives raise
+    :class:`ValueError` naming the line or wire.
+    """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if len(lines) < 3:
         raise ValueError("truncated Bristol circuit")
@@ -125,12 +129,14 @@ def read_bristol(text: str) -> Xag:
     gate_lines = lines[3:3 + num_gates]
     if len(gate_lines) != num_gates:
         raise ValueError("gate count does not match the header")
-    for line in gate_lines:
-        tokens = line.split()
-        n_in, n_out = int(tokens[0]), int(tokens[1])
-        in_wires = [int(tok) for tok in tokens[2:2 + n_in]]
-        out_wires = [int(tok) for tok in tokens[2 + n_in:2 + n_in + n_out]]
-        gate = tokens[-1].upper()
+    for index, line in enumerate(gate_lines):
+        in_wires, out_wires, gate = _parse_gate(index, line)
+        if gate != "EQ":
+            for wire in in_wires:
+                if wire not in wires:
+                    raise ValueError(f"Bristol gate {index} ({line!r}) reads "
+                                     f"wire {wire}, which no earlier gate "
+                                     f"or input drives")
         if gate == "XOR":
             value = xag.create_xor(wires[in_wires[0]], wires[in_wires[1]])
         elif gate == "AND":
@@ -141,21 +147,53 @@ def read_bristol(text: str) -> Xag:
             value = wires[in_wires[0]]
         elif gate == "EQ":
             value = xag.get_constant(bool(in_wires[0]))
-        elif gate == "MAND":
-            # vectorised AND: pairwise ANDs of the first and second half
-            half = n_in // 2
-            for position in range(n_out):
-                wires[out_wires[position]] = xag.create_and(
+        else:  # MAND, vectorised AND: pairwise ANDs of the two halves
+            half = len(out_wires)
+            for position, wire in enumerate(out_wires):
+                wires[wire] = xag.create_and(
                     wires[in_wires[position]], wires[in_wires[half + position]])
             continue
-        else:
-            raise ValueError(f"unsupported Bristol gate {gate!r}")
         wires[out_wires[0]] = value
 
     for index in range(num_outputs):
         wire = num_wires - num_outputs + index
-        xag.create_po(wires.get(wire, FALSE), f"y{index}")
+        if wire not in wires:
+            raise ValueError(f"Bristol output {index} (wire {wire}) is never "
+                             f"driven")
+        xag.create_po(wires[wire], f"y{index}")
     return xag
+
+
+def _parse_gate(index: int, line: str) -> Tuple[List[int], List[int], str]:
+    """``(input wires, output wires, GATE)`` of one gate line, validated
+    against the line's own counts and the gate's arity."""
+    tokens = line.split()
+    gate = tokens[-1].upper()
+    try:
+        numbers = [int(tok) for tok in tokens[:-1]]
+    except ValueError:
+        raise ValueError(f"Bristol gate {index} ({line!r}) has a "
+                         f"non-integer wire field") from None
+    if len(numbers) < 2 or len(numbers) != 2 + numbers[0] + numbers[1]:
+        raise ValueError(f"Bristol gate {index} ({line!r}) does not list "
+                         f"the input and output wires its counts declare")
+    n_in, n_out = numbers[0], numbers[1]
+    if gate == "MAND":
+        width = max(n_out, 1)
+        arity = (2 * width, width)
+    elif gate in _ARITY:
+        arity = _ARITY[gate]
+    else:
+        raise ValueError(f"unsupported Bristol gate {gate!r} in gate "
+                         f"{index} ({line!r})")
+    if (n_in, n_out) != arity:
+        raise ValueError(f"Bristol gate {index} ({line!r}): {gate} takes "
+                         f"{arity[0]} input and {arity[1]} output wires, "
+                         f"the line declares {n_in} and {n_out}")
+    if gate == "EQ" and numbers[2] not in (0, 1):
+        raise ValueError(f"Bristol gate {index} ({line!r}): EQ drives the "
+                         f"constant 0 or 1, not {numbers[2]}")
+    return numbers[2:2 + n_in], numbers[2 + n_in:], gate
 
 
 def save_bristol(xag: Xag, path: Union[str, Path], input_widths: Sequence[int] = None,

@@ -1,21 +1,20 @@
-"""Pluggable kernel backends for the bit-parallel hot paths.
+"""Kernel backends: where the batched cut-cone simulation runs.
 
-Every packed-word computation in the stack — cut-cone simulation, the
-truth-table butterflies, the affine classifier's input transforms, the
-Walsh spectrum, PO equivalence — funnels through a small set of kernels.
-This package makes that set pluggable:
+Truth tables, affine classification and packed verification run on the
+pure-Python big-int reference (:mod:`repro.tt`, :mod:`repro.affine`,
+:mod:`repro.xag`) on every backend.  One kernel is pluggable: the batched
+simulation of a drain round's missing cut cones in
+:meth:`repro.rewriting.rewrite.CutRewriter._select_candidates`.
 
-* the **python** backend is the pure-Python big-int reference
-  implementation (the code that already lives in :mod:`repro.tt`,
-  :mod:`repro.cuts` and :mod:`repro.xag`);
-* the **numpy** backend keeps packed words in fixed-width ``uint64``
-  arrays and evaluates whole node batches with vectorised
-  AND/XOR/NOT/compare operations.
+* the **python** backend simulates each cone with the per-cone big-int
+  reference (:func:`repro.cuts.cache._simulate_cone`);
+* the **numpy** backend evaluates every missing cone of a round in one
+  level-ordered ``uint64`` sweep
+  (:meth:`repro.kernels.numpy_backend.NumpyBackend.simulate_cones`).
 
-The two backends are *bit-exact*: for every kernel the numpy
-implementation returns the same integers as the reference one, so the
-optimisation results — AND counts, depths, round trajectories,
-equivalence verdicts — are identical and only the wall time changes.
+The two backends are *bit-exact*: the optimisation results — AND counts,
+depths, round trajectories, equivalence verdicts and cache counters — are
+identical and only the wall time changes.
 
 Selection: ``auto`` (the default) picks numpy when it is importable and
 falls back to python otherwise.  The choice can be forced through
@@ -33,9 +32,10 @@ from typing import Iterator, Optional, Tuple
 class KernelBackend:
     """Pure-Python reference backend (also the base class).
 
-    ``accelerated`` is the dispatch flag checked at every kernel call
-    site: the python backend leaves it ``False`` so the call sites run
-    their original big-int code untouched.
+    ``accelerated`` is the flag candidate selection checks before it
+    batches the round's missing cones through ``simulate_cones``: the
+    python backend leaves it ``False``, so each cone is simulated by the
+    per-cone reference when it is first read.
     """
 
     name = "python"

@@ -519,7 +519,7 @@ def _drain_worklist(ctx: OptimizationContext, params: RewriteParams,
 
     Each round's candidate selection batches its cut-cone simulations
     through the active kernel backend (one vectorised sweep per drain round
-    on numpy, see :meth:`Rewriter._select_candidates`); backends only
+    on numpy, see :meth:`CutRewriter._select_candidates`); backends only
     change speed, never which candidates a round selects.
     """
     rewriter = ctx.rewriter(params)
@@ -699,11 +699,6 @@ class PipelineResult(FlowSummary):
     def rounds(self) -> List[RoundStats]:
         """Every rewriting round, across all passes, in execution order."""
         return [stats for result in self.passes for stats in result.rounds]
-
-    @property
-    def balance_stats(self) -> List[BalanceStats]:
-        """Every balancing stage, across all passes, in execution order."""
-        return [stats for result in self.passes for stats in result.balance]
 
     @property
     def iterations(self) -> int:

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro import kernels
 from repro.tt.bits import bit_of, num_bits, projection, table_mask
-
-#: tables on up to this many variables are single-word: the big-int code
-#: IS the fast path there, and kernel backends only take over above it.
-_WIDE_VARS = 7
 
 
 def negate(table: int, num_vars: int) -> int:
@@ -69,10 +64,6 @@ def insert_variable(table: int, var: int, num_vars: int) -> int:
 
 def flip_variable(table: int, var: int, num_vars: int) -> int:
     """Return the table of ``f(..., ~x_var, ...)`` (bit-parallel butterfly)."""
-    if num_vars >= _WIDE_VARS:
-        backend = kernels.active_backend()
-        if backend.accelerated:
-            return backend.flip_variable(table, var, num_vars)
     shift = 1 << var
     upper = projection(var, num_vars)
     lower = upper ^ table_mask(num_vars)
@@ -87,10 +78,6 @@ def translate_rows(table: int, delta: int, num_vars: int) -> int:
     affine classifier sweep all ``2**n`` input offsets off a single matrix
     application.
     """
-    if num_vars >= _WIDE_VARS:
-        backend = kernels.active_backend()
-        if backend.accelerated:
-            return backend.translate_rows(table, delta, num_vars)
     result = table
     remaining = delta
     while remaining:
@@ -104,10 +91,6 @@ def swap_variables(table: int, var_a: int, var_b: int, num_vars: int) -> int:
     """Return the table of ``f`` with ``var_a`` and ``var_b`` swapped (delta swap)."""
     if var_a == var_b:
         return table
-    if num_vars >= _WIDE_VARS:
-        backend = kernels.active_backend()
-        if backend.accelerated:
-            return backend.swap_variables(table, var_a, var_b, num_vars)
     if var_a > var_b:
         var_a, var_b = var_b, var_a
     # rows with x_a = 1, x_b = 0 trade places with rows x_a = 0, x_b = 1
@@ -153,9 +136,6 @@ def apply_input_transform(
     table &= mask
     if table == 0 or table == mask:
         return table
-    backend = kernels.active_backend()
-    if backend.accelerated and num_vars <= backend.MAX_DENSE_VARS:
-        return backend.apply_input_transform(table, matrix, offset, num_vars)
     inputs = []
     for i, row in enumerate(matrix):
         word = mask if (offset >> i) & 1 else 0

@@ -4,26 +4,12 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro import kernels
-from repro.tt.bits import bit_of, num_bits, popcount, projection
+from repro.tt.bits import bit_of, num_bits
 
 
-def walsh_spectrum(table: int, num_vars: int) -> List[int]:
-    """Walsh-Hadamard spectrum.
-
-    ``W[w] = sum_x (-1)^(f(x) ^ <w, x>)``.  ``W[0]`` is ``2**n - 2 * weight``;
-    the coefficients of the five affine operations of the paper act on this
-    vector by structured signed permutations (see :mod:`repro.affine`).
-
-    Dispatches to the active kernel backend for the dense sizes the affine
-    classifier hammers (one Hadamard matvec on the numpy backend); the
-    in-place big-int butterfly below is the reference implementation.
-    """
-    backend = kernels.active_backend()
-    if backend.accelerated and num_vars <= backend.MAX_DENSE_VARS:
-        return backend.walsh_spectrum(table, num_vars)
-    size = num_bits(num_vars)
-    values = [1 - 2 * bit_of(table, row) for row in range(size)]
+def _butterfly(values: List[int]) -> List[int]:
+    """In-place fast Walsh-Hadamard transform of a ``2**n``-entry list."""
+    size = len(values)
     step = 1
     while step < size:
         for start in range(0, size, step << 1):
@@ -36,6 +22,17 @@ def walsh_spectrum(table: int, num_vars: int) -> List[int]:
     return values
 
 
+def walsh_spectrum(table: int, num_vars: int) -> List[int]:
+    """Walsh-Hadamard spectrum.
+
+    ``W[w] = sum_x (-1)^(f(x) ^ <w, x>)``.  ``W[0]`` is ``2**n - 2 * weight``;
+    the coefficients of the five affine operations of the paper act on this
+    vector by structured signed permutations (see :mod:`repro.affine`).
+    """
+    return _butterfly([1 - 2 * bit_of(table, row)
+                       for row in range(num_bits(num_vars))])
+
+
 def table_from_spectrum(spectrum: List[int], num_vars: int) -> int:
     """Invert a Walsh-Hadamard spectrum back to its truth table.
 
@@ -45,53 +42,11 @@ def table_from_spectrum(spectrum: List[int], num_vars: int) -> int:
     means 1.  The affine classifier materialises candidate tables through
     this when it maintains states as signed spectrum permutations.
     """
-    backend = kernels.active_backend()
-    if backend.accelerated and num_vars <= backend.MAX_DENSE_VARS:
-        return backend.table_from_spectrum(spectrum, num_vars)
-    size = num_bits(num_vars)
-    values = list(spectrum)
-    step = 1
-    while step < size:
-        for start in range(0, size, step << 1):
-            for idx in range(start, start + step):
-                a = values[idx]
-                b = values[idx + step]
-                values[idx] = a + b
-                values[idx + step] = a - b
-        step <<= 1
     table = 0
-    for row, value in enumerate(values):
+    for row, value in enumerate(_butterfly(list(spectrum))):
         if value < 0:
             table |= 1 << row
     return table
-
-
-_LINEAR_TABLE_CACHE: dict = {}
-
-
-def _linear_table(w: int, num_vars: int) -> int:
-    """Truth table of the linear function ``<w, x>``."""
-    key = (w, num_vars)
-    table = _LINEAR_TABLE_CACHE.get(key)
-    if table is None:
-        table = 0
-        remaining = w
-        while remaining:
-            low = remaining & -remaining
-            table ^= projection(low.bit_length() - 1, num_vars)
-            remaining ^= low
-        _LINEAR_TABLE_CACHE[key] = table
-    return table
-
-
-def walsh_coefficient(table: int, w: int, num_vars: int) -> int:
-    """Single spectrum coefficient ``W[w]`` without the full transform.
-
-    ``W[w] = 2**n - 2 * |f ^ <w, x>|``: one table XOR and one popcount —
-    the affine classifier's sign checks only ever read one coefficient,
-    and this identity is exact on every backend.
-    """
-    return num_bits(num_vars) - 2 * popcount(table ^ _linear_table(w, num_vars))
 
 
 def spectrum_signature(table: int, num_vars: int) -> Tuple[int, ...]:

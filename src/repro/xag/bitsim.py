@@ -33,6 +33,11 @@ optimisation flows build on instead:
 The per-node update counters (:attr:`BitSimulator.full_updates`,
 :attr:`BitSimulator.incremental_updates`) feed the engine's per-stage report
 and the speed benchmark in ``benchmarks/bench_engine_speed.py``.
+
+Node values are Python big-ints on every kernel backend: a big-int
+already packs any number of patterns into one word, so the numpy backend
+(:mod:`repro.kernels`) serves only the batched cut-cone simulation of
+candidate selection, never this simulator.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, List, Optional, Sequence, Set
 
-from repro import kernels
 from repro.xag.graph import (NodeKind, SubstitutionResult, Xag,
                              lit_complemented, lit_node)
 
@@ -61,13 +65,6 @@ class BitSimulator:
         self.mask = mask
         self._pi_words: List[int] = list(pi_words)
         self._values: List[int] = []
-        # numpy mode: packed words live in a (num_nodes, words) uint64 matrix
-        # and the sweeps below dispatch to the level-batched kernels.  The
-        # mode is fixed at construction (the simulator must stay
-        # self-consistent even if the active backend changes later).
-        backend = kernels.active_backend()
-        self._store = (backend.make_sim_store(mask)
-                       if backend.accelerated else None)
         self._synced = 0
         self._rollback_epoch = xag._rollback_epoch
         #: nodes rewired/revived by substitutions since the last sync.
@@ -119,18 +116,12 @@ class BitSimulator:
         if len(pi_words) != xag.num_pis:
             raise ValueError("one simulation word per primary input is required")
         values = self._values
-        store = self._store
         mask = self.mask
         changed = bytearray(xag.num_nodes)
         any_changed = False
         for position, node in enumerate(xag.pis()):
             word = pi_words[position] & mask
-            if store is not None:
-                if not store.row_equals_int(node, word):
-                    store.set_int(node, word)
-                    changed[node] = 1
-                    any_changed = True
-            elif values[node] != word:
+            if values[node] != word:
                 values[node] = word
                 changed[node] = 1
                 any_changed = True
@@ -156,11 +147,7 @@ class BitSimulator:
             if xag.is_pi(node):
                 # PIs have no fan-ins: refresh immediately, propagate changes
                 word = self._pi_words[xag.pi_index(node)] & self.mask
-                if self._store is not None:
-                    if not self._store.row_equals_int(node, word):
-                        self._store.set_int(node, word)
-                        changed[node] = 1
-                elif word != self._values[node]:
+                if word != self._values[node]:
                     self._values[node] = word
                     changed[node] = 1
             else:
@@ -188,8 +175,6 @@ class BitSimulator:
         if xag._rollback_epoch != self._rollback_epoch:
             self._rollback_epoch = xag._rollback_epoch
             del self._values[:]
-            if self._store is not None:
-                self._store.resize(0)
             self._synced = 0
             self._pending_dirty.clear()
         pending = self._pending_dirty
@@ -197,8 +182,7 @@ class BitSimulator:
             return
         if len(self._pi_words) != xag.num_pis:
             raise ValueError("one simulation word per primary input is required")
-        if self._store is None:
-            self._values.extend([0] * (count - len(self._values)))
+        self._values.extend([0] * (count - len(self._values)))
         if xag.is_topo_clean() and not pending:
             self._simulate_range(self._synced, count)
             self.full_updates += count - self._synced
@@ -213,15 +197,11 @@ class BitSimulator:
         Entries of dead nodes are stale; only live-node values are meaningful.
         """
         self.sync()
-        if self._store is not None:
-            return self._store.as_ints()
         return self._values
 
     def value(self, node: int) -> int:
         """Packed value of one (live) node."""
         self.sync()
-        if self._store is not None:
-            return self._store.get_int(node)
         return self._values[node]
 
     def literal_value(self, lit: int) -> int:
@@ -232,11 +212,6 @@ class BitSimulator:
     def po_words(self) -> List[int]:
         """Packed values of all primary outputs."""
         self.sync()
-        if self._store is not None:
-            store = self._store
-            mask = self.mask
-            return [store.get_int(lit >> 1) ^ (mask if lit & 1 else 0)
-                    for lit in self.xag.po_literals()]
         values = self._values
         mask = self.mask
         out = []
@@ -247,46 +222,18 @@ class BitSimulator:
             out.append(word)
         return out
 
-    def po_matrix(self):
-        """PO values as a ``(num_pos, words)`` uint64 matrix, or ``None``.
+    def po_snapshot(self) -> List[int]:
+        """Snapshot of all PO values (:meth:`po_words`) for :meth:`po_matches`."""
+        return self.po_words()
 
-        Only available in numpy store mode; callers fall back to
-        :meth:`po_words` when this returns ``None``.
-        """
-        if self._store is None:
-            return None
-        self.sync()
-        from repro.kernels import numpy_backend
-
-        return numpy_backend.po_matrix(self)
-
-    def po_snapshot(self):
-        """Opaque snapshot of all PO values for later comparison.
-
-        In numpy store mode this is an array (no big-int conversion);
-        otherwise the :meth:`po_words` list.  Compare with
-        :meth:`po_matches` — the two are interchangeable semantically.
-        """
-        matrix = self.po_matrix()
-        return matrix if matrix is not None else self.po_words()
-
-    def po_matches(self, snapshot) -> bool:
+    def po_matches(self, snapshot: List[int]) -> bool:
         """True when the current PO values equal an earlier snapshot."""
-        if self._store is not None and not isinstance(snapshot, list):
-            matrix = self.po_matrix()
-            return (matrix.shape == snapshot.shape
-                    and bool((matrix == snapshot).all()))
         return self.po_words() == snapshot
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _simulate_range(self, start: int, end: int) -> None:
-        if self._store is not None:
-            from repro.kernels import numpy_backend
-
-            numpy_backend.sim_range(self, start, end)
-            return
         xag = self.xag
         kinds = xag._kind
         fanin0 = xag._fanin0
@@ -326,13 +273,6 @@ class BitSimulator:
         new, was rewired, or has a fan-in whose packed word changed; a
         recomputation that reproduces the stored word stops the propagation.
         """
-        if self._store is not None:
-            from repro.kernels import numpy_backend
-
-            appended, recomputed = numpy_backend.sim_resync(self, count)
-            self.full_updates += appended
-            self.incremental_updates += recomputed
-            return
         xag = self.xag
         kinds = xag._kind
         fanin0 = xag._fanin0
@@ -390,12 +330,6 @@ class BitSimulator:
         order; a recomputation that reproduces the stored word stops the
         propagation.
         """
-        if self._store is not None:
-            from repro.kernels import numpy_backend
-
-            updated = numpy_backend.sim_propagate(self, need, changed)
-            self.incremental_updates += updated
-            return updated
         xag = self.xag
         kinds = xag._kind
         fanin0 = xag._fanin0

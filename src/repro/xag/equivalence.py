@@ -72,13 +72,6 @@ def equivalent(
     if sim_cache is not None:
         left_sim = sim_cache.simulator(left, words, mask)
         right_sim = sim_cache.simulator(right, words, mask)
-        left_matrix = left_sim.po_matrix()
-        right_matrix = right_sim.po_matrix()
-        if left_matrix is not None and right_matrix is not None:
-            # numpy store mode on both sides: one array compare, no big-int
-            # round trip
-            return (left_matrix.shape == right_matrix.shape
-                    and bool((left_matrix == right_matrix).all()))
         return left_sim.po_words() == right_sim.po_words()
     return (simulate_words(left, words, mask)
             == simulate_words(right, words, mask))

@@ -909,16 +909,6 @@ class Xag:
         """True while node index order is still a valid topological order."""
         return self._topo_clean
 
-    def structural_hash(self) -> int:
-        """Canonical whole-graph content hash (see :mod:`repro.xag.structhash`).
-
-        Invariant under PI/PO renaming, gate creation-order permutation and
-        serialisation round-trips; flows that re-hash repeatedly should hold
-        a :class:`~repro.xag.structhash.StructHashTracker` instead.
-        """
-        from repro.xag.structhash import graph_hash
-        return graph_hash(self)
-
     def topological_order(self) -> List[int]:
         """All live node indices, fan-ins before fan-outs.
 

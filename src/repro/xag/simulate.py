@@ -3,13 +3,10 @@
 Every function here recomputes the whole network per call, which is the
 right tool for one-shot queries.  Repeated queries against the same (or a
 growing) network should use :class:`repro.xag.bitsim.BitSimulator`, which
-keeps packed node values alive and only simulates what changed — and, when
-the numpy kernel backend is active (:mod:`repro.kernels`), holds them as a
-``uint64`` matrix updated by level-batched array sweeps.
+keeps packed node values alive and only simulates what changed.
 
-These big-int implementations deliberately stay backend-free: they are the
-reference oracle the cross-backend parity tests compare every kernel
-against.
+:func:`node_values` is the cache-free oracle the incremental simulator is
+tested against.
 """
 
 from __future__ import annotations

@@ -388,14 +388,8 @@ def test_invalidate_handles_dependent_nodes_in_any_order():
     sim = BitSimulator(xag, [0b1010, 0b1100], 0b1111)
     sim.sync()
     # corrupt stored words, then invalidate with the dependent node first
-    if sim._store is not None:
-        sim._store.set_int(lit_node(g1),
-                           sim._store.get_int(lit_node(g1)) ^ 0b1111)
-        sim._store.set_int(lit_node(g2),
-                           sim._store.get_int(lit_node(g2)) ^ 0b0101)
-    else:
-        sim._values[lit_node(g1)] ^= 0b1111
-        sim._values[lit_node(g2)] ^= 0b0101
+    sim._values[lit_node(g1)] ^= 0b1111
+    sim._values[lit_node(g2)] ^= 0b0101
     sim.invalidate([lit_node(g2), lit_node(g1)])
     fresh = node_values(xag, [0b1010, 0b1100], 0b1111)
     assert sim.values() == fresh

@@ -87,6 +87,38 @@ def test_bristol_rejects_bad_input():
         read_bristol("1 4\n1 2\n1 1\n\n2 1 0 1 3 NAND\n")
 
 
+def test_bristol_rejects_undriven_output_wires():
+    # the AND drives wire 2, but the single output is the last wire, 3
+    with pytest.raises(ValueError, match="wire 3"):
+        read_bristol("1 4\n1 2\n1 1\n2 1 0 1 2 AND\n")
+
+
+@pytest.mark.parametrize("line", [
+    "2 1 0 5 3 AND",   # wire 5 is driven by nothing
+    "1 1 0 3 XOR",     # XOR declared with one input
+    "2 0 0 1 AND",     # AND declared without an output
+    "2 1 0 1 AND",     # fewer wires than the counts declare
+    "2 1 0 x 3 AND",   # non-integer wire
+    "1 1 2 3 EQ",      # EQ drives 0 or 1 only
+])
+def test_bristol_rejects_malformed_gate_lines(line):
+    with pytest.raises(ValueError, match=repr(line)):
+        read_bristol(f"1 4\n1 2\n1 1\n{line}\n")
+
+
+def test_bristol_zero_input_network_round_trips():
+    """Constants are written as EQ gates, so a network without inputs is
+    readable (an ``x0 XOR x0`` constant would read a wire that is not there)."""
+    xag = Xag()
+    xag.create_po(xag.get_constant(True), "one")
+    xag.create_po(xag.get_constant(False), "zero")
+    text = write_bristol(xag)
+    assert "EQ\n" in text
+    rebuilt = read_bristol(text)
+    assert rebuilt.num_pis == 0
+    assert rebuilt.po_literals() == xag.po_literals()
+
+
 def test_bristol_file_roundtrip(tmp_path):
     add = adder(4)
     path = tmp_path / "adder.bristol"

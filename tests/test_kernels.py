@@ -1,36 +1,38 @@
-"""Cross-backend parity of the kernel layer (:mod:`repro.kernels`).
+"""The kernel layer (:mod:`repro.kernels`) and the reference kernels.
 
-Every test runs the same computation on the pure-Python reference backend
-and on the numpy backend and requires bit-exact agreement — packed
-simulation words, cone truth tables, classifier transforms, equivalence
-verdicts and the (ANDs, depth, rounds) triples of whole optimisation runs.
-The backends are allowed to differ in speed only.
+Truth-table, classifier and packed-simulation kernels run on the
+pure-Python reference only; each is checked here against its definition
+(row-by-row remaps, the Walsh sum, the cache-free :func:`node_values`
+oracle).  The one kernel with two backends, the batched cut-cone
+simulation, must agree bit-exactly with the per-cone reference, and whole
+optimisation runs must give the same (ANDs, depth, rounds) triples and
+cache counters on both backends.
 
 The numpy-specific tests skip cleanly when numpy is not importable (CI runs
-a dedicated no-numpy leg); the python reference paths are covered by the
-rest of the suite either way.
+a dedicated no-numpy leg).
 """
 
 import random
 
 import pytest
 
-from repro import kernels
+from repro import gf2, kernels
 from repro.affine.classify import AffineClassifier
+from repro.affine.operations import apply_ops
 from repro.cuts.cache import _simulate_cone
 from repro.cuts.enumeration import cut_cone, enumerate_cuts
 from repro.engine import EngineConfig
 from repro.engine.core import run_batch, select_cases
 from repro.rewriting import RewriteParams, optimize
 from repro.testing import random_xag
-from repro.tt.bits import random_table, table_mask
+from repro.tt.bits import random_table
 from repro.tt.operations import (apply_input_transform, flip_variable,
                                  swap_variables, translate_rows)
 from repro.tt.spectrum import table_from_spectrum, walsh_spectrum
-from repro.xag import BitSimulator, Xag, equivalent, multiplicative_depth
+from repro.xag import BitSimulator, equivalent, multiplicative_depth
 from repro.xag.bitsim import SimulationCache
 from repro.xag.equivalence import equivalence_stimulus
-from repro.xag.simulate import node_values
+from repro.xag.simulate import node_values, simulate_words
 
 requires_numpy = pytest.mark.skipif(not kernels.numpy_available(),
                                     reason="numpy backend not importable")
@@ -70,70 +72,78 @@ def test_auto_keeps_a_forced_backend():
 # ----------------------------------------------------------------------
 # truth-table kernels
 # ----------------------------------------------------------------------
-@requires_numpy
+def _parity(value):
+    return bin(value).count("1") & 1
+
+
+def _remap_rows(table, num_vars, source_row):
+    """``g(x) = f(source_row(x))``, one row at a time."""
+    result = 0
+    for row in range(1 << num_vars):
+        if (table >> source_row(row)) & 1:
+            result |= 1 << row
+    return result
+
+
 @pytest.mark.parametrize("num_vars", range(0, 9))
 def test_walsh_spectrum_parity(num_vars):
+    """The spectrum equals its defining sum, and inverts back to the table."""
     rng = random.Random(100 + num_vars)
-    numpy_backend = kernels.set_backend("numpy")
-    try:
-        for _ in range(10):
-            table = random_table(num_vars, rng)
-            with kernels.use_backend("python"):
-                reference = walsh_spectrum(table, num_vars)
-            assert numpy_backend.walsh_spectrum(table, num_vars) == reference
-            # the inverse transform must round-trip on both backends
-            assert numpy_backend.table_from_spectrum(reference,
-                                                     num_vars) == table
-            with kernels.use_backend("python"):
-                assert table_from_spectrum(reference, num_vars) == table
-    finally:
-        kernels.set_backend("auto")
+    rows = range(1 << num_vars)
+    for _ in range(10):
+        table = random_table(num_vars, rng)
+        spectrum = walsh_spectrum(table, num_vars)
+        assert spectrum == [
+            sum(1 - 2 * (((table >> x) & 1) ^ _parity(w & x)) for x in rows)
+            for w in rows]
+        assert table_from_spectrum(spectrum, num_vars) == table
 
 
-@requires_numpy
 @pytest.mark.parametrize("num_vars", [7, 8, 10])
 def test_variable_op_parity(num_vars):
-    """Wide tables dispatch to the numpy word kernels; results must match."""
+    """Flip, translate and swap on multi-word tables match a row remap."""
     rng = random.Random(200 + num_vars)
     for _ in range(10):
         table = random_table(num_vars, rng)
         var_a = rng.randrange(num_vars)
         var_b = rng.randrange(num_vars)
         delta = rng.randrange(1 << num_vars)
-        with kernels.use_backend("python"):
-            reference = (flip_variable(table, var_a, num_vars),
-                         translate_rows(table, delta, num_vars),
-                         swap_variables(table, var_a, var_b, num_vars))
-        with kernels.use_backend("numpy"):
-            accelerated = (flip_variable(table, var_a, num_vars),
-                           translate_rows(table, delta, num_vars),
-                           swap_variables(table, var_a, var_b, num_vars))
-        assert accelerated == reference
+
+        def swapped(row):
+            differ = ((row >> var_a) ^ (row >> var_b)) & 1
+            return row ^ (differ << var_a) ^ (differ << var_b)
+
+        assert flip_variable(table, var_a, num_vars) == _remap_rows(
+            table, num_vars, lambda row: row ^ (1 << var_a))
+        assert translate_rows(table, delta, num_vars) == _remap_rows(
+            table, num_vars, lambda row: row ^ delta)
+        assert swap_variables(table, var_a, var_b, num_vars) == _remap_rows(
+            table, num_vars, swapped)
 
 
-@requires_numpy
+def _affine_row(matrix, offset, row):
+    """``A x ^ b`` with ``A`` given as row masks (bit ``i`` = input ``i``)."""
+    image = offset
+    for i, mask in enumerate(matrix):
+        image ^= _parity(mask & row) << i
+    return image
+
+
 @pytest.mark.parametrize("num_vars", [2, 3, 4, 5, 6])
 def test_apply_input_transform_parity(num_vars):
-    from repro import gf2
-
+    """``apply_input_transform`` is ``f(A x ^ b)`` row by row."""
     rng = random.Random(300 + num_vars)
-    backend = kernels.set_backend("numpy")
-    try:
-        for _ in range(10):
-            table = random_table(num_vars, rng)
-            while True:
-                matrix = [rng.randrange(1, 1 << num_vars)
-                          for _ in range(num_vars)]
-                if gf2.rank(list(matrix)) == num_vars:
-                    break
-            offset = rng.randrange(1 << num_vars)
-            with kernels.use_backend("python"):
-                reference = apply_input_transform(table, matrix, offset,
-                                                  num_vars)
-            assert backend.apply_input_transform(table, matrix, offset,
-                                                 num_vars) == reference
-    finally:
-        kernels.set_backend("auto")
+    for _ in range(10):
+        table = random_table(num_vars, rng)
+        while True:
+            matrix = [rng.randrange(1, 1 << num_vars)
+                      for _ in range(num_vars)]
+            if gf2.rank(list(matrix)) == num_vars:
+                break
+        offset = rng.randrange(1 << num_vars)
+        assert apply_input_transform(table, matrix, offset, num_vars) == \
+            _remap_rows(table, num_vars,
+                        lambda row: _affine_row(matrix, offset, row))
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +175,7 @@ def test_simulate_cones_matches_per_cone_reference(cut_size):
 
 
 # ----------------------------------------------------------------------
-# incremental simulator: python words vs numpy store
+# incremental simulator and equivalence against the cache-free oracle
 # ----------------------------------------------------------------------
 def _random_substitutions(xag, rng, count):
     """Apply ``count`` random acyclic substitutions; deterministic per rng."""
@@ -189,107 +199,100 @@ def _random_substitutions(xag, rng, count):
         applied += 1
 
 
-def _simulator_trace(backend_name, seed):
-    """Packed words + counters after a scripted mutate/rollback sequence."""
-    with kernels.use_backend(backend_name):
-        rng = random.Random(seed)
-        xag = random_xag(random.Random(seed), num_pis=6, num_gates=40)
-        words, mask, _ = equivalence_stimulus(xag.num_pis)
-        sim = BitSimulator(xag, words, mask)
-        trace = [sim.po_words()]
-
-        _random_substitutions(xag, rng, 3)
-        trace.append(sim.po_words())
-
-        # speculative growth: checkpoint, append, query, roll back
-        checkpoint = xag.checkpoint()
-        lits = [node << 1 for node in xag.pis()]
-        extra = xag.create_and(lits[0], xag.create_xor(lits[1], lits[2]))
-        trace.append(sim.literal_value(extra))
-        xag.rollback(checkpoint)
-        trace.append(sim.po_words())
-
-        _random_substitutions(xag, rng, 2)
-        live = [node for node in xag.topological_order()]
-        values = sim.values()
-        trace.append([values[node] for node in live])
-        reference = node_values(xag, words, mask)
-        assert [values[node] for node in live] == \
-            [reference[node] for node in live]
-        trace.append((sim.full_updates, sim.incremental_updates))
-    return trace
-
-
-@requires_numpy
 @pytest.mark.parametrize("seed", range(8))
 def test_bit_simulator_parity_under_mutations(seed):
-    """Words, PO values and update counters match across backends."""
-    assert _simulator_trace("python", seed) == _simulator_trace("numpy", seed)
+    """Every step of a mutate/rollback script reads what a fresh
+    :func:`node_values` pass computes for the network at that step."""
+    rng = random.Random(seed)
+    xag = random_xag(random.Random(seed), num_pis=6, num_gates=40)
+    words, mask, _ = equivalence_stimulus(xag.num_pis)
+    sim = BitSimulator(xag, words, mask)
+
+    def check_live_values():
+        reference = node_values(xag, words, mask)
+        values = sim.values()
+        live = xag.topological_order()
+        assert [values[node] for node in live] == \
+            [reference[node] for node in live]
+        assert sim.po_words() == simulate_words(xag, words, mask)
+
+    check_live_values()
+    _random_substitutions(xag, rng, 3)
+    check_live_values()
+
+    # speculative growth: checkpoint, append, query, roll back
+    checkpoint = xag.checkpoint()
+    lits = [node << 1 for node in xag.pis()]
+    extra = xag.create_and(lits[0], xag.create_xor(lits[1], lits[2]))
+    assert sim.literal_value(extra) == \
+        node_values(xag, words, mask)[extra >> 1] ^ (mask if extra & 1 else 0)
+    check_live_values()
+    xag.rollback(checkpoint)
+    check_live_values()
+
+    _random_substitutions(xag, rng, 2)
+    check_live_values()
 
 
-@requires_numpy
 def test_po_snapshot_matches_across_modes():
+    """A snapshot equals the one-shot and the cached simulation's POs, and
+    stops matching once an edit changes a PO."""
     xag = random_xag(random.Random(7), num_pis=5, num_gates=30)
     words, mask, _ = equivalence_stimulus(xag.num_pis)
-    with kernels.use_backend("numpy"):
-        sim = BitSimulator(xag, words, mask)
-        snapshot = sim.po_snapshot()
-        assert sim.po_matrix() is not None
-        assert sim.po_matches(snapshot)
-        assert sim.po_matches(sim.po_words())  # list snapshots also accepted
-    with kernels.use_backend("python"):
-        sim = BitSimulator(xag, words, mask)
-        assert sim.po_matrix() is None
-        assert sim.po_matches(sim.po_snapshot())
+    sim = BitSimulator(xag, words, mask)
+    snapshot = sim.po_snapshot()
+    assert snapshot == simulate_words(xag, words, mask)
+    cached = SimulationCache().simulator(xag, words, mask)
+    assert cached.po_matches(snapshot)
+    assert sim.po_matches(snapshot)
+    other = xag.clone()
+    other._pos[0] ^= 1  # complement one PO: a guaranteed difference
+    assert not BitSimulator(other, words, mask).po_matches(snapshot)
 
 
-@requires_numpy
 @pytest.mark.parametrize("mutate", [False, True])
 def test_equivalence_verdict_parity(mutate):
+    """Verdicts are the same with and without a :class:`SimulationCache`,
+    under the exhaustive proof and under packed random patterns."""
     for seed in range(5):
         xag = random_xag(random.Random(seed), num_pis=6, num_gates=40)
         other = xag.clone()
         if mutate:
             # flip one PO literal: a guaranteed functional difference
             other._pos[0] ^= 1
-        verdicts = {}
-        for name in ("python", "numpy"):
-            with kernels.use_backend(name):
-                verdicts[name] = (
-                    equivalent(xag, other),
-                    equivalent(xag, other, sim_cache=SimulationCache()),
-                )
-        assert verdicts["python"] == verdicts["numpy"]
-        assert verdicts["python"][0] == (not mutate)
+        cache = SimulationCache()
+        for limit in (14, 0):  # exhaustive proof, then random patterns
+            assert equivalent(xag, other, exhaustive_limit=limit) == \
+                (not mutate)
+            assert equivalent(xag, other, exhaustive_limit=limit,
+                              sim_cache=cache) == (not mutate)
 
 
 # ----------------------------------------------------------------------
-# affine classifier parity
+# affine classifier against the definition of its transform
 # ----------------------------------------------------------------------
-@requires_numpy
 @pytest.mark.parametrize("num_vars", [3, 4, 5, 6])
 def test_classifier_parity(num_vars):
+    """``f(x) = r(A x ^ b) ^ <c, x> ^ d`` row by row, the op list maps ``f``
+    to ``r``, and a fresh classifier repeats the result exactly."""
     rng = random.Random(400 + num_vars)
     tables = [random_table(num_vars, rng) for _ in range(40)]
-    results = {}
-    for name in ("python", "numpy"):
-        with kernels.use_backend(name):
-            classifier = AffineClassifier()
-            results[name] = [classifier.classify(table, num_vars)
-                             for table in tables]
-    for left, right in zip(results["python"], results["numpy"]):
-        assert left.representative == right.representative
-        assert left.canonical == right.canonical
-        assert left.ops == right.ops
-        assert left.from_representative.matrix == \
-            right.from_representative.matrix
-        assert left.from_representative.offset == \
-            right.from_representative.offset
-        assert left.from_representative.output_linear == \
-            right.from_representative.output_linear
-        assert left.from_representative.output_const == \
-            right.from_representative.output_const
-        assert right.verify()
+    first = [AffineClassifier().classify(table, num_vars) for table in tables]
+    classifier = AffineClassifier()
+    for table, result in zip(tables, first):
+        transform = result.from_representative
+        rebuilt = 0
+        for row in range(1 << num_vars):
+            image = _affine_row(transform.matrix, transform.offset, row)
+            bit = ((result.representative >> image) & 1) \
+                ^ _parity(transform.output_linear & row) \
+                ^ transform.output_const
+            rebuilt |= bit << row
+        assert rebuilt == table
+        assert apply_ops(table, num_vars, result.ops) == result.representative
+        again = classifier.classify(table, num_vars)
+        assert (again.representative, again.ops, again.canonical) == \
+            (result.representative, result.ops, result.canonical)
 
 
 # ----------------------------------------------------------------------
