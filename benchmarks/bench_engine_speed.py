@@ -16,6 +16,7 @@ the equivalence checks still passing.  Results are persisted to
 ``benchmarks/results/engine_speed.md``.
 """
 
+import os
 import random
 import tempfile
 import time
@@ -37,7 +38,6 @@ from repro.xag.simulate import node_values, simulate_words
 RESULTS_DIR = Path(__file__).parent / "results"
 _LINES = []
 _BATCH_LINES = []
-_INPLACE_LINES = []
 
 
 # ----------------------------------------------------------------------
@@ -177,50 +177,14 @@ def test_incremental_sync_avoids_full_resimulation():
                   f"| {appended} nodes | {xag.num_nodes / max(1, appended):.0f}x |")
 
 
-def test_inplace_convergence_faster_than_rebuild():
-    """The in-place worklist flow must beat whole-network rebuilding.
-
-    Both strategies share one warmed database so the race measures the flow
-    itself (cut enumeration, cone simulation, application, verification)
-    rather than first-time affine classification — and they must converge to
-    identical final AND counts.
-    """
-    xag = C.priority_encoder(32)
-    database = McDatabase()
-    optimize(xag, database=database, params=RewriteParams(in_place=False))
-    optimize(xag, database=database, params=RewriteParams(in_place=True))
-
-    in_seconds = []
-    out_seconds = []
-    for _ in range(3):
-        start = time.perf_counter()
-        res_in = optimize(xag, database=database, params=RewriteParams(in_place=True))
-        in_seconds.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        res_out = optimize(xag, database=database, params=RewriteParams(in_place=False))
-        out_seconds.append(time.perf_counter() - start)
-
-    assert res_in.final.num_ands == res_out.final.num_ands
-    assert equivalent(xag, res_in.final)
-    best_in, best_out = min(in_seconds), min(out_seconds)
-    speedup = best_out / best_in
-    _LINES.append(f"| convergence flow on priority(32) | {best_out:.3f} s "
-                  f"| {best_in:.3f} s | {speedup:.1f}x |")
-    print(f"\nconvergence, priority_encoder(32): rebuild {best_out:.3f}s, "
-          f"in-place {best_in:.3f}s ({speedup:.1f}x), "
-          f"{len(res_in.rounds)} rounds, final ANDs {res_in.final.num_ands}")
-    # "measurably faster": demand at least 1.1x; typical is 1.5-2x (margin
-    # keeps noisy CI runners from flaking the build).
-    assert best_in * 1.1 < best_out
-
-
 def test_engine_speed_report():
     if not _LINES:
         return
     RESULTS_DIR.mkdir(exist_ok=True)
     body = "\n".join(
         ["# Engine speed: seed kernels vs bit-parallel core", "",
-         f"Measured with the `{kernels.backend_name()}` kernel backend "
+         f"Measured on a {os.cpu_count() or 1}-CPU host with the "
+         f"`{kernels.backend_name()}` kernel backend "
          "(`repro.kernels`); both backends produce bit-identical results, "
          "only the timings depend on the backend.", "",
          "| measurement | seed / full | new / incremental | speedup |",
@@ -324,8 +288,7 @@ def test_pool_crypto_matches_sequential():
 def test_engine_batch_report():
     if not _BATCH_LINES:
         return
-    import os as os_module
-    cpus = os_module.cpu_count() or 1
+    cpus = os.cpu_count() or 1
     RESULTS_DIR.mkdir(exist_ok=True)
     body = "\n".join(
         ["# Batch engine: warm starts and the worker pool", "",
@@ -347,100 +310,32 @@ def test_engine_batch_report():
 
 
 # ----------------------------------------------------------------------
-# in-place vs rebuild on the full EPFL control set
-# ----------------------------------------------------------------------
-def test_inplace_vs_rebuild_control_set():
-    """A/B the two rewriting strategies over every EPFL control circuit.
-
-    Runs the convergence flow (no round cap) through the batch engine in
-    both modes.  Final AND counts must be identical circuit by circuit; the
-    per-circuit convergence wall-clock comparison is written to
-    ``benchmarks/results/inplace_vs_rebuild.md``.
-    """
-    config = dict(suites=("epfl",), groups=["control"], max_rounds=None)
-    batch_in = run_batch(EngineConfig(**config, in_place=True))
-    batch_out = run_batch(EngineConfig(**config, in_place=False))
-    assert not batch_in.failed and not batch_out.failed
-
-    total_in = 0.0
-    total_out = 0.0
-    for rep_in, rep_out in zip(batch_in.reports, batch_out.reports):
-        assert rep_in.name == rep_out.name
-        assert rep_in.ands_after == rep_out.ands_after, (
-            f"{rep_in.name}: in-place {rep_in.ands_after} ANDs "
-            f"!= rebuild {rep_out.ands_after} ANDs")
-        assert rep_in.verified in (True, None)
-        total_in += rep_in.convergence_seconds
-        total_out += rep_out.convergence_seconds
-        _INPLACE_LINES.append(
-            f"| {rep_in.name} | {rep_in.ands_before} | {rep_in.ands_after} "
-            f"| {len(rep_in.rounds)} | {rep_out.convergence_seconds:.2f} s "
-            f"| {rep_in.convergence_seconds:.2f} s "
-            f"| {rep_out.convergence_seconds / max(rep_in.convergence_seconds, 1e-9):.2f}x |")
-    _INPLACE_LINES.append(
-        f"| **total** | | | | **{total_out:.2f} s** | **{total_in:.2f} s** "
-        f"| **{total_out / max(total_in, 1e-9):.2f}x** |")
-    print(f"\ncontrol set: rebuild {total_out:.2f}s vs in-place {total_in:.2f}s, "
-          f"identical AND counts on all {len(batch_in.reports)} circuits")
-
-
-def test_inplace_vs_rebuild_report():
-    if not _INPLACE_LINES:
-        return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    body = "\n".join(
-        ["# In-place substitution vs out-of-place rebuild", "",
-         "Convergence flow (`optimize`, no round cap) over the EPFL control",
-         "set in both Phase-2 strategies, cold database.  `in-place` drains a",
-         "dirty-node worklist on one mutating network (fanout rewiring +",
-         "refcount GC, observers invalidate per node); `rebuild` reconstructs",
-         "the network from the primary outputs every round (the seed",
-         "behaviour, `RewriteParams.in_place=False` / `--rebuild`).  Final",
-         "AND counts are asserted identical circuit by circuit.", "",
-         "| circuit | initial ANDs | final ANDs | rounds | rebuild | in-place | speedup |",
-         "| --- | --- | --- | --- | --- | --- | --- |"] + _INPLACE_LINES) + "\n"
-    (RESULTS_DIR / "inplace_vs_rebuild.md").write_text(body)
-    print("\n" + body)
-
-
-# ----------------------------------------------------------------------
 # CI smoke entry point
 # ----------------------------------------------------------------------
 def smoke(circuit: str = "int2float") -> int:
-    """Quick A/B check for CI: rewriter modes and kernel backends.
+    """Quick kernel-backend parity check for CI.
 
-    Runs the convergence flow in in-place and rebuild mode on ``circuit``
-    and fails (non-zero exit) when the final AND counts diverge or the
-    result is not equivalent to the input.  The same flow is then repeated
-    once per available kernel backend and the (ANDs, rounds) pairs are
-    asserted identical — backends may only change wall time, never
-    results.
+    Runs the convergence flow on ``circuit`` once per available kernel
+    backend and fails (non-zero exit) when the (ANDs, rounds) pairs differ
+    or a result is not equivalent to the input — backends may only change
+    wall time, never results.
     """
     from repro.engine.core import select_cases
 
     case = select_cases(EngineConfig(suites=("epfl",), circuits=[circuit]))[0]
     xag = case.build()
-    start = time.perf_counter()
-    res_in = optimize(xag, params=RewriteParams(in_place=True))
-    res_out = optimize(xag, params=RewriteParams(in_place=False))
-    seconds = time.perf_counter() - start
-    ok = (res_in.final.num_ands == res_out.final.num_ands
-          and equivalent(xag, res_in.final))
-    print(f"smoke {circuit}: in-place {res_in.final.num_ands} ANDs "
-          f"({len(res_in.rounds)} rounds) vs rebuild {res_out.final.num_ands} ANDs "
-          f"({len(res_out.rounds)} rounds) in {seconds:.1f}s -> "
-          f"{'OK' if ok else 'DIVERGED'} [{kernels.backend_name()} kernels]")
-
     pairs = {}
+    ok = True
     for name in kernels.available_backends():
         with kernels.use_backend(name):
-            res = optimize(case.build(), params=RewriteParams(in_place=True))
+            res = optimize(xag)
         pairs[name] = (res.final.num_ands, len(res.rounds))
+        ok = ok and equivalent(xag, res.final)
     parity = len(set(pairs.values())) == 1
     print(f"smoke {circuit}: backend parity "
           + " vs ".join(f"{name} {ands} ANDs/{rounds} rounds"
                         for name, (ands, rounds) in sorted(pairs.items()))
-          + f" -> {'OK' if parity else 'DIVERGED'}")
+          + f" -> {'OK' if ok and parity else 'DIVERGED'}")
     return 0 if ok and parity else 1
 
 
@@ -450,10 +345,11 @@ if __name__ == "__main__":
 
     parser = argparse.ArgumentParser(
         description="Engine speed benchmark (run under pytest for the full "
-                    "suite; --smoke runs the in-place vs rebuild A/B check)")
+                    "suite; --smoke runs the kernel-backend parity check)")
     parser.add_argument("--smoke", action="store_true",
-                        help="run both rewriter modes on one EPFL circuit and "
-                             "fail if the final AND counts diverge")
+                        help="run the convergence flow on one EPFL circuit "
+                             "under every available kernel backend and fail "
+                             "if the (ANDs, rounds) pairs diverge")
     parser.add_argument("--circuit", default="int2float",
                         help="EPFL circuit for --smoke (default: int2float)")
     args = parser.parse_args()

@@ -131,9 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--db", metavar="PATH", default=None,
                         help="warm-start bundle: load it when present, save "
                              "recipes/classifications/plans back on exit")
-    parser.add_argument("--rebuild", action="store_true",
-                        help="rewrite by out-of-place reconstruction instead of "
-                             "in-place substitution (A/B checking)")
     parser.add_argument("--size-baseline", action="store_true",
                         help="run the generic size optimiser before MC rewriting")
     parser.add_argument("--full-scale", action="store_true",
@@ -167,7 +164,6 @@ def config_from_args(args: argparse.Namespace) -> EngineConfig:
         objective=args.cost,
         flow=args.flow,
         max_rounds=None if args.rounds == 0 else args.rounds,
-        in_place=not args.rebuild,
         size_baseline=args.size_baseline,
         full_scale=args.full_scale,
         verify_limit=args.verify_limit,
@@ -217,7 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 # processes actually spawned (clamped to the case count)
                 "jobs": batch.jobs,
                 "workers": batch.workers,
-                "in_place": batch.config.in_place,
                 # the backend that actually ran (never "auto")
                 "backend": batch.backend,
             },

@@ -102,10 +102,6 @@ class EngineConfig:
     size_baseline: bool = False
     #: build paper-scale netlists instead of the reduced defaults.
     full_scale: bool = False
-    #: apply rewrites by in-place substitution (the default); False selects
-    #: the out-of-place rebuild path for A/B checking (CLI ``--rebuild``;
-    #: see :func:`repro.rewriting.pipeline.run_pipeline` for depth flows).
-    in_place: bool = True
     #: verify equivalence for networks up to this many gates (0 disables).
     verify_limit: int = 20000
     #: worker processes: the cases are dispatched longest-first over a
@@ -173,9 +169,7 @@ class CircuitReport(FlowSummary):
         """Per-stage wall-clock seconds (verification overlaps the rounds).
 
         ``select`` and ``apply`` split the round time into Phase-1 candidate
-        selection and Phase-2 application (in-place substitution or
-        out-of-place rebuild), so the cost of the application strategy is
-        visible directly in the report.
+        selection and Phase-2 in-place application.
         """
         return {
             "build": self.build_seconds,
@@ -291,9 +285,7 @@ class BatchReport:
         # a clamped or auto-resolved pool must not misreport its width
         jobs_note = f" [{self.workers} workers]" if self.workers > 1 else ""
         warm_note = " [warm start]" if self.warm_start_loaded else ""
-        mode_note = "" if self.config.in_place else " [rebuild]"
-        if model.name != "mc":
-            mode_note += f" [{model.name}]"
+        mode_note = f" [{model.name}]" if model.name != "mc" else ""
         if self.config.flow is not None:
             mode_note += f" [flow: {resolved_flow(self.config)}]"
         mode_note += f" [{self.backend} kernels]"
@@ -403,8 +395,7 @@ def run_circuit(case: BenchmarkCase, config: EngineConfig,
 
         verify = 0 < (xag.num_ands + xag.num_xors) <= config.verify_limit
         params = RewriteParams(cut_size=config.cut_size, cut_limit=config.cut_limit,
-                               objective=config.objective, verify=verify,
-                               in_place=config.in_place)
+                               objective=config.objective, verify=verify)
         result: PipelineResult = run_pipeline(
             xag, passes, database=database, params=params,
             cut_cache=cut_cache, sim_cache=sim_cache)

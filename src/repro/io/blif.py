@@ -1,15 +1,18 @@
 """Minimal BLIF writer/reader for XAGs.
 
 Only the subset needed to exchange XAGs with classical logic-synthesis tools
-is supported: ``.model``, ``.inputs``, ``.outputs`` and two-input ``.names``
+is supported: ``.model``, ``.inputs``, ``.outputs`` and on-set ``.names``
 covers.  AND and XOR gates map to their sum-of-products covers; complemented
 edges are folded into the covers, so no extra inverter nodes are created.
+The reader rejects what it cannot represent faithfully — a cover row whose
+pattern does not match the cover's inputs, a signal defined twice — with a
+``ValueError`` naming the cover and the line, never a wrong network.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.xag.graph import Xag, lit_complemented, lit_node
 
@@ -61,13 +64,26 @@ def write_blif(xag: Xag, model_name: Optional[str] = None) -> str:
 
 
 def read_blif(text: str) -> Xag:
-    """Parse the BLIF subset produced by :func:`write_blif`."""
+    """Parse the BLIF subset produced by :func:`write_blif`.
+
+    Raises ``ValueError`` (naming the signal and line) on malformed covers,
+    signals defined twice, undefined signals and combinational cycles.
+    """
     xag = Xag()
     signals: Dict[str, int] = {}
     outputs: List[str] = []
     lines = [line.strip() for line in text.splitlines()]
     index = 0
     pending_output_covers: List[tuple] = []
+    #: line number of every signal's definition (PI or cover target).
+    defined_at: Dict[str, int] = {}
+
+    def define(name: str, line_no: int) -> None:
+        if name in defined_at:
+            raise ValueError(f"BLIF line {line_no}: signal {name!r} is "
+                             f"already defined on line {defined_at[name]}")
+        defined_at[name] = line_no
+
     while index < len(lines):
         line = lines[index]
         index += 1
@@ -77,18 +93,24 @@ def read_blif(text: str) -> Xag:
             xag.name = line.split(maxsplit=1)[1] if " " in line else ""
         elif line.startswith(".inputs"):
             for name in line.split()[1:]:
+                define(name, index)
                 signals[name] = xag.create_pi(name)
         elif line.startswith(".outputs"):
             outputs = line.split()[1:]
         elif line.startswith(".names"):
             names = line.split()[1:]
-            cover: List[str] = []
-            while index < len(lines) and lines[index] and not lines[index].startswith("."):
-                cover.append(lines[index])
-                index += 1
+            if not names:
+                raise ValueError(f"BLIF line {index}: .names declares no "
+                                 "output signal")
             target = names[-1]
             sources = names[:-1]
-            pending_output_covers.append((target, sources, cover))
+            define(target, index)
+            cover: List[Tuple[int, str]] = []
+            while index < len(lines) and lines[index] and not lines[index].startswith("."):
+                cover.append((index + 1, lines[index]))
+                index += 1
+            pending_output_covers.append(
+                (target, sources, _parse_cover(target, sources, cover)))
         elif line.startswith(".end"):
             break
 
@@ -134,15 +156,49 @@ def read_blif(text: str) -> Xag:
     return xag
 
 
+def _parse_cover(target: str, sources: List[str],
+                 rows: List[Tuple[int, str]]) -> List[str]:
+    """Validate the rows of one ``.names`` cover; return its input patterns.
+
+    A constant cover (no inputs) is one output column: ``1`` rows make the
+    signal 1, no rows or ``0`` rows make it 0, and mixing both is rejected.
+    Every other row is an input pattern over ``0``/``1``/``-`` with one
+    symbol per input, followed by the output value ``1`` (only on-set
+    covers are supported).
+    """
+    patterns: List[str] = []
+    for line_no, row in rows:
+        fields = row.split()
+        where = f"BLIF line {line_no}: cover of {target!r}, row {row!r}"
+        if not sources:
+            if fields not in (["0"], ["1"]) or \
+                    patterns[:1] not in ([], fields):
+                raise ValueError(f"{where}: a constant cover's rows are all "
+                                 "0 or all 1")
+            patterns.append(fields[0])
+            continue
+        if len(fields) != 2:
+            raise ValueError(f"{where}: expected an input pattern and an "
+                             "output value")
+        pattern, value = fields
+        if len(pattern) != len(sources):
+            raise ValueError(f"{where}: pattern has {len(pattern)} symbols "
+                             f"for {len(sources)} inputs")
+        if set(pattern) - set("01-"):
+            raise ValueError(f"{where}: pattern symbols must be 0, 1 or -")
+        if value != "1":
+            raise ValueError(f"{where}: only on-set covers (output 1) are "
+                             "supported")
+        patterns.append(pattern)
+    return patterns
+
+
 def _build_cover(xag: Xag, signals: Dict[str, int], sources: List[str],
                  cover: List[str]) -> int:
     if not sources:
-        return xag.get_constant(bool(cover and cover[0].strip() == "1"))
+        return xag.get_constant(cover[:1] == ["1"])
     terms = []
-    for row in cover:
-        pattern, value = row.split()
-        if value != "1":
-            raise ValueError("only on-set covers are supported")
+    for pattern in cover:
         literals = []
         for position, symbol in enumerate(pattern):
             if symbol == "-":

@@ -74,8 +74,6 @@ class CostModel:
     #: True when pricing needs the maintained AND-levels: the rewriter
     #: binds a :class:`~repro.xag.levels.LevelTracker`, prices
     #: ``gain_depth`` per candidate and records round depths.
-    #: Pipelines priced by a depth-aware model decide their rounds in
-    #: place (:func:`repro.rewriting.pipeline.decides_in_place`).
     depth_aware: bool = False
     #: label of the scalar :meth:`metric` in reports and benchmark tables.
     metric_name: str = "cost"

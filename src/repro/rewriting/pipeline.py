@@ -48,8 +48,7 @@ ideas, and :func:`run_pipeline` is the one function that runs them:
   discarding any round that raises the critical AND-level.
 
 :func:`standard_flow` builds the canonical recipe of a cost model and
-:func:`optimize` is the one-:class:`RewritePass` shorthand.  The execution
-mode is decided in :func:`run_pipeline` alone (see :func:`decides_in_place`).
+:func:`optimize` is the one-:class:`RewritePass` shorthand.
 """
 
 from __future__ import annotations
@@ -190,9 +189,10 @@ class OptimizationContext:
     """Working network plus every shared cache of one optimisation flow.
 
     The context materialises an owned working copy of ``xag`` lazily (flows
-    with a size baseline rebase first), then every pass mutates — or, for
-    out-of-place strategies, replaces — :attr:`network` through the context,
-    so the subscriber caches survive across pass boundaries:
+    with a size baseline rebase first), then every pass mutates
+    :attr:`network` in place through the context (or adopts a swept copy
+    or a restored snapshot), so the subscriber caches survive across pass
+    boundaries:
 
     * :attr:`sim_cache` keeps the packed simulation words of the working
       network alive (the per-round equivalence check is two PO-word reads);
@@ -243,17 +243,13 @@ class OptimizationContext:
     def network(self) -> Xag:
         """The working network (materialised from :attr:`initial` on first use).
 
-        In-place flows own a swept clone; rebuild flows start from the swept
-        input itself (they never mutate, so aliasing is safe — passes that do
-        mutate must call :meth:`own_network`).
+        It starts as a swept clone the context owns.  After a
+        :meth:`rebase` it is the baseline's output, which passes that mutate
+        must first clone through :meth:`own_network`.
         """
         if self._network is None:
-            if self.params.in_place:
-                self._network = sweep_owned(self.initial)
-                self._owned = True
-            else:
-                self._network = sweep(self.initial)
-                self._owned = self._network is not self.initial
+            self._network = sweep_owned(self.initial)
+            self._owned = True
         return self._network
 
     def own_network(self) -> Xag:
@@ -266,19 +262,15 @@ class OptimizationContext:
         return network
 
     def adopt(self, network: Xag) -> None:
-        """Replace the working network (restored snapshot / rebuilt result).
+        """Replace the working network by a fresh object the context owns
+        (a restored snapshot or a swept copy).
 
         Node indices of the previous network are meaningless for the new
         one, so the worklist is reset; the subscriber caches rebind lazily
-        on their next use (they key on network identity).  Adopting a
-        *different* object marks it owned (snapshots and rebuilt rounds are
-        always fresh); re-adopting the current network keeps its ownership
-        state — a rebuild round that made no progress hands back the very
-        network it was given, which may still alias caller state.
+        on their next use (they key on network identity).
         """
-        if network is not self._network:
-            self._owned = True
         self._network = network
+        self._owned = True
         self.clear_seeds()
 
     def rebase(self, network: Xag) -> None:
@@ -428,8 +420,8 @@ class BalancePass(Pass):
 
     Runs in place through ``substitute_node`` so the context's packed
     simulation words and maintained levels stay valid on the same network
-    object.  A rebuild dirties cones the worklist cannot describe cheaply,
-    so any rebalancing clears the worklist.
+    object.  A rebalanced tree dirties cones the worklist cannot describe
+    cheaply, so any rebalancing clears the worklist.
     """
 
     name = "balance"
@@ -450,10 +442,9 @@ class RewritePass(Pass):
     """MC cut rewriting rounds under one objective.
 
     ``max_rounds=1`` is a single round, ``None`` repeats until the objective
-    stops improving.  In-place mode drains the context's persistent
-    dirty-node worklist; a final round that brings no improvement is rolled
-    back to its pre-round snapshot, exactly like the rebuild loop discards
-    the freshly built copy.
+    stops improving.  Rounds drain the context's persistent dirty-node
+    worklist; a final round that brings no improvement is rolled back to its
+    pre-round snapshot.
     """
 
     kind = "rewrite"
@@ -483,25 +474,8 @@ class RewritePass(Pass):
         start = time.perf_counter()
         params = self.resolved_params(ctx)
         result = self.begin(ctx, objective=cost_model(params.objective).name)
-        if params.in_place:
-            _drain_worklist(ctx, params, result, self.max_rounds)
-        else:
-            self._drain_rebuild(ctx, params, result)
+        _drain_worklist(ctx, params, result, self.max_rounds)
         return self.complete(ctx, result, start)
-
-    def _drain_rebuild(self, ctx: OptimizationContext, params: RewriteParams,
-                       result: PassResult) -> None:
-        rewriter = ctx.rewriter(params)
-        current = sweep(ctx.network)
-        executed = 0
-        while self.max_rounds is None or executed < self.max_rounds:
-            improved, stats = rewriter.rewrite(current)
-            result.rounds.append(stats)
-            executed += 1
-            if not stats.made_progress:
-                break
-            current = improved
-        ctx.adopt(current)
 
 
 def _drain_worklist(ctx: OptimizationContext, params: RewriteParams,
@@ -557,7 +531,11 @@ def _drain_worklist(ctx: OptimizationContext, params: RewriteParams,
 class SizeBaselinePass(Pass):
     """Generic size optimisation standing in for the paper's ABC baseline.
 
-    A fixed number of unit-cost rebuild rounds over small cuts; the result
+    A sweep, then up to ``max_rounds`` unit-cost rounds over small cuts,
+    each examining every gate of a fresh swept copy
+    (:meth:`~repro.rewriting.rewrite.CutRewriter.rewrite`).  Sweeping first
+    keeps the gain of dropping dead logic even when no round makes progress
+    (a round measures its progress against its own swept copy).  The result
     **rebases** the context — subsequent passes (and the flow's improvement
     figures) start from the baseline's output, mirroring the "Initial"
     columns of Tables 1 and 2.
@@ -580,14 +558,13 @@ class SizeBaselinePass(Pass):
         # *baseline's* output, not from the raw input).
         source = ctx.network if ctx.materialized else ctx.initial
         params = RewriteParams(cut_size=self.cut_size, cut_limit=self.cut_limit,
-                               objective="size", verify=ctx.params.verify,
-                               in_place=False)
+                               objective="size", verify=ctx.params.verify)
         result = PassResult(name=self.name, kind=self.kind, objective="size",
                             ands_before=source.num_ands,
                             xors_before=source.num_xors,
                             depth_before=multiplicative_depth(source))
         rewriter = ctx.rewriter(params)
-        current = source
+        current = sweep(source)
         for _ in range(self.max_rounds):
             improved, stats = rewriter.rewrite(current)
             result.rounds.append(stats)
@@ -629,9 +606,6 @@ class DepthGuard(Pass):
     def run(self, ctx: OptimizationContext) -> PassResult:
         start = time.perf_counter()
         params = self.inner.resolved_params(ctx)
-        if not params.in_place:
-            # discarding a round needs the snapshot/restore machinery
-            params = replace(params, in_place=True)
         result = self.begin(ctx, objective=cost_model(params.objective).name)
         _drain_worklist(ctx, params, result, self.inner.max_rounds,
                         guard_level=ctx.critical_level())
@@ -759,17 +733,9 @@ def run_pipeline(xag: Xag, passes: Sequence[Pass],
                  sim_cache: Optional[SimulationCache] = None) -> PipelineResult:
     """Run ``passes`` over one shared :class:`OptimizationContext`.
 
-    The input network is never modified.  A pipeline that
-    :func:`decides_in_place` always runs in place: ``params.in_place=False``
-    then does not fork an independent rebuild trajectory but cross-applies
-    every round out-of-place from the same pre-round network
-    (:attr:`~repro.rewriting.rewrite.RewriteParams.ab_check`), so both
-    modes reach identical results by construction.
+    The input network is never modified.
     """
     start = time.perf_counter()
-    params = params if params is not None else RewriteParams()
-    if not params.in_place and decides_in_place(passes, params.objective):
-        params = replace(params, in_place=True, ab_check=True)
     ctx = OptimizationContext(xag, database=database, params=params,
                               cut_cache=cut_cache, sim_cache=sim_cache)
     results = [pass_.run(ctx) for pass_ in passes]
@@ -844,28 +810,6 @@ def _nested(passes: Sequence[Pass]) -> Iterator[Pass]:
 def contains_pass(passes: Sequence[Pass], pass_type: type) -> bool:
     """True when any pass — including combinator children — is a ``pass_type``."""
     return any(isinstance(pass_, pass_type) for pass_ in _nested(passes))
-
-
-def decides_in_place(passes: Sequence[Pass],
-                     objective: Union[str, CostModel] = "mc") -> bool:
-    """True when the pipeline's rounds must be decided in place.
-
-    A :class:`DepthGuard` needs the snapshot/restore machinery of one
-    persistent working network, and a depth-aware cost model prices
-    candidates against that network's maintained AND-levels, so
-    independent in-place and rebuild trajectories of such a pipeline drift
-    apart.  Rewrite passes without an explicit objective are priced by
-    ``objective``, the context's model.  :func:`run_pipeline` is the one
-    place that applies this rule.
-    """
-    for pass_ in _nested(passes):
-        if isinstance(pass_, DepthGuard):
-            return True
-        if isinstance(pass_, RewritePass) and cost_model(
-                pass_.objective if pass_.objective is not None
-                else objective).depth_aware:
-            return True
-    return False
 
 
 # ----------------------------------------------------------------------

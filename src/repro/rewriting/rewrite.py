@@ -33,21 +33,21 @@ candidate is one the veto would refuse anyway, and plans depend on the
 truth table alone, so pruning changes no selection — only how many
 functions are classified and synthesised.
 
-*Phase 2 — application.*  Two interchangeable application strategies exist:
+*Phase 2 — application.*  Each winning candidate is built on top of its cut
+leaves inside the *same* network and the root is replaced via
+:meth:`repro.xag.graph.Xag.substitute_node` — fan-outs and primary outputs
+are rewired, the displaced MFFC is dereferenced, and subscribed observers
+(packed simulation words, memoised cone functions, cut sets, levels) are
+invalidated per node instead of wholesale.  Roots are applied in completion
+order of a walk from the primary outputs that descends through a selected
+root's cut leaves (:meth:`CutRewriter._applied_roots`), so every leaf is
+final before its root is replaced.
 
-* **in place** (the default, ``RewriteParams.in_place=True``): each winning
-  candidate is built on top of its cut leaves inside the *same* network and
-  the root is replaced via :meth:`repro.xag.graph.Xag.substitute_node` —
-  fan-outs and primary outputs are rewired, the displaced MFFC is
-  dereferenced, and subscribed observers (packed simulation words, memoised
-  cone functions) are invalidated per node instead of wholesale.  Roots are
-  applied in the same completion order the out-of-place reconstruction
-  would visit them, so both strategies make the same decisions.
-
-* **rebuild** (``in_place=False``, the seed behaviour, kept for A/B
-  checking): the network is rebuilt out-of-place from the primary outputs —
-  a node with a selected candidate is re-implemented on top of its cut
-  leaves; all other gates are copied; the result is swept.
+A round examines every live gate, or only a worklist of nodes whose cuts,
+cone functions or MFFCs the previous round may have changed (see
+:meth:`CutRewriter.rewrite_in_place`).  Both must reach the same (ANDs,
+XORs, depth, rounds); the every-gate round is the worklist's reference in
+the test suite.
 
 The ``objective`` parameter selects the :class:`~repro.rewriting.cost.CostModel`
 that prices candidates, vetoes replacements and decides round convergence —
@@ -75,8 +75,7 @@ from repro.rewriting.cost import CostModel, cost_model
 from repro.rewriting.insert import insert_plan
 from repro.xag.bitsim import SimulationCache
 from repro.xag.cleanup import sweep, sweep_owned
-from repro.xag.depth import multiplicative_depth
-from repro.xag.equivalence import equivalence_stimulus, equivalent
+from repro.xag.equivalence import equivalence_stimulus
 from repro.xag.graph import NodeKind, Xag, lit_node, literal
 from repro.xag.levels import LevelCache, LevelTracker
 
@@ -101,21 +100,6 @@ class RewriteParams:
     allow_zero_gain: bool = False
     #: check functional equivalence of every rewritten network.
     verify: bool = True
-    #: apply winning candidates by in-place substitution (True, the default)
-    #: or by rebuilding the network out-of-place (False — the seed
-    #: behaviour, kept for A/B checking; see the module docstring).
-    in_place: bool = True
-    #: cross-check every in-place round: the round's selections are *also*
-    #: applied by out-of-place reconstruction from the same pre-round
-    #: network, and the rebuilt result must be functionally equivalent and
-    #: respect the objective's monotonicity guarantees (AND count never up;
-    #: under "mc-depth" multiplicative depth never up).  The in-place and
-    #: rebuilt applications may differ transiently in exact counts (cascade
-    #: folds defer some savings by one round; reconstruction re-strashes
-    #: globally), so the check validates invariants, not structural
-    #: equality.  :func:`repro.rewriting.pipeline.run_pipeline` enables
-    #: this for ``in_place=False`` on pipelines that decide in place.
-    ab_check: bool = False
 
     @property
     def cost(self) -> CostModel:
@@ -159,8 +143,6 @@ class RoundStats:
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     verified: Optional[bool] = None
-    #: application strategy of this round ("in_place" or "rebuild").
-    mode: str = "rebuild"
     #: name of the cost model the round was priced under.
     objective: str = "mc"
     #: the cost model's own verdict on this round, recorded by the rewriter
@@ -173,15 +155,12 @@ class RoundStats:
     #: Phase-1 / Phase-2 wall clock (both included in runtime_seconds).
     select_seconds: float = 0.0
     apply_seconds: float = 0.0
-    #: in-place rounds: substitutions performed (incl. cascaded collapses),
-    #: gates recomputed by the incremental simulator, and the number of
-    #: dirty-worklist nodes this round actually examined (0 = all gates).
+    #: substitutions performed (incl. cascaded collapses), gates recomputed
+    #: by the incremental simulator, and the number of dirty-worklist nodes
+    #: this round was restricted to (0 = all gates).
     substitutions: int = 0
     nodes_resimulated: int = 0
     worklist_size: int = 0
-    #: True when the round's selections were cross-applied out-of-place and
-    #: the rebuilt result passed the equivalence/monotonicity checks.
-    ab_checked: bool = False
 
     @property
     def and_improvement(self) -> float:
@@ -262,49 +241,16 @@ class CutRewriter:
 
     # ------------------------------------------------------------------
     def rewrite(self, xag: Xag) -> Tuple[Xag, RoundStats]:
-        """Run one rewriting round and return the optimised copy with statistics.
+        """Run one every-gate round on a copy of ``xag``; return it swept.
 
-        The input network is never modified: with ``in_place`` the round runs
-        on a clone (callers driving a convergence loop should use
-        :meth:`rewrite_in_place` directly to keep one network identity — and
-        its observer-maintained caches — alive across rounds).
+        The input network is never modified.  Callers driving a convergence
+        loop should use :meth:`rewrite_in_place` directly to keep one
+        network identity — and its observer-maintained caches — alive
+        across rounds.
         """
-        self._model()
-        if not self.params.in_place:
-            return self._rewrite_rebuild(xag)
         working = sweep_owned(xag)
         stats, _seeds, _pre = self.rewrite_in_place(working)
-        result = sweep(working)
-        return result, stats
-
-    def _rewrite_rebuild(self, xag: Xag) -> Tuple[Xag, RoundStats]:
-        """Out-of-place round: select, reconstruct, sweep, verify."""
-        model = self._model()
-        stats = RoundStats(ands_before=xag.num_ands, xors_before=xag.num_xors,
-                           mode="rebuild", objective=model.name)
-        start = time.perf_counter()
-        if model.depth_aware:
-            stats.depth_before = multiplicative_depth(xag)
-
-        selections = self._select_candidates(xag, stats)
-        stats.select_seconds = time.perf_counter() - start
-        apply_start = time.perf_counter()
-        result = self._reconstruct(xag, selections, stats)
-        stats.apply_seconds = time.perf_counter() - apply_start
-
-        stats.ands_after = result.num_ands
-        stats.xors_after = result.num_xors
-        if model.depth_aware:
-            stats.depth_after = multiplicative_depth(result)
-        stats.progress = model.made_progress(stats)
-        if self.params.verify:
-            verify_start = time.perf_counter()
-            stats.verified = equivalent(xag, result, sim_cache=self.sim_cache)
-            stats.verify_seconds = time.perf_counter() - verify_start
-            if not stats.verified:
-                raise AssertionError("cut rewriting changed the network function")
-        stats.runtime_seconds = time.perf_counter() - start
-        return result, stats
+        return sweep(working), stats
 
     def rewrite_in_place(self, xag: Xag,
                          worklist: Optional[Set[int]] = None,
@@ -325,11 +271,11 @@ class CutRewriter:
         With ``snapshot`` a clone of the pre-application network is returned
         as the third element whenever the round is about to mutate (``None``
         for empty rounds); the convergence loop uses it to discard a final
-        round that brought no AND reduction, mirroring the rebuild loop.
+        round that brought no improvement.
         """
         model = self._model()
         stats = RoundStats(ands_before=xag.num_ands, xors_before=xag.num_xors,
-                           mode="in_place", objective=model.name,
+                           objective=model.name,
                            worklist_size=len(worklist) if worklist is not None else 0)
         start = time.perf_counter()
         if model.depth_aware:
@@ -348,9 +294,6 @@ class CutRewriter:
 
         selections = self._select_candidates(xag, stats, worklist=worklist)
         stats.select_seconds = time.perf_counter() - start - stats.verify_seconds
-
-        if self.params.ab_check and selections:
-            self._ab_check_round(xag, selections, stats)
 
         apply_start = time.perf_counter()
         pre_round = xag.clone() if snapshot and selections else None
@@ -372,36 +315,6 @@ class CutRewriter:
                 raise AssertionError("cut rewriting changed the network function")
         stats.runtime_seconds = time.perf_counter() - start
         return stats, seeds, pre_round
-
-    def _ab_check_round(self, xag: Xag, selections: Dict[int, "Candidate"],
-                        stats: RoundStats) -> None:
-        """Cross-apply the round's selections out-of-place and verify them.
-
-        ``xag`` is the *pre-round* network.  The rebuilt application must be
-        functionally equivalent and obey the objective's guarantees; exact
-        counts legitimately differ transiently (see
-        :attr:`RewriteParams.ab_check`), so they are not compared.
-        """
-        rebuilt = self._reconstruct(xag, selections, RoundStats())
-        if not equivalent(xag, rebuilt, sim_cache=self.sim_cache):
-            raise AssertionError(
-                "A/B check: out-of-place application of the round's "
-                "selections changed the network function")
-        # compare against the *reachable* AND count: mid-flow the in-place
-        # network still carries orphan chains awaiting the flow-end sweep.
-        live_ands = sweep(xag).num_ands
-        if rebuilt.num_ands > live_ands:
-            raise AssertionError(
-                "A/B check: out-of-place application increased the AND count "
-                f"({live_ands} -> {rebuilt.num_ands})")
-        if self._model().depth_aware:
-            critical = self._levels(xag).critical_level()
-            rebuilt_depth = multiplicative_depth(rebuilt)
-            if rebuilt_depth > critical:
-                raise AssertionError(
-                    "A/B check: out-of-place application increased the "
-                    f"multiplicative depth ({critical} -> {rebuilt_depth})")
-        stats.ab_checked = True
 
     # ------------------------------------------------------------------
     # phase 1: candidate selection
@@ -582,18 +495,20 @@ class CutRewriter:
         return plan.recipe.num_gates + correction_xors
 
     # ------------------------------------------------------------------
-    # phase 2a: in-place application
+    # phase 2: in-place application
     # ------------------------------------------------------------------
     @staticmethod
     def _applied_roots(xag: Xag, selections: Dict[int, Candidate]) -> List[int]:
         """Selected roots actually reachable, in application order.
 
-        This replicates the out-of-place reconstruction traversal: walking
-        from the primary outputs, the children of a selected node are its cut
-        leaves — so a selected node buried inside another applied cone (and
-        reachable nowhere else) is skipped, exactly as the rebuild would
-        never copy it.  The returned completion order guarantees that every
-        leaf of a root is finalised before the root is applied.
+        Walking from the primary outputs, the children of a selected node
+        are its cut leaves — so a selected node buried inside another
+        applied cone (and reachable nowhere else) is skipped: its
+        replacement would die with the cone that contains it.  The returned
+        completion order guarantees that every leaf of a root is finalised
+        before the root is applied.  Both the order and the skip decide
+        which cascades fold and which roots wait a round, so the pinned
+        (ANDs, depth, rounds) triples depend on them.
         """
         visited: Set[int] = {0}
         visited.update(xag.pis())
@@ -635,9 +550,9 @@ class CutRewriter:
         if not selections:
             return seeds
         # selected roots that do not get applied this round (buried inside
-        # another applied cone, or folded away by a cascade) stay dirty: the
-        # rebuild strategy would re-discover them next round, so the
-        # worklist must re-examine them too.
+        # another applied cone, or folded away by a cascade) stay dirty: an
+        # every-gate round would examine them again, so the worklist must
+        # re-examine them too.
         seeds.update(selections)
         resolution: Dict[int, int] = {}
 
@@ -672,58 +587,8 @@ class CutRewriter:
         # variables the recipe never consumes.  They are deliberately left
         # for the flow-end sweep rather than dereferenced per round:
         # eagerly collecting them changes MFFC pricing in later rounds and
-        # was measured to change final AND counts relative to the rebuild
-        # strategy on the EPFL control set (the A/B parity bar), while the
-        # final sweep compacts them away either way.
+        # with it the pinned (ANDs, depth, rounds) triples of the EPFL
+        # control group and perfbench/expected.json, while the final sweep
+        # compacts them away either way.
         return {node for node in seeds
                 if node < xag.num_nodes and not xag.is_dead(node)}
-
-    # ------------------------------------------------------------------
-    # phase 2b: out-of-place reconstruction
-    # ------------------------------------------------------------------
-    def _reconstruct(self, xag: Xag, selections: Dict[int, Candidate],
-                     stats: RoundStats) -> Xag:
-        new = Xag()
-        new.name = xag.name
-        mapping: Dict[int, int] = {0: 0}
-        for index, node in enumerate(xag.pis()):
-            mapping[node] = new.create_pi(xag.pi_name(index))
-
-        po_nodes = [lit_node(lit) for lit in xag.po_literals()]
-        stack: List[Tuple[int, bool]] = [(node, False) for node in reversed(po_nodes)]
-        while stack:
-            node, expanded = stack.pop()
-            if node in mapping and not expanded:
-                continue
-            if expanded:
-                if node in mapping:
-                    continue
-                candidate = selections.get(node)
-                if candidate is not None:
-                    leaf_signals = [mapping[leaf] for leaf in candidate.cut.leaves]
-                    mapping[node] = insert_plan(new, candidate.plan, leaf_signals)
-                    stats.rewrites_applied += 1
-                else:
-                    f0, f1 = xag.fanins(node)
-                    a = mapping[lit_node(f0)] ^ (f0 & 1)
-                    b = mapping[lit_node(f1)] ^ (f1 & 1)
-                    mapping[node] = new.create_and(a, b) if xag.is_and(node) \
-                        else new.create_xor(a, b)
-                continue
-
-            stack.append((node, True))
-            candidate = selections.get(node)
-            if candidate is not None:
-                children = candidate.cut.leaves
-            elif xag.is_gate(node):
-                f0, f1 = xag.fanins(node)
-                children = (lit_node(f0), lit_node(f1))
-            else:
-                children = ()
-            for child in children:
-                if child not in mapping:
-                    stack.append((child, False))
-
-        for index, lit in enumerate(xag.po_literals()):
-            new.create_po(mapping[lit_node(lit)] ^ (lit & 1), xag.po_name(index))
-        return sweep(new)

@@ -3,8 +3,8 @@
 This package is the single source of truth for the random-circuit
 generators and equivalence assertions used by the test suite (they used to
 be duplicated in ``tests/helpers.py``), plus the continuous differential
-harness (``python -m repro.testing.diff``) that cross-checks the in-place,
-rebuild and fresh-recompute execution modes on seeded random XAGs.
+harness (``python -m repro.testing.diff``) that cross-checks runs with
+shared and with fresh caches on seeded random XAGs.
 """
 
 from repro.testing.generate import full_adder_naive, random_xag, seeded_xag

@@ -1,27 +1,21 @@
-"""Differential harness: one flow script, three execution modes, cross-checked.
+"""Differential harness: one flow script, shared vs fresh caches, cross-checked.
 
 For every seeded random XAG the same flow script (see
-:func:`repro.rewriting.pipeline.parse_flow`) is executed under
+:func:`repro.rewriting.pipeline.parse_flow`) is executed twice:
 
-* **in-place** — the default engine path, sharing the batch cache trio
-  (database, cut-function cache, simulation cache) across *all* seeds of the
-  run, exactly like a long engine batch;
-* **rebuild** — the ``--rebuild`` engine path (out-of-place reconstruction;
-  flows that :func:`~repro.rewriting.pipeline.decides_in_place` replay the
-  in-place trajectory with per-round A/B cross-checks, see
-  :func:`~repro.rewriting.pipeline.run_pipeline`);
-* **fresh** — in-place again, but with a brand-new cache trio, so any result
+* **shared** — the engine path, sharing the batch cache trio (database,
+  cut-function cache, simulation cache) across *all* seeds of the run,
+  exactly like a long engine batch;
+* **fresh** — the same path with a brand-new cache trio, so any result
   that *depends* on accumulated cache state shows up as a divergence.
 
-Checks per seed: every mode's result must stay functionally equivalent to
-the untouched input (fresh packed simulation — never through the shared
+Checks per seed: both runs must stay functionally equivalent to the
+untouched input (fresh packed simulation — never through the shared
 simulation cache), must not increase the AND count, must report verified
-rounds, and the in-place, fresh and rebuild trajectories must agree
-exactly on (ANDs, XORs, multiplicative depth).  Plain flows reach that
-agreement through genuinely independent in-place/rebuild runs; flows with
-a depth-aware cost model or a depth guard replay the in-place trajectory
-under per-round A/B cross-checks, so their agreement validates the replay
-path instead.
+rounds, and must agree exactly on (ANDs, XORs, multiplicative depth).
+Whether the dirty-node worklist misses a rewrite is not checked here: the
+test suite compares every flow against rounds that examine every gate
+(``tests/test_worklist_oracle.py``).
 
 A failing seed is shrunk (:func:`repro.testing.shrink.shrink_xag`) to a
 minimal reproducer and written to disk as validated JSON; ``--replay FILE``
@@ -51,8 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.cuts.cache import CutFunctionCache
 from repro.mc.database import McDatabase
 from repro.rewriting.cost import cost_model, registered_cost_models
-from repro.rewriting.pipeline import (decides_in_place, parse_flow,
-                                      run_pipeline)
+from repro.rewriting.pipeline import parse_flow, run_pipeline
 from repro.rewriting.rewrite import RewriteParams
 from repro.testing.generate import random_xag
 from repro.testing.oracle import reference_stimulus
@@ -164,12 +157,12 @@ def cost_model_flow(name: str) -> str:
     return f"{model.name},{model.name}*"
 
 
-def _run_mode(xag: Xag, flow: str, in_place: bool,
-              database: McDatabase, cut_cache: CutFunctionCache,
-              sim_cache: SimulationCache, cut_size: int, cut_limit: int):
-    """Execute one flow under one application mode (engine parity)."""
+def _run_mode(xag: Xag, flow: str, database: McDatabase,
+              cut_cache: CutFunctionCache, sim_cache: SimulationCache,
+              cut_size: int, cut_limit: int):
+    """Execute one flow over one cache trio (engine parity)."""
     params = RewriteParams(cut_size=cut_size, cut_limit=cut_limit,
-                           verify=True, in_place=in_place)
+                           verify=True)
     return run_pipeline(xag, parse_flow(flow), database=database,
                         params=params, cut_cache=cut_cache,
                         sim_cache=sim_cache)
@@ -183,9 +176,8 @@ def check_modes(xag: Xag, flow: str,
                 cut_size: int = 6, cut_limit: int = 12) -> List[str]:
     """Cross-check one network under one flow; returns failure descriptions.
 
-    ``database``/``cut_cache``/``sim_cache`` are the *shared* trio used by
-    the in-place and rebuild modes (fresh ones are created when omitted);
-    the fresh-recompute mode always builds its own.
+    ``database``/``cut_cache``/``sim_cache`` are the *shared* trio (fresh
+    ones are created when omitted); the fresh run always builds its own.
     """
     database = database if database is not None else McDatabase()
     cut_cache = CutFunctionCache.ensure(cut_cache, database)
@@ -200,14 +192,13 @@ def check_modes(xag: Xag, flow: str,
     results = {}
     fresh_database = McDatabase()
     mode_runs = (
-        ("in-place", True, database, cut_cache, sim_cache),
-        ("rebuild", False, database, cut_cache, sim_cache),
-        ("fresh", True, fresh_database, CutFunctionCache(fresh_database),
+        ("shared", database, cut_cache, sim_cache),
+        ("fresh", fresh_database, CutFunctionCache(fresh_database),
          SimulationCache()),
     )
-    for mode, in_place, mode_database, mode_cut_cache, mode_sim_cache in mode_runs:
+    for mode, mode_database, mode_cut_cache, mode_sim_cache in mode_runs:
         try:
-            results[mode] = _run_mode(xag, flow, in_place, mode_database,
+            results[mode] = _run_mode(xag, flow, mode_database,
                                       mode_cut_cache, mode_sim_cache,
                                       cut_size, cut_limit)
         except Exception as exc:  # noqa: BLE001 - a crash is a finding
@@ -226,31 +217,16 @@ def check_modes(xag: Xag, flow: str,
         if result.verified is False:
             failures.append(f"{mode}: pipeline verification reported failure")
 
-    in_place_result = results.get("in-place")
+    shared_result = results.get("shared")
     fresh_result = results.get("fresh")
-    if in_place_result is not None and fresh_result is not None:
-        shared = _metrics(in_place_result.final)
+    if shared_result is not None and fresh_result is not None:
+        shared = _metrics(shared_result.final)
         fresh = _metrics(fresh_result.final)
         if shared != fresh:
             failures.append(
                 f"cache-vs-fresh mismatch: shared-cache run produced "
                 f"{shared}, fresh-cache run produced {fresh} — results "
                 f"depend on accumulated cache state")
-
-    rebuild_result = results.get("rebuild")
-    if in_place_result is not None and rebuild_result is not None:
-        # plain flows reach the same metrics via independent trajectories;
-        # depth-aware/guarded flows via the A/B replay path — either way a
-        # mismatch is a finding, only its meaning differs.
-        in_place_metrics = _metrics(in_place_result.final)
-        rebuild_metrics = _metrics(rebuild_result.final)
-        if in_place_metrics != rebuild_metrics:
-            kind = ("the A/B replay path of a depth-aware flow"
-                    if decides_in_place(parse_flow(flow))
-                    else "a plain flow")
-            failures.append(
-                f"in-place vs rebuild mismatch: {in_place_metrics} vs "
-                f"{rebuild_metrics} on {kind}")
     return failures
 
 
@@ -453,8 +429,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.testing.diff",
         description="Differential equivalence harness: run a flow script "
-                    "under in-place / rebuild / fresh-recompute modes on "
-                    "seeded random XAGs and cross-check the results.")
+                    "with shared and with fresh caches on seeded random "
+                    "XAGs and cross-check the results.")
     parser.add_argument("--seeds", type=int, default=25,
                         help="number of seeded random networks (default: 25)")
     parser.add_argument("--seed-start", type=int, default=0,

@@ -236,11 +236,10 @@ def test_plan_and_level_estimates_upper_bound():
 # ----------------------------------------------------------------------
 # depth flow
 # ----------------------------------------------------------------------
-def run_depth_pipeline(xag, in_place=True, **caches):
+def run_depth_pipeline(xag, **caches):
     """The canonical mc-depth pipeline, as the engine runs it."""
     return run_pipeline(xag, standard_flow("mc-depth"),
-                        params=RewriteParams(objective="mc-depth",
-                                             in_place=in_place), **caches)
+                        params=RewriteParams(objective="mc-depth"), **caches)
 
 
 def test_depth_flow_reduces_depth_on_chain_circuits():
@@ -255,19 +254,29 @@ def test_depth_flow_reduces_depth_on_chain_circuits():
     lambda: C.int_to_float(),
     lambda: C.priority_encoder(16),
 ])
-def test_depth_flow_modes_reach_identical_pairs(builder):
-    """--rebuild replays the in-place trajectory with per-round A/B checks,
-    so both modes must land on the same (ANDs, depth) pair."""
+def test_depth_flow_modes_reach_identical_pairs(builder, monkeypatch):
+    """The worklist drain and rounds that examine every gate (the
+    worklist's reference, see tests/test_worklist_oracle.py) land on the
+    same (ANDs, XORs, depth, rounds)."""
     xag = builder()
-    flow_in = run_depth_pipeline(xag)
-    flow_out = run_depth_pipeline(xag, in_place=False)
-    assert (flow_in.final.num_ands, flow_in.depth_after) == \
-        (flow_out.final.num_ands, flow_out.depth_after)
-    assert flow_in.depth_after <= flow_in.depth_before
-    assert equivalent(xag, flow_out.final)
-    # the rebuild mode actually exercised the out-of-place cross-check
-    assert any(stats.ab_checked for stats in flow_out.rounds)
-    assert not any(stats.ab_checked for stats in flow_in.rounds)
+    drained = run_depth_pipeline(xag)
+    rewrite_in_place = CutRewriter.rewrite_in_place
+    monkeypatch.setattr(
+        CutRewriter, "rewrite_in_place",
+        lambda self, network, worklist=None, snapshot=False:
+            rewrite_in_place(self, network, None, snapshot))
+    every_gate = run_depth_pipeline(xag)
+
+    def summary(flow):
+        return (flow.final.num_ands, flow.final.num_xors, flow.depth_after,
+                len(flow.rounds))
+
+    assert summary(drained) == summary(every_gate)
+    assert drained.depth_after <= drained.depth_before
+    assert equivalent(xag, drained.final)
+    # the worklist actually restricted later rounds
+    assert any(stats.worklist_size for stats in drained.rounds)
+    assert not any(stats.worklist_size for stats in every_gate.rounds)
 
 
 def test_depth_flow_never_loses_to_mc_on_depth():

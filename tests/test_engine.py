@@ -436,6 +436,15 @@ def test_cli_rejects_removed_result_cache_flag(capsys):
     assert "--result-cache" in capsys.readouterr().err
 
 
+def test_cli_rejects_removed_rebuild_flag(capsys):
+    """Rewrites are applied in place only; the out-of-place rebuild flag is
+    an unknown argument (exit 2), not a silently ignored one."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--circuits", "decoder", "--rebuild"])
+    assert excinfo.value.code == 2
+    assert "--rebuild" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # worker pool (tentpole)
 # ----------------------------------------------------------------------

@@ -13,8 +13,9 @@ from repro.cuts.enumeration import CutSetCache, cut_function, enumerate_cuts
 from repro.rewriting import (CutRewriter, RewriteParams, optimize,
                              run_pipeline, standard_flow)
 from repro.xag import (BitSimulator, LevelTracker, StructHashTracker,
-                       balance_in_place, equivalent, is_swept, node_hashes,
-                       node_levels, node_values, sweep)
+                       balance_in_place, equivalent, is_swept,
+                       multiplicative_depth, node_hashes, node_levels,
+                       node_values, sweep)
 from repro.xag.equivalence import equivalence_stimulus
 from repro.xag.graph import Xag, lit_node, lit_not, literal
 
@@ -399,7 +400,7 @@ def test_in_place_flow_result_is_swept():
     """Plan-insertion orphans and dead slots are compacted by the flow."""
     for builder in (C.int_to_float, lambda: C.priority_encoder(16)):
         xag = builder()
-        result = optimize(xag, params=RewriteParams(in_place=True))
+        result = optimize(xag)
         assert is_swept(result.final)
         assert result.final.num_dead == 0
 
@@ -471,24 +472,25 @@ def test_cut_set_cache_recomputes_only_dirty_fanout():
 # ----------------------------------------------------------------------
 # rewriter parity and flow behaviour
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("builder", [
-    lambda: C.int_to_float(),
-    lambda: C.priority_encoder(16),
-    lambda: A.adder(8),
+@pytest.mark.parametrize("builder, pinned", [
+    pytest.param(C.int_to_float, (70, 71, 15, 5), id="int_to_float"),
+    pytest.param(lambda: C.priority_encoder(16), (75, 46, 16, 5),
+                 id="priority_encoder16"),
+    pytest.param(lambda: A.adder(8), (8, 43, 8, 2), id="adder8"),
 ])
-def test_in_place_and_rebuild_reach_identical_and_counts(builder):
+def test_in_place_flow_pins(builder, pinned):
+    """(ANDs, XORs, depth, rounds) of the convergence flow, pinned."""
     xag = builder()
-    res_in = optimize(xag, params=RewriteParams(in_place=True))
-    res_out = optimize(xag, params=RewriteParams(in_place=False))
-    assert equivalent(xag, res_in.final)
-    assert res_in.final.num_ands == res_out.final.num_ands
-    assert all(s.mode == "in_place" for s in res_in.rounds)
-    assert all(s.mode == "rebuild" for s in res_out.rounds)
+    result = optimize(xag)
+    final = result.final
+    assert equivalent(xag, final)
+    assert (final.num_ands, final.num_xors, multiplicative_depth(final),
+            len(result.rounds)) == pinned
 
 
 def test_in_place_flow_reports_worklist_rounds():
     xag = C.int_to_float()
-    result = optimize(xag, params=RewriteParams(in_place=True))
+    result = optimize(xag)
     assert result.rounds[0].worklist_size == 0          # first round: all gates
     assert all(s.worklist_size > 0 for s in result.rounds[1:])
     assert sum(s.substitutions for s in result.rounds) > 0
@@ -496,27 +498,23 @@ def test_in_place_flow_reports_worklist_rounds():
     assert result.converged
 
 
-def test_paper_flow_in_place_matches_rebuild():
+def test_paper_flow_in_place_pins():
     xag = C.priority_encoder(16)
-    flow_in = run_pipeline(xag, standard_flow("mc"),
-                           params=RewriteParams(in_place=True))
-    flow_out = run_pipeline(xag, standard_flow("mc"),
-                            params=RewriteParams(in_place=False))
-    assert flow_in.passes[0].ands_after == flow_out.passes[0].ands_after
-    assert flow_in.final.num_ands == flow_out.final.num_ands
-    assert all(s.mode == "rebuild" for s in flow_out.rounds)
-    assert equivalent(xag, flow_in.final)
+    flow = run_pipeline(xag, standard_flow("mc"))
+    assert flow.passes[0].ands_after == 81
+    assert (flow.final.num_ands, flow.final.num_xors) == (75, 46)
+    assert equivalent(xag, flow.final)
 
 
 def test_rewrite_does_not_mutate_input():
     xag = C.int_to_float()
     snapshot = xag.clone()
-    rewriter = CutRewriter(params=RewriteParams(in_place=True))
+    rewriter = CutRewriter()
     improved, stats = rewriter.rewrite(xag)
     assert xag.num_ands == snapshot.num_ands
     assert xag.num_nodes == snapshot.num_nodes
     assert improved.num_ands <= xag.num_ands
-    assert stats.mode == "in_place"
+    assert stats.worklist_size == 0  # every gate examined
 
 
 # ----------------------------------------------------------------------

@@ -261,6 +261,35 @@ def test_blif_reader_rejects_cyclic_covers():
         read_blif(text)
 
 
+@pytest.mark.parametrize("body, message", [
+    pytest.param(".names a b y\n1x 1", r"line 5: cover of 'y', row '1x 1'",
+                 id="unknown-pattern-symbol"),
+    pytest.param(".names a b y\n1 1", r"line 5: cover of 'y', row '1 1'.*"
+                 r"1 symbols for 2 inputs", id="pattern-too-short"),
+    pytest.param(".names a b y\n111 1", r"line 5: cover of 'y', row '111 1'"
+                 r".*3 symbols for 2 inputs", id="pattern-too-long"),
+    pytest.param(".names a b y\n11", r"line 5: cover of 'y', row '11'.*"
+                 r"output value", id="row-without-output-value"),
+    pytest.param(".names\n.names a b y\n11 1", r"line 4: \.names declares "
+                 r"no output", id="bare-names"),
+    pytest.param(".names a b y\n11 1\n.names a b y\n01 1",
+                 r"line 6: signal 'y' is already defined on line 4",
+                 id="signal-defined-twice"),
+    pytest.param(".names a b b\n11 1\n.names a b y\n11 1",
+                 r"line 4: signal 'b' is already defined on line 2",
+                 id="cover-redefines-input"),
+    pytest.param(".names c\n0\n1\n.names a c y\n11 1",
+                 r"line 6: cover of 'c', row '1'", id="constant-mixes-values"),
+])
+def test_blif_reader_rejects_malformed_covers(body, message):
+    """A malformed cover fails with its target and line: it must never
+    build a wrong network (``1x`` read as a·¬b, a short pattern as y = a, a
+    PI or a signal silently redefined) or fail without context."""
+    text = f".model m\n.inputs a b\n.outputs y\n{body}\n.end\n"
+    with pytest.raises(ValueError, match=message):
+        read_blif(text)
+
+
 # ----------------------------------------------------------------------
 # Verilog
 # ----------------------------------------------------------------------

@@ -19,13 +19,13 @@ from repro.circuits import control as C
 from repro.cuts.cache import CutFunctionCache
 from repro.cuts.enumeration import enumerate_cuts
 from repro.engine import EngineConfig
-from repro.engine.core import run_circuit, select_cases
+from repro.engine.core import run_batch, run_circuit, select_cases
 from repro.mc import McDatabase
 from repro.rewriting import (BalancePass, DepthGuard, FlowSummary,
                              OptimizationContext, PassResult, PipelineResult,
                              Repeat, RewriteParams, RewritePass,
-                             SizeBaselinePass, SweepPass, decides_in_place,
-                             optimize, parse_flow, run_pipeline, standard_flow)
+                             SizeBaselinePass, SweepPass, optimize,
+                             parse_flow, run_pipeline, standard_flow)
 from repro.xag import (BitSimulator, Xag, equivalent, multiplicative_depth,
                        node_levels)
 from repro.xag.bitsim import SimulationCache
@@ -56,6 +56,22 @@ DEPTH_GOLDEN = {
     "int2float": (70, 15),
     "router": (61, 5),
     "voter": (57, 5),
+}
+
+#: (ANDs after the baseline, ANDs, XORs, depth, rounds incl. the baseline's)
+#: of ``--suite epfl --groups control --rounds 0 --size-baseline``, with the
+#: baseline's rounds applied in place after one sweep.
+SIZE_BASELINE_GOLDEN = {
+    "arbiter":   (133, 133, 32, 21, 3),
+    "alu_ctrl":  (32, 31, 8, 5, 5),
+    "cavlc":     (93, 81, 10, 12, 7),
+    "decoder":   (92, 92, 0, 3, 3),
+    "i2c":       (227, 224, 13, 10, 3),
+    "int2float": (74, 71, 66, 15, 6),
+    "mem_ctrl":  (254, 249, 20, 10, 4),
+    "priority":  (197, 195, 134, 32, 6),
+    "router":    (61, 61, 5, 6, 4),
+    "voter":     (57, 57, 223, 5, 3),
 }
 
 _DB = McDatabase()
@@ -103,31 +119,6 @@ def test_depth_flow_never_regresses_prerefactor_pairs(name):
     assert flow.final.num_ands <= golden_ands
     assert flow.depth_after <= golden_depth
     assert equivalent(xag, flow.final)
-
-
-def test_depth_flow_rebuild_replays_in_place_rounds():
-    """in_place=False on a depth flow replays the in-place trajectory under
-    per-round A/B checks instead of forking a rebuild trajectory."""
-    xag = C.int_to_float()
-    passes = standard_flow("mc-depth", max_rounds=2)
-    in_place = run_pipeline(xag, passes,
-                            params=RewriteParams(objective="mc-depth"))
-    replay = run_pipeline(xag, passes, params=RewriteParams(
-        objective="mc-depth", in_place=False))
-    assert any(stats.ab_checked for stats in replay.rounds)
-    assert all(stats.mode == "in_place" for stats in replay.rounds)
-    assert not any(stats.ab_checked for stats in in_place.rounds)
-    assert (replay.final.num_ands, replay.depth_after) == \
-        (in_place.final.num_ands, in_place.depth_after)
-
-
-def test_decides_in_place_rule():
-    assert not decides_in_place(parse_flow("mc,mc*,size*"))
-    assert decides_in_place(parse_flow("repeat(balance,guard(mc*))"))
-    assert decides_in_place(parse_flow("sweep,repeat(mc,fhe*)"))
-    # a rewrite pass without an objective is priced by the context's model
-    assert not decides_in_place([RewritePass()])
-    assert decides_in_place([RewritePass()], objective="mc-depth")
 
 
 # ----------------------------------------------------------------------
@@ -198,11 +189,10 @@ def test_shared_context_caches_match_fresh_after_pass_sequences(seed):
     assert checked > 0
 
 
-def test_rebuild_mode_pipeline_never_mutates_the_input():
-    """Regression: a rebuild-mode rewrite round that makes no progress hands
-    the context back the very network it was given — which may still alias
-    the caller's input — and a later mutating pass (balance) must clone it
-    instead of editing the caller's network in place."""
+def test_pipeline_never_mutates_the_input():
+    """A rewrite round that makes no progress followed by a mutating pass
+    (balance) must leave the caller's network untouched: the working
+    network is an owned copy."""
     xag = Xag()
     pis = xag.create_pis(8)
     acc = pis[0]
@@ -210,8 +200,7 @@ def test_rebuild_mode_pipeline_never_mutates_the_input():
         acc = xag.create_and(acc, pi)
     xag.create_po(acc, "all")
     depth_before = multiplicative_depth(xag)
-    result = run_pipeline(xag, parse_flow("mc,balance"),
-                          params=RewriteParams(in_place=False))
+    result = run_pipeline(xag, parse_flow("mc,balance"))
     assert multiplicative_depth(xag) == depth_before, \
         "run_pipeline mutated the caller's input network"
     assert result.final is not xag
@@ -316,6 +305,18 @@ def test_size_baseline_pass_keeps_behaviour():
     assert equivalent(xag, result.final)
 
 
+def test_size_baseline_pins_on_the_control_group():
+    batch = run_batch(EngineConfig(suites=("epfl",), groups=["control"],
+                                   size_baseline=True, max_rounds=None))
+    assert not batch.failed
+    measured = {report.name: (report.ands_before, report.ands_after,
+                              report.xors_after, report.depth_after,
+                              len(report.rounds))
+                for report in batch.reports}
+    assert measured == SIZE_BASELINE_GOLDEN
+    assert all(report.verified for report in batch.reports)
+
+
 # ----------------------------------------------------------------------
 # engine integration
 # ----------------------------------------------------------------------
@@ -384,20 +385,5 @@ def test_size_baseline_not_duplicated_for_nested_baseline_step():
 
 
 def test_run_batch_rejects_bad_flow_script():
-    from repro.engine.core import run_batch
-
     with pytest.raises(ValueError, match="flow script"):
         run_batch(EngineConfig(circuits=["int2float"], flow="warp-speed"))
-
-
-def test_run_circuit_guarded_flow_forces_inplace_replay():
-    """A custom guarded flow under --rebuild replays in place with per-round
-    A/B cross-checks, like the canonical depth flow."""
-    case = _control_case("router")
-    report = run_circuit(case, EngineConfig(
-        circuits=["router"], in_place=False, max_rounds=2,
-        flow="balance,guard(mc*2),mc-depth*2"))
-    assert report.error is None
-    assert report.depth_after <= report.depth_before
-    assert all(stats.mode == "in_place" for stats in report.rounds)
-    assert any(stats.ab_checked for stats in report.rounds)

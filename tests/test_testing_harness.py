@@ -1,11 +1,12 @@
 """The differential harness itself: generators, oracle, shrinker, diff runner.
 
-The centrepiece is the fault-injection test: a deliberately broken
-worklist-seeding step (substitutions no longer seed the dirty worklist, so
-in-place convergence stalls after the first round) must be *caught* by
-:func:`repro.testing.diff.check_modes` as an in-place-vs-rebuild divergence,
+The centrepiece is the fault-injection test: a deliberately broken plan
+insertion (every inserted plan computes the complement of its cut
+function) must be *caught* by :func:`repro.testing.diff.check_modes`,
 *shrunk* to a small reproducer on disk, and the reproducer must *replay
-clean* once the fault is removed.
+clean* once the fault is removed.  A stale dirty-node worklist is caught
+elsewhere: ``tests/test_worklist_oracle.py`` compares every flow with
+rounds that examine every gate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 
 import pytest
 
-from repro.rewriting.pipeline import OptimizationContext
+from repro.rewriting import rewrite as rewrite_module
 from repro.testing import (assert_equivalent, find_counterexample,
                            full_adder_naive, random_xag, seeded_xag,
                            shrink_xag)
@@ -194,32 +195,29 @@ def test_run_diff_honours_time_budget(tmp_path):
 # fault injection: the harness must catch, shrink and replay
 # ----------------------------------------------------------------------
 @pytest.fixture
-def broken_worklist_seeding(monkeypatch):
-    """Substitutions stop seeding the dirty worklist (a convergence fault).
-
-    With empty seeds the in-place convergence loop finds nothing to revisit
-    after round one, while the rebuild mode re-enumerates every node each
-    round — the two trajectories drift apart on multi-round flows.
-    """
-    original = OptimizationContext.set_seeds
+def complemented_plans(monkeypatch):
+    """Every inserted plan computes the complement of its cut function (a
+    miscompiled recipe): the first applied rewrite changes the function."""
+    original = rewrite_module.insert_plan
     monkeypatch.setattr(
-        OptimizationContext, "set_seeds",
-        lambda self, seeds, objective: original(self, set(), objective))
+        rewrite_module, "insert_plan",
+        lambda xag, plan, leaves: original(xag, plan, leaves) ^ 1)
     return original
 
 
-def test_injected_fault_is_caught(broken_worklist_seeding):
-    # seed 10 is a pinned reproducer of the seeding fault (12 and 16 also
-    # diverge in the first twenty seeds)
+def test_injected_fault_is_caught(complemented_plans):
     xag = seeded_xag(10, **generator_knobs(10))
     failures = check_modes(xag, "mc,mc*", num_random_words=8)
-    assert failures, "the seeding fault must be detected"
-    assert any("in-place vs rebuild mismatch" in failure
+    assert failures, "the plan fault must be detected"
+    # both legs run the faulty rewriter; the per-round check stops each
+    assert {failure.split(":")[0] for failure in failures} == \
+        {"shared", "fresh"}
+    assert all("changed the network function" in failure
                for failure in failures)
 
 
 def test_injected_fault_is_shrunk_and_replays_clean(tmp_path, monkeypatch,
-                                                    broken_worklist_seeding):
+                                                    complemented_plans):
     config = DiffConfig(flows=("mc,mc*",), seeds=1, seed_start=10,
                         num_random_words=8, shrink_budget=60,
                         output_dir=tmp_path)
@@ -227,7 +225,7 @@ def test_injected_fault_is_shrunk_and_replays_clean(tmp_path, monkeypatch,
     assert len(report.divergences) == 1
     outcome = report.divergences[0]
     assert outcome.seed == 10
-    assert any("in-place vs rebuild mismatch" in failure
+    assert any("changed the network function" in failure
                for failure in outcome.failures)
 
     payload, shrunk = load_reproducer(outcome.reproducer)
@@ -240,8 +238,7 @@ def test_injected_fault_is_shrunk_and_replays_clean(tmp_path, monkeypatch,
                  "--num-random-words", "8"]) == 1
 
     # ...and once the fault is fixed the stored reproducer replays clean
-    monkeypatch.setattr(OptimizationContext, "set_seeds",
-                        broken_worklist_seeding)
+    monkeypatch.setattr(rewrite_module, "insert_plan", complemented_plans)
     assert replay_reproducer(outcome.reproducer, num_random_words=8) == []
     assert main(["--replay", outcome.reproducer,
                  "--num-random-words", "8"]) == 0
