@@ -32,7 +32,6 @@ from repro.engine import EngineConfig
 from repro.engine.core import run_circuit, select_cases
 from repro.mc import McDatabase
 from repro.rewriting import cost_model
-from repro.xag.bitsim import SimulationCache
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -48,7 +47,6 @@ MC_GOLDEN = {"int2float": (72, 15), "router": (61, 6)}
 
 _DB = McDatabase()
 _CUT_CACHE = CutFunctionCache(_DB)
-_SIM_CACHE = SimulationCache()
 _ROWS = {}
 
 
@@ -67,8 +65,7 @@ def _run_row(name, suite):
         config = EngineConfig(suites=(suite,), circuits=[name],
                               objective=objective, max_rounds=cap)
         start = time.perf_counter()
-        report = run_circuit(case, config, cut_cache=_CUT_CACHE,
-                             sim_cache=_SIM_CACHE)
+        report = run_circuit(case, config, cut_cache=_CUT_CACHE)
         seconds = time.perf_counter() - start
         assert report.error is None, f"{name}/{objective}: {report.error}"
         row["initial"] = (report.ands_before, report.depth_before)

@@ -35,7 +35,6 @@ from repro.engine.core import select_cases
 from repro.mc import McDatabase
 from repro.rewriting import RewriteParams, optimize, run_pipeline, standard_flow
 from repro.xag import equivalent, multiplicative_depth
-from repro.xag.bitsim import SimulationCache
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -46,7 +45,6 @@ CRYPTO = ["adder_32", "comparator_ult_32", "multiplier_32", "md5", "sha1"]
 
 _DB = McDatabase()
 _CUT_CACHE = CutFunctionCache(_DB)
-_SIM_CACHE = SimulationCache()
 _ROWS = []
 
 
@@ -73,13 +71,12 @@ def _run_row(name, suite):
 
     start = time.perf_counter()
     mc = optimize(xag, params=mc_params, max_rounds=cap,
-                  cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+                  cut_cache=_CUT_CACHE)
     mc_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     df = _depth_pipeline(xag, max_rounds=cap, max_iterations=4,
-                         verify=verify, cut_cache=_CUT_CACHE,
-                         sim_cache=_SIM_CACHE)
+                         verify=verify, cut_cache=_CUT_CACHE)
     df_seconds = time.perf_counter() - start
 
     pair = (df.final.num_ands, df.depth_after)

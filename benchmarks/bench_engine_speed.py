@@ -6,8 +6,8 @@ The seed implementation paid three recurring costs in every rewriting round:
   per-row Python loop inside every transform application;
 * equivalence checking simulated the full network once per 64-bit random
   word (64 passes per check);
-* nothing was shared across rounds — plans, classifications and simulation
-  values were rebuilt from scratch.
+* nothing was shared across rounds — plans and classifications were
+  rebuilt from scratch.
 
 This benchmark keeps faithful copies of the seed kernels (below, verbatim
 from the seed sources) and races them against the new stack on an EPFL
@@ -32,8 +32,7 @@ from repro.rewriting import CutRewriter, RewriteParams, optimize
 from repro.tt.bits import bit_of, num_bits
 from repro.tt.operations import apply_output_affine
 from repro.xag import equivalent
-from repro.xag.bitsim import BitSimulator
-from repro.xag.simulate import node_values, simulate_words
+from repro.xag.simulate import simulate_words
 
 RESULTS_DIR = Path(__file__).parent / "results"
 _LINES = []
@@ -153,30 +152,6 @@ def test_packed_verification_faster_than_per_word():
     assert packed_seconds * 3 < seed_seconds
 
 
-def test_incremental_sync_avoids_full_resimulation():
-    """Appending gates must simulate only the new suffix, not the network."""
-    xag = C.priority_encoder(32)
-    rng = random.Random(1)
-    words = [rng.getrandbits(256) for _ in range(xag.num_pis)]
-    mask = (1 << 256) - 1
-
-    sim = BitSimulator(xag, words, mask)
-    sim.sync()
-    baseline_updates = sim.full_updates
-    assert baseline_updates == xag.num_nodes
-
-    pis = xag.pi_literals()
-    extra = xag.create_and(xag.create_xor(pis[0], pis[1]), pis[2])
-    xag.create_po(extra, "probe")
-    sim.sync()
-    appended = sim.full_updates - baseline_updates
-    assert appended == xag.num_nodes - baseline_updates  # suffix only
-    assert appended <= 2
-    assert sim.values() == node_values(xag, words, mask)
-    _LINES.append(f"| incremental sync after append | {xag.num_nodes} nodes "
-                  f"| {appended} nodes | {xag.num_nodes / max(1, appended):.0f}x |")
-
-
 def test_engine_speed_report():
     if not _LINES:
         return
@@ -187,7 +162,7 @@ def test_engine_speed_report():
          f"`{kernels.backend_name()}` kernel backend "
          "(`repro.kernels`); both backends produce bit-identical results, "
          "only the timings depend on the backend.", "",
-         "| measurement | seed / full | new / incremental | speedup |",
+         "| measurement | seed | new | speedup |",
          "| --- | --- | --- | --- |"] + _LINES) + "\n"
     (RESULTS_DIR / "engine_speed.md").write_text(body)
     print("\n" + body)

@@ -111,7 +111,7 @@ class CutFunctionCache:
         network are meaningless; binding to a new network drops them, as
         does a rollback of the bound network (rollback recycles node
         indices — detected via the network's rollback epoch, exactly like
-        :meth:`repro.xag.bitsim.BitSimulator.sync`).  In-place substitutions
+        :meth:`repro.xag.levels.LevelTracker.sync`).  In-place substitutions
         of the bound network do *not* drop the memo: the cache records the
         nodes each one changed, and the first bind after them removes only
         the entries whose cone may contain such a node (the roots in their

@@ -8,8 +8,10 @@ most ``cut_limit`` cuts per node (paper §4.1 uses ``cut_size = 6`` and
 merge step but is not reported to the rewriter.
 
 Cut functions are not computed during enumeration; they are evaluated on
-demand by simulating the cut cone with projection truth tables, which is much
-cheaper in pure Python than maintaining tables through every merge.  A
+demand by simulating the cut cone with projection truth tables.  Carrying
+a table with every kept cut through the merge instead measured about even
+in pure Python: it computes about twice as many tables as the on-demand
+path simulates, and saves the cone walks that simulation needs.  A
 shared :class:`repro.cuts.cache.CutFunctionCache` memoises the simulated
 tables per ``(root, leaves)`` across the rounds of a flow.
 """

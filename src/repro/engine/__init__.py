@@ -4,9 +4,9 @@
 pipelines of :mod:`repro.rewriting.pipeline`: it resolves benchmark suites
 (EPFL Table 1, MPC/FHE Table 2), runs
 :func:`repro.rewriting.pipeline.run_pipeline` over every selected circuit
-with **one shared MC database, one shared cut-function cache and one
-shared simulation cache**, collects per-stage timings (build, one round,
-convergence, verification), and renders the batch as a report.
+with **one shared MC database and one shared cut-function cache**,
+collects per-stage timings (build, one round, convergence, verification),
+and renders the batch as a report.
 
 The engine scales past a single process along two axes: warm-start bundles
 (``EngineConfig.warm_start`` / ``EngineConfig.persist``, CLI ``--db``)

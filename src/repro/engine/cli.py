@@ -221,8 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "warm_start_loaded": batch.warm_start_loaded,
                 "database": batch.database_stats,
                 "cut_cache": batch.cut_cache_stats,
-                "sim_cache": {"hits": batch.sim_cache_hits,
-                              "misses": batch.sim_cache_misses},
                 # scheduling observability: the slowest per-case wall times
                 "slowest_cases": [
                     {"name": name, "seconds": seconds}

@@ -8,9 +8,11 @@ workloads amortises every piece of reusable state:
 * one :class:`repro.cuts.cache.CutFunctionCache` — implementation plans are
   keyed by truth table and are network independent, so recurring cut
   functions (carry chains, S-box slices) resolve with a single dict hit
-  across the whole batch;
-* one :class:`repro.xag.bitsim.SimulationCache` — each intermediate network
-  of a convergence loop is bit-parallel-simulated at most once.
+  across the whole batch.
+
+Per-network state (cut sets, levels, the verification simulator) lives in
+each circuit's own :class:`repro.rewriting.pipeline.OptimizationContext`
+and is released when its pipeline ends.
 
 Two scaling axes extend the amortisation beyond a single process:
 
@@ -55,7 +57,6 @@ from repro.rewriting.pipeline import (FlowSummary, Pass, PipelineResult,
                                       flow_script, parse_flow, run_pipeline,
                                       standard_flow)
 from repro.rewriting.rewrite import RewriteParams, RoundStats
-from repro.xag.bitsim import SimulationCache
 
 #: suite name → registry loader.
 SUITES = {
@@ -191,8 +192,6 @@ class BatchReport:
     reports: List[CircuitReport] = field(default_factory=list)
     database_stats: Dict[str, float] = field(default_factory=dict)
     cut_cache_stats: Dict[str, float] = field(default_factory=dict)
-    sim_cache_hits: int = 0
-    sim_cache_misses: int = 0
     total_seconds: float = 0.0
     #: requested job count after auto-resolution (``jobs=0`` reports the CPU
     #: count it resolved to); the pool may use fewer — see :attr:`workers`.
@@ -295,8 +294,7 @@ class BatchReport:
             f"{plan_hits:.0f} hits / {plan_misses:.0f} misses "
             f"({round(100 * plan_rate)}% hit rate), {plans_pruned:.0f} pruned | db "
             f"{self.database_stats.get('stored_recipes', 0):.0f} recipes / "
-            f"{self.database_stats.get('synthesis_calls', 0):.0f} synthesis calls | "
-            f"sim cache {self.sim_cache_hits} hits / {self.sim_cache_misses} misses")
+            f"{self.database_stats.get('synthesis_calls', 0):.0f} synthesis calls")
         return "\n".join(lines)
 
 
@@ -369,8 +367,7 @@ def resolved_flow(config: EngineConfig) -> str:
 
 def run_circuit(case: BenchmarkCase, config: EngineConfig,
                 database: Optional[McDatabase] = None,
-                cut_cache: Optional[CutFunctionCache] = None,
-                sim_cache: Optional[SimulationCache] = None) -> CircuitReport:
+                cut_cache: Optional[CutFunctionCache] = None) -> CircuitReport:
     """Run the configured pipeline on one benchmark case, timing every stage.
 
     One generic path for every flow: the pipeline (canonical per objective,
@@ -381,7 +378,6 @@ def run_circuit(case: BenchmarkCase, config: EngineConfig,
     """
     report = CircuitReport(name=case.name, group=case.group)
     cut_cache = CutFunctionCache.ensure(cut_cache, database)
-    sim_cache = sim_cache if sim_cache is not None else SimulationCache()
     try:
         model = cost_model(config.objective)
         report.cost_model = model.name
@@ -398,7 +394,7 @@ def run_circuit(case: BenchmarkCase, config: EngineConfig,
                                objective=config.objective, verify=verify)
         result: PipelineResult = run_pipeline(
             xag, passes, database=database, params=params,
-            cut_cache=cut_cache, sim_cache=sim_cache)
+            cut_cache=cut_cache)
 
         report.ands_before = result.initial.num_ands
         report.xors_before = result.initial.num_xors
@@ -528,10 +524,6 @@ def _aggregate_worker_stats(batch: BatchReport, database: McDatabase,
         [worker["database"] for worker in batch.worker_stats], merged)
     batch.cut_cache_stats = _sum_counters(
         [worker["cut_cache"] for worker in batch.worker_stats], merged)
-    batch.sim_cache_hits = sum(worker["sim_cache"]["hits"]
-                               for worker in batch.worker_stats)
-    batch.sim_cache_misses = sum(worker["sim_cache"]["misses"]
-                                 for worker in batch.worker_stats)
 
 
 def run_batch(config: Optional[EngineConfig] = None,
@@ -559,7 +551,6 @@ def run_batch(config: Optional[EngineConfig] = None,
         parse_flow(config.flow)
     database = database if database is not None else McDatabase()
     cut_cache = CutFunctionCache(database)
-    sim_cache = SimulationCache()
     batch = BatchReport(config=config, backend=backend)
     start = time.perf_counter()
     with kernels.use_backend(backend):
@@ -575,12 +566,9 @@ def run_batch(config: Optional[EngineConfig] = None,
         else:
             for case in cases:
                 batch.reports.append(
-                    run_circuit(case, config, cut_cache=cut_cache,
-                                sim_cache=sim_cache))
+                    run_circuit(case, config, cut_cache=cut_cache))
             batch.database_stats = database.stats()
             batch.cut_cache_stats = cut_cache.stats()
-            batch.sim_cache_hits = sim_cache.hits
-            batch.sim_cache_misses = sim_cache.misses
     batch.total_seconds = time.perf_counter() - start
     if config.persist is not None:
         persist_warm_start(config.persist, database, cut_cache)

@@ -49,7 +49,6 @@ from repro import kernels
 from repro.circuits.benchmark_case import BenchmarkCase
 from repro.cuts.cache import CutFunctionCache
 from repro.mc.database import BundleCursor, McDatabase
-from repro.xag.bitsim import SimulationCache
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle guard)
     from repro.engine.core import BatchReport, CircuitReport, EngineConfig
@@ -176,7 +175,7 @@ class DeltaCursor:
 class _WorkerState:
     """One pool worker's long-lived execution state.
 
-    Owns the worker's cache trio for the whole pool run (so learnt state
+    Owns the worker's shared caches for the whole pool run (so learnt state
     accumulates across the cases the worker is handed), installs the seed
     bundle exactly once at construction, and exposes the pull / run / push
     cycle the message loop drives.  Kept separate from the process plumbing
@@ -189,7 +188,6 @@ class _WorkerState:
         self.config = config
         self.database = McDatabase(use_classification=use_classification)
         self.cut_cache = CutFunctionCache(self.database)
-        self.sim_cache = SimulationCache()
         if seed_bundle is not None:
             # the parent already validated the bundle (or built it itself)
             install_delta(seed_bundle, self.database, self.cut_cache)
@@ -211,7 +209,7 @@ class _WorkerState:
         """Run one named case over the worker's shared caches."""
         from repro.engine.core import run_circuit
         return run_circuit(self.cases[name], self.config,
-                           cut_cache=self.cut_cache, sim_cache=self.sim_cache)
+                           cut_cache=self.cut_cache)
 
     def push(self) -> Optional[Dict]:
         """Delta of everything newly learnt since the last push."""
@@ -222,8 +220,6 @@ class _WorkerState:
         return {
             "database": self.database.stats(),
             "cut_cache": self.cut_cache.stats(),
-            "sim_cache": {"hits": self.sim_cache.hits,
-                          "misses": self.sim_cache.misses},
         }
 
 

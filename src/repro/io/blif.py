@@ -18,27 +18,46 @@ from repro.xag.graph import Xag, lit_complemented, lit_node
 
 
 def write_blif(xag: Xag, model_name: Optional[str] = None) -> str:
-    """Serialise a network as BLIF text."""
+    """Serialise a network as BLIF text.
+
+    Internal signals (gates, the constant) get names no port uses, so ports
+    named like internal signals still write text :func:`read_blif` rebuilds.
+    An output named after its own source signal (an input listed as an
+    output) needs no buffer cover.  BLIF gives one signal per name, so two
+    outputs that share a name must share a literal, and an output named
+    after an input must be that input; anything else raises ``ValueError``.
+    """
     name = model_name if model_name is not None else (xag.name or "xag")
     lines = [f".model {name}"]
     lines.append(".inputs " + " ".join(xag.pi_name(i) for i in range(xag.num_pis)))
     lines.append(".outputs " + " ".join(xag.po_name(i) for i in range(xag.num_pos)))
+    used = set(xag.pi_names()) | set(xag.po_names())
 
-    signal_names: Dict[int, str] = {0: "const0"}
-    # the const0 driver must be declared whenever *anything* — a primary
+    def fresh(base: str) -> str:
+        while base in used:
+            base += "_"
+        used.add(base)
+        return base
+
+    signal_names: Dict[int, str] = {}
+    # the constant driver must be declared whenever *anything* — a primary
     # output or a gate fan-in — reads node 0, else the emitted BLIF
     # references an undeclared signal.
     uses_constant = any(lit_node(lit) == 0 for lit in xag.po_literals()) or any(
         lit_node(fanin) == 0
         for node in xag.gates() for fanin in xag.fanins(node))
     if uses_constant:
-        lines.append(".names const0")  # empty cover = constant 0
+        signal_names[0] = fresh("const0")
+        lines.append(f".names {signal_names[0]}")  # empty cover = constant 0
+    #: signal name → the literal it carries (inputs, then output buffers).
+    named: Dict[str, int] = {}
     for index, node in enumerate(xag.pis()):
         signal_names[node] = xag.pi_name(index)
+        named[xag.pi_name(index)] = node << 1
 
     for node in xag.gates():
         f0, f1 = xag.fanins(node)
-        gate_name = f"n{node}"
+        gate_name = fresh(f"n{node}")
         signal_names[node] = gate_name
         in0 = signal_names[lit_node(f0)]
         in1 = signal_names[lit_node(f1)]
@@ -56,6 +75,12 @@ def write_blif(xag: Xag, model_name: Optional[str] = None) -> str:
 
     for index, lit in enumerate(xag.po_literals()):
         out_name = xag.po_name(index)
+        if out_name in named:
+            if named[out_name] != lit:
+                raise ValueError(f"BLIF cannot name two different signals "
+                                 f"{out_name!r} (output {index})")
+            continue
+        named[out_name] = lit
         source = signal_names[lit_node(lit)]
         lines.append(f".names {source} {out_name}")
         lines.append("0 1" if lit_complemented(lit) else "1 1")

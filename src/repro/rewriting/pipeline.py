@@ -6,15 +6,15 @@ depth-aware flow.  This module composes every recipe from three orthogonal
 ideas, and :func:`run_pipeline` is the one function that runs them:
 
 * :class:`OptimizationContext` — owns the working :class:`~repro.xag.graph.Xag`
-  together with the full subscriber-cache trio (packed simulation words via
-  :class:`~repro.xag.bitsim.SimulationCache`, incremental cut sets via
-  :class:`~repro.cuts.enumeration.CutSetCache`, memoised cone functions and
-  plans via :class:`~repro.cuts.cache.CutFunctionCache`, maintained AND
-  levels via :class:`~repro.xag.levels.LevelCache`), constructed **once** and
-  shared by every pass.  Because the context also carries the dirty-node
-  worklist between passes, a multi-stage flow drains one persistent
-  event-driven worklist instead of re-enumerating the whole network at each
-  stage boundary.
+  together with the caches that subscribe to its edits (incremental cut
+  sets via :class:`~repro.cuts.enumeration.CutSetCache`, memoised cone
+  functions and plans via :class:`~repro.cuts.cache.CutFunctionCache`,
+  maintained AND levels via :class:`~repro.xag.levels.LevelCache`, the
+  verification simulator via :class:`~repro.xag.bitsim.SimulationCache`),
+  constructed **once** and shared by every pass.  Because the context also
+  carries the dirty-node worklist between passes, a multi-stage flow drains
+  one persistent event-driven worklist instead of re-enumerating the whole
+  network at each stage boundary.
 
 * :class:`Pass` — the unit of composition: ``run(ctx) -> PassResult`` with
   uniform statistics (counts, depth, rounds, balance stats, timing,
@@ -194,8 +194,8 @@ class OptimizationContext:
     or a restored snapshot), so the subscriber caches survive across pass
     boundaries:
 
-    * :attr:`sim_cache` keeps the packed simulation words of the working
-      network alive (the per-round equivalence check is two PO-word reads);
+    * :attr:`sim_cache` holds the simulator of the working network: the
+      per-round equivalence check re-simulates it once per changing round;
     * :attr:`cut_sets` maintains cut sets incrementally across substitutions;
     * :attr:`cut_cache` memoises cone functions per node and implementation
       plans per truth table;
@@ -211,12 +211,11 @@ class OptimizationContext:
 
     def __init__(self, xag: Xag, database: Optional[McDatabase] = None,
                  params: Optional[RewriteParams] = None,
-                 cut_cache: Optional[CutFunctionCache] = None,
-                 sim_cache: Optional[SimulationCache] = None) -> None:
+                 cut_cache: Optional[CutFunctionCache] = None) -> None:
         self.params = params if params is not None else RewriteParams()
         self.cut_cache = CutFunctionCache.ensure(cut_cache, database)
         self.database = self.cut_cache.database
-        self.sim_cache = sim_cache if sim_cache is not None else SimulationCache()
+        self.sim_cache = SimulationCache()
         self.cut_sets = CutSetCache(cut_size=self.params.cut_size,
                                     cut_limit=self.params.cut_limit)
         self.levels = LevelCache(and_only=True)
@@ -418,8 +417,8 @@ class SweepPass(Pass):
 class BalancePass(Pass):
     """AND/XOR tree rebalancing (:func:`repro.xag.balance.balance_in_place`).
 
-    Runs in place through ``substitute_node`` so the context's packed
-    simulation words and maintained levels stay valid on the same network
+    Runs in place through ``substitute_node`` so the context's maintained
+    levels and verification simulator follow the edits of the same network
     object.  A rebalanced tree dirties cones the worklist cannot describe
     cheaply, so any rebalancing clears the worklist.
     """
@@ -623,12 +622,11 @@ class Repeat(Pass):
     kind = "repeat"
 
     def __init__(self, passes: Sequence[Pass], max_iterations: int = 8,
-                 until_fixpoint: bool = True, name: str = "repeat") -> None:
+                 name: str = "repeat") -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         self.passes = list(passes)
         self.max_iterations = max_iterations
-        self.until_fixpoint = until_fixpoint
         self.name = name
 
     def run(self, ctx: OptimizationContext) -> PassResult:
@@ -645,8 +643,7 @@ class Repeat(Pass):
                 result.balance.extend(child.balance)
                 result.discarded_rounds += child.discarded_rounds
                 changed = changed or child.changed
-            if self.until_fixpoint and not changed \
-                    and ctx.score() == score_before:
+            if not changed and ctx.score() == score_before:
                 break
         return self.complete(ctx, result, start)
 
@@ -729,15 +726,14 @@ class PipelineResult(FlowSummary):
 def run_pipeline(xag: Xag, passes: Sequence[Pass],
                  database: Optional[McDatabase] = None,
                  params: Optional[RewriteParams] = None,
-                 cut_cache: Optional[CutFunctionCache] = None,
-                 sim_cache: Optional[SimulationCache] = None) -> PipelineResult:
+                 cut_cache: Optional[CutFunctionCache] = None) -> PipelineResult:
     """Run ``passes`` over one shared :class:`OptimizationContext`.
 
     The input network is never modified.
     """
     start = time.perf_counter()
     ctx = OptimizationContext(xag, database=database, params=params,
-                              cut_cache=cut_cache, sim_cache=sim_cache)
+                              cut_cache=cut_cache)
     results = [pass_.run(ctx) for pass_ in passes]
     return PipelineResult(initial=ctx.initial, final=ctx.finish(),
                           passes=results,
@@ -747,19 +743,18 @@ def run_pipeline(xag: Xag, passes: Sequence[Pass],
 def optimize(xag: Xag, database: Optional[McDatabase] = None,
              params: Optional[RewriteParams] = None,
              max_rounds: Optional[int] = None,
-             cut_cache: Optional[CutFunctionCache] = None,
-             sim_cache: Optional[SimulationCache] = None) -> PipelineResult:
+             cut_cache: Optional[CutFunctionCache] = None) -> PipelineResult:
     """Repeat cut rewriting until no improvement (or ``max_rounds``).
 
     Shorthand for :func:`run_pipeline` over one :class:`RewritePass` priced
-    by ``params.objective`` ("mc" by default).  ``cut_cache`` / ``sim_cache``
-    may pass caches shared with other runs (the engine shares them across a
-    whole batch of circuits); fresh ones are created otherwise, so plans and
-    simulation values are still reused between the rounds of this call.
+    by ``params.objective`` ("mc" by default).  ``cut_cache`` may pass a
+    plan memo shared with other runs (the engine shares one across a whole
+    batch of circuits); a fresh one is created otherwise, so plans are still
+    reused between the rounds of this call.
     """
     return run_pipeline(xag, [RewritePass(max_rounds=max_rounds)],
                         database=database, params=params,
-                        cut_cache=cut_cache, sim_cache=sim_cache)
+                        cut_cache=cut_cache)
 
 
 def standard_flow(objective: Union[str, CostModel] = "mc",

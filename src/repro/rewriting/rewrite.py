@@ -37,8 +37,9 @@ functions are classified and synthesised.
 leaves inside the *same* network and the root is replaced via
 :meth:`repro.xag.graph.Xag.substitute_node` — fan-outs and primary outputs
 are rewired, the displaced MFFC is dereferenced, and subscribed observers
-(packed simulation words, memoised cone functions, cut sets, levels) are
-invalidated per node instead of wholesale.  Roots are applied in completion
+see each edit: memoised cone functions, cut sets and levels are invalidated
+per node, the packed simulation words wholesale (the round's equivalence
+check re-simulates the network once).  Roots are applied in completion
 order of a walk from the primary outputs that descends through a selected
 root's cut leaves (:meth:`CutRewriter._applied_roots`), so every leaf is
 final before its root is replaced.
@@ -138,8 +139,7 @@ class RoundStats:
     runtime_seconds: float = 0.0
     #: time spent inside the equivalence check (included in runtime_seconds).
     verify_seconds: float = 0.0
-    #: cut-cache traffic of this round (deltas of the shared cache counters).
-    function_cache_hits: int = 0
+    #: plan-memo traffic of this round (deltas of the shared cache counters).
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     verified: Optional[bool] = None
@@ -155,12 +155,11 @@ class RoundStats:
     #: Phase-1 / Phase-2 wall clock (both included in runtime_seconds).
     select_seconds: float = 0.0
     apply_seconds: float = 0.0
-    #: substitutions performed (incl. cascaded collapses), gates recomputed
-    #: by the incremental simulator, and the number of dirty-worklist nodes
-    #: this round was restricted to (0 = all gates).
+    #: substitutions performed (incl. cascaded collapses).
     substitutions: int = 0
-    nodes_resimulated: int = 0
-    worklist_size: int = 0
+    #: dirty-worklist nodes this round was restricted to (``None`` = a
+    #: round that examined every gate; ``0`` = an empty worklist).
+    worklist_size: Optional[int] = None
 
     @property
     def and_improvement(self) -> float:
@@ -276,20 +275,18 @@ class CutRewriter:
         model = self._model()
         stats = RoundStats(ands_before=xag.num_ands, xors_before=xag.num_xors,
                            objective=model.name,
-                           worklist_size=len(worklist) if worklist is not None else 0)
+                           worklist_size=None if worklist is None else len(worklist))
         start = time.perf_counter()
         if model.depth_aware:
             stats.depth_before = self._levels(xag).critical_level()
 
         sim = None
         po_before: Optional[List[int]] = None
-        resim_before = 0
         if self.params.verify:
             verify_start = time.perf_counter()
             words, mask, _ = equivalence_stimulus(xag.num_pis)
             sim = self.sim_cache.simulator(xag, words, mask)
             po_before = sim.po_snapshot()
-            resim_before = sim.incremental_updates
             stats.verify_seconds += time.perf_counter() - verify_start
 
         selections = self._select_candidates(xag, stats, worklist=worklist)
@@ -309,7 +306,6 @@ class CutRewriter:
             verify_start = time.perf_counter()
             assert sim is not None and po_before is not None
             stats.verified = sim.po_matches(po_before)
-            stats.nodes_resimulated = sim.incremental_updates - resim_before
             stats.verify_seconds += time.perf_counter() - verify_start
             if not stats.verified:
                 raise AssertionError("cut rewriting changed the network function")
@@ -327,7 +323,6 @@ class CutRewriter:
         selections: Dict[int, Candidate] = {}
         cache = self.cut_cache
         cache.bind(xag)
-        function_hits_before = cache.function_hits
         plan_hits_before = cache.plan_hits
         plan_misses_before = cache.plan_misses
         depth_aware = model.depth_aware
@@ -446,7 +441,6 @@ class CutRewriter:
             if best is not None:
                 selections[node] = best
                 stats.rewrites_selected += 1
-        stats.function_cache_hits = cache.function_hits - function_hits_before
         stats.plan_cache_hits = cache.plan_hits - plan_hits_before
         stats.plan_cache_misses = cache.plan_misses - plan_misses_before
         return selections

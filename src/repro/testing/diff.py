@@ -3,16 +3,18 @@
 For every seeded random XAG the same flow script (see
 :func:`repro.rewriting.pipeline.parse_flow`) is executed twice:
 
-* **shared** — the engine path, sharing the batch cache trio (database,
-  cut-function cache, simulation cache) across *all* seeds of the run,
-  exactly like a long engine batch;
-* **fresh** — the same path with a brand-new cache trio, so any result
-  that *depends* on accumulated cache state shows up as a divergence.
+* **shared** — the engine path, sharing the batch caches (database and
+  cut-function cache) across *all* seeds of the run, exactly like a long
+  engine batch;
+* **fresh** — the same path with a brand-new database and cut-function
+  cache, so any result that *depends* on accumulated cache state shows up
+  as a divergence.
 
 Checks per seed: both runs must stay functionally equivalent to the
-untouched input (fresh packed simulation — never through the shared
-simulation cache), must not increase the AND count, must report verified
-rounds, and must agree exactly on (ANDs, XORs, multiplicative depth).
+untouched input (a fresh packed simulation of the final network, never the
+flow's own verification simulator), must not increase the AND count, must
+report verified rounds, and must agree exactly on (ANDs, XORs,
+multiplicative depth).
 Whether the dirty-node worklist misses a rewrite is not checked here: the
 test suite compares every flow against rounds that examine every gate
 (``tests/test_worklist_oracle.py``).
@@ -50,7 +52,6 @@ from repro.rewriting.rewrite import RewriteParams
 from repro.testing.generate import random_xag
 from repro.testing.oracle import reference_stimulus
 from repro.testing.shrink import shrink_xag
-from repro.xag.bitsim import SimulationCache
 from repro.xag.depth import multiplicative_depth
 from repro.xag.graph import Xag, lit_node
 from repro.xag.serialize import from_dict, to_dict
@@ -158,30 +159,26 @@ def cost_model_flow(name: str) -> str:
 
 
 def _run_mode(xag: Xag, flow: str, database: McDatabase,
-              cut_cache: CutFunctionCache, sim_cache: SimulationCache,
-              cut_size: int, cut_limit: int):
-    """Execute one flow over one cache trio (engine parity)."""
+              cut_cache: CutFunctionCache, cut_size: int, cut_limit: int):
+    """Execute one flow over one database and cut cache (engine parity)."""
     params = RewriteParams(cut_size=cut_size, cut_limit=cut_limit,
                            verify=True)
     return run_pipeline(xag, parse_flow(flow), database=database,
-                        params=params, cut_cache=cut_cache,
-                        sim_cache=sim_cache)
+                        params=params, cut_cache=cut_cache)
 
 
 def check_modes(xag: Xag, flow: str,
                 database: Optional[McDatabase] = None,
                 cut_cache: Optional[CutFunctionCache] = None,
-                sim_cache: Optional[SimulationCache] = None,
                 num_random_words: int = 16,
                 cut_size: int = 6, cut_limit: int = 12) -> List[str]:
     """Cross-check one network under one flow; returns failure descriptions.
 
-    ``database``/``cut_cache``/``sim_cache`` are the *shared* trio (fresh
-    ones are created when omitted); the fresh run always builds its own.
+    ``database``/``cut_cache`` are the *shared* caches (fresh ones are
+    created when omitted); the fresh run always builds its own.
     """
     database = database if database is not None else McDatabase()
     cut_cache = CutFunctionCache.ensure(cut_cache, database)
-    sim_cache = sim_cache if sim_cache is not None else SimulationCache()
 
     words, mask, _ = reference_stimulus(xag.num_pis,
                                         num_random_words=num_random_words)
@@ -192,15 +189,13 @@ def check_modes(xag: Xag, flow: str,
     results = {}
     fresh_database = McDatabase()
     mode_runs = (
-        ("shared", database, cut_cache, sim_cache),
-        ("fresh", fresh_database, CutFunctionCache(fresh_database),
-         SimulationCache()),
+        ("shared", database, cut_cache),
+        ("fresh", fresh_database, CutFunctionCache(fresh_database)),
     )
-    for mode, mode_database, mode_cut_cache, mode_sim_cache in mode_runs:
+    for mode, mode_database, mode_cut_cache in mode_runs:
         try:
             results[mode] = _run_mode(xag, flow, mode_database,
-                                      mode_cut_cache, mode_sim_cache,
-                                      cut_size, cut_limit)
+                                      mode_cut_cache, cut_size, cut_limit)
         except Exception as exc:  # noqa: BLE001 - a crash is a finding
             failures.append(f"{mode}: raised {type(exc).__name__}: {exc}")
 
@@ -369,7 +364,6 @@ def run_diff(config: Optional[DiffConfig] = None,
         parse_flow(flow)  # fail fast on a bad script
     database = McDatabase()
     cut_cache = CutFunctionCache(database)
-    sim_cache = SimulationCache()
     report = DiffReport(config=config)
     start = time.perf_counter()
     for offset in range(config.seeds):
@@ -392,7 +386,7 @@ def run_diff(config: Optional[DiffConfig] = None,
         for flow in config.flows:
             outcome = SeedOutcome(seed=seed, flow=flow)
             outcome.failures = check_modes(
-                xag, flow, database, cut_cache, sim_cache,
+                xag, flow, database, cut_cache,
                 num_random_words=config.num_random_words,
                 cut_size=config.cut_size, cut_limit=config.cut_limit)
             if outcome.diverged:

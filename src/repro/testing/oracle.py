@@ -1,9 +1,10 @@
 """Independent equivalence oracle used by tests and the differential harness.
 
 Everything here simulates with :func:`repro.xag.simulate.simulate_words`
-directly — *never* through the engine's shared
-:class:`repro.xag.bitsim.SimulationCache` — so a bug in cache invalidation
-cannot make the oracle agree with the network it is supposed to check.
+directly — *never* through the :class:`repro.xag.bitsim.BitSimulator` that
+an optimisation flow verifies its rounds with — so a bug in the flow's
+verification cannot make the oracle agree with the network it is supposed
+to check.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ This module rebuilds such trees in place:
   inside an XOR tree fold into one output parity.
 
 Every rebuild replaces the tree root via
-:meth:`repro.xag.graph.Xag.substitute_node`, so subscribed observers (packed
-simulation words, cut sets, cone functions, level trackers) stay valid, and
-the displaced tree is garbage-collected by reference count.  A rebuild uses
+:meth:`repro.xag.graph.Xag.substitute_node`, so subscribed observers (cut
+sets, cone functions, level trackers, packed simulation words) see every
+edit, and the displaced tree is garbage-collected by reference count.  A rebuild uses
 ``k - 1`` fresh gate constructions for ``k`` operands — never more gates than
 the tree it replaces (structural hashing can only fold further), so neither
 the AND count nor the XOR count can increase.  The pass is verified by
@@ -157,7 +157,8 @@ def balance_in_place(xag: Xag, verify: bool = True,
     Runs passes until a pass rebuilds nothing (levels only ever decrease, so
     this terminates; ``max_passes`` is a safety cap).  With ``verify`` the
     primary-output words of a packed simulation are compared before and
-    after; a mismatch raises :class:`AssertionError`.
+    after; a mismatch raises :class:`AssertionError`.  A flow passes its
+    ``sim_cache`` so the pass and its rewriting rounds share one simulator.
     """
     stats = BalanceStats(ands_before=xag.num_ands, xors_before=xag.num_xors)
     and_levels = LevelTracker(xag, and_only=True)
@@ -215,8 +216,7 @@ def balance_in_place(xag: Xag, verify: bool = True,
     return stats
 
 
-def balance(xag: Xag, verify: bool = True,
-            sim_cache: Optional[SimulationCache] = None) -> Tuple[Xag, BalanceStats]:
+def balance(xag: Xag, verify: bool = True) -> Tuple[Xag, BalanceStats]:
     """Rebalanced copy of ``xag`` (the input is never modified).
 
     Returns the swept result together with the :class:`BalanceStats`; when
@@ -226,5 +226,5 @@ def balance(xag: Xag, verify: bool = True,
     from repro.xag.cleanup import sweep, sweep_owned
 
     working = sweep_owned(xag)
-    stats = balance_in_place(working, verify=verify, sim_cache=sim_cache)
+    stats = balance_in_place(working, verify=verify)
     return sweep(working), stats

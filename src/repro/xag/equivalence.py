@@ -8,9 +8,9 @@ topological pass each — the seed implementation looped ``num_random_words``
 times over the full network, which dominated the cost of every verified
 rewriting round.
 
-When a :class:`repro.xag.bitsim.SimulationCache` is supplied, networks that
-were already simulated under the same deterministic stimulus (e.g. the
-unchanged side of a convergence-loop round) are not re-simulated at all.
+Both networks are simulated from scratch on every call.  The per-round
+checks of the optimisation flows compare PO words the same way, through
+:class:`repro.xag.bitsim.BitSimulator`, under :func:`equivalence_stimulus`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import random
 from typing import List, Optional, Tuple
 
 from repro.tt.bits import projection, table_mask
-from repro.xag.bitsim import SimulationCache
 from repro.xag.graph import Xag
 from repro.xag.simulate import simulate_words
 
@@ -33,9 +32,8 @@ def equivalence_stimulus(num_pis: int, exhaustive_limit: int = 14,
     ``exhaustive_limit`` inputs the words are the projection truth tables (so
     comparing outputs is a complete proof); otherwise they pack
     ``num_random_words * word_bits`` pseudo-random patterns.  The default rng
-    is seeded, which makes the stimulus a pure function of the signature —
-    that determinism is what lets :class:`repro.xag.bitsim.SimulationCache`
-    reuse values across calls.
+    is seeded, which makes the stimulus a pure function of the signature, so
+    a network's words before and after a rewriting round are comparable.
     """
     if num_pis <= exhaustive_limit:
         return ([projection(var, num_pis) for var in range(num_pis)],
@@ -53,7 +51,6 @@ def equivalent(
     num_random_words: int = 64,
     word_bits: int = 64,
     rng: Optional[random.Random] = None,
-    sim_cache: Optional[SimulationCache] = None,
 ) -> bool:
     """Check functional equivalence of two networks.
 
@@ -61,17 +58,11 @@ def equivalent(
     exhaustive truth-table simulation (a complete proof).  Larger networks are
     compared by packed random simulation, which can only disprove
     equivalence; for the sizes handled in this library the random check is
-    used as a strong smoke test and is documented as such.  ``sim_cache``
-    (optional) reuses node values for networks already simulated under the
-    same stimulus.
+    used as a strong smoke test and is documented as such.
     """
     if left.num_pis != right.num_pis or left.num_pos != right.num_pos:
         return False
     words, mask, _ = equivalence_stimulus(left.num_pis, exhaustive_limit,
                                           num_random_words, word_bits, rng)
-    if sim_cache is not None:
-        left_sim = sim_cache.simulator(left, words, mask)
-        right_sim = sim_cache.simulator(right, words, mask)
-        return left_sim.po_words() == right_sim.po_words()
     return (simulate_words(left, words, mask)
             == simulate_words(right, words, mask))

@@ -27,7 +27,7 @@ The network supports two editing disciplines:
   (and :meth:`Xag.gates`, which is defined in terms of it) provide the
   fanin-before-fanout order every consumer should iterate in.
 
-Observers (incremental simulators, cone-function memos) can subscribe to the
+Observers (level trackers, cone-function memos) can subscribe to the
 network's mutation events (:meth:`Xag.subscribe`): they receive per-node
 invalidations — which gates were rewired, killed or revived — instead of the
 all-or-nothing rollback epoch, so state for untouched cones stays valid
@@ -166,7 +166,7 @@ class Xag:
         #: per-node dead flag (1 = removed by dereferencing).
         self._dead = bytearray(1)
         self._num_dead = 0
-        #: bumped on every rollback so observers (e.g. incremental simulators)
+        #: bumped on every rollback so observers (e.g. level trackers)
         #: can tell "rolled back and re-grown" apart from "only appended".
         self._rollback_epoch = 0
         #: bumped on every substitution / take-out / revive; checkpoints
@@ -750,8 +750,8 @@ class Xag:
 
         This is a mutation like any other: it bumps the mutation epoch
         (invalidating outstanding checkpoints) and notifies observers with
-        the revived cone, so incremental state (stale packed words in a
-        :class:`~repro.xag.bitsim.BitSimulator`, memoised cone functions)
+        the revived cone, so incremental state (stale levels in a
+        :class:`~repro.xag.levels.LevelTracker`, memoised cone functions)
         is invalidated instead of silently surviving.
         """
         result = SubstitutionResult()

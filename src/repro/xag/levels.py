@@ -9,7 +9,7 @@ examined needs current levels for its cut leaves and root.
 
 :class:`LevelTracker` therefore keeps one level per node alive across
 in-place rewriting, following the same event-driven discipline as
-:class:`repro.xag.bitsim.BitSimulator` and the cut caches:
+the cut caches:
 
 * appending nodes only computes the new suffix;
 * :meth:`repro.xag.graph.Xag.substitute_node` is observed through the
@@ -24,8 +24,7 @@ transparent (weight 0) and the tracked quantity is the multiplicative
 depth; with ``and_only=False`` every gate weighs 1 and the tracked quantity
 is the ordinary logic depth (used by the XOR-tree balancer).
 
-Entries of dead nodes are stale — only live-node levels are meaningful,
-mirroring the :class:`BitSimulator` value-array contract.
+Entries of dead nodes are stale — only live-node levels are meaningful.
 """
 
 from __future__ import annotations
@@ -173,9 +172,9 @@ class LevelTracker:
     def _resync(self, count: int) -> None:
         """One topological pass recomputing new and invalidated nodes only.
 
-        Mirrors :meth:`BitSimulator._resync`: a gate is recomputed when it is
-        new, was rewired, or has a fan-in whose level changed; a
-        recomputation that reproduces the stored level stops the propagation.
+        A gate is recomputed when it is new, was rewired, or has a fan-in
+        whose level changed; a recomputation that reproduces the stored
+        level stops the propagation.
         """
         xag = self.xag
         kinds = xag._kind

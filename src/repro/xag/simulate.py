@@ -1,12 +1,10 @@
 """Simulation of XAGs: single patterns, word-parallel, full truth tables.
 
-Every function here recomputes the whole network per call, which is the
-right tool for one-shot queries.  Repeated queries against the same (or a
-growing) network should use :class:`repro.xag.bitsim.BitSimulator`, which
-keeps packed node values alive and only simulates what changed.
-
-:func:`node_values` is the cache-free oracle the incremental simulator is
-tested against.
+Every function here recomputes the whole network per call.
+:class:`repro.xag.bitsim.BitSimulator` keeps the result of one
+:func:`node_values` pass until the network changes, which serves the
+per-round equivalence checks; :func:`simulate_words` stays the cache-free
+reference that :mod:`repro.testing.oracle` checks networks with.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ idiom), with three consumers:
 
 * **per-node hashes** — :class:`StructHashTracker` maintains one hash per
   node *incrementally* under the substitution-event API, following the
-  exact discipline of :class:`repro.xag.levels.LevelTracker` and
-  :class:`repro.xag.bitsim.BitSimulator`: appending nodes only hashes the
-  new suffix, an in-place substitution recomputes only the dirty
-  transitive fanout (pruning where a recomputed hash is unchanged), and a
-  rollback resets the tracker via the network's rollback epoch;
+  exact discipline of :class:`repro.xag.levels.LevelTracker`: appending
+  nodes only hashes the new suffix, an in-place substitution recomputes
+  only the dirty transitive fanout (pruning where a recomputed hash is
+  unchanged), and a rollback resets the tracker via the network's rollback
+  epoch;
 * **cone hashes** — :func:`cone_hash` hashes a ``(root, leaves)`` cut cone
   with *leaf-relative* placeholders (leaf ``i`` hashes as variable ``i``),
   so the identity is independent of everything below the cut: identical
@@ -210,8 +210,8 @@ class StructHashTracker:
     suffix-only pass while the network is append-only, one change-pruned
     topological sweep otherwise, and an epoch-checked reset on rollback.
     Entries of dead nodes are stale — only live-node hashes are
-    meaningful, mirroring the :class:`~repro.xag.bitsim.BitSimulator`
-    value-array contract.
+    meaningful, mirroring the :class:`~repro.xag.levels.LevelTracker`
+    level-array contract.
     """
 
     def __init__(self, xag: Xag) -> None:

@@ -1,4 +1,4 @@
-"""Tests for the incremental bit-parallel simulator and the simulation cache."""
+"""Tests for the one-shot bit-parallel simulator and its one-slot holder."""
 
 import random
 
@@ -9,7 +9,7 @@ from repro.xag import Xag, equivalent
 from repro.xag.bitsim import BitSimulator, SimulationCache
 from repro.xag.equivalence import equivalence_stimulus
 from repro.xag.graph import lit_node, lit_not
-from repro.xag.simulate import node_values, simulate_words
+from repro.xag.simulate import simulate_words
 from repro.tt.bits import projection, table_mask
 
 
@@ -27,7 +27,6 @@ def test_bitsim_matches_reference_simulator():
         xag = random_xag(rng, num_pis=7, num_gates=45)
         words, mask = _random_stimulus(rng, xag.num_pis)
         sim = BitSimulator(xag, words, mask)
-        assert sim.values() == node_values(xag, words, mask)
         assert sim.po_words() == simulate_words(xag, words, mask)
 
 
@@ -39,33 +38,30 @@ def test_bitsim_exhaustive_stimulus_matches_truth_tables():
     assert sim.po_words() == output_truth_tables(fa)
 
 
-def test_bitsim_literal_value_handles_complement():
+def test_bitsim_po_words_handle_complemented_outputs():
     fa = full_adder_naive()
     words = [projection(var, 3) for var in range(3)]
     sim = BitSimulator(fa, words, table_mask(3))
-    lit = fa.po_literal(1)
-    assert sim.literal_value(lit_not(lit)) == sim.literal_value(lit) ^ table_mask(3)
+    plain = sim.po_words()
+    fa.create_po(lit_not(fa.po_literal(1)), "not_carry")
+    assert sim.po_words() == plain + [plain[1] ^ table_mask(3)]
 
 
 # ----------------------------------------------------------------------
-# incrementality: appended nodes, rollback, stimulus changes
+# re-simulation after appended nodes, edits and rollbacks
 # ----------------------------------------------------------------------
-def test_bitsim_appended_nodes_simulated_incrementally():
+def test_bitsim_appended_nodes_are_simulated():
     rng = random.Random(7)
     xag = random_xag(rng, num_pis=6, num_gates=20)
     words, mask = _random_stimulus(rng, 6)
     sim = BitSimulator(xag, words, mask)
     sim.sync()
-    nodes_before = xag.num_nodes
-    full_before = sim.full_updates
 
-    # grow the network: only the new suffix may be simulated
+    # grow the network: the new output must be simulated on the next query
     a, b = xag.pi_literals()[:2]
     fresh = xag.create_and(xag.create_xor(a, b), b)
     xag.create_po(fresh, "extra")
-    sim.sync()
-    assert sim.full_updates - full_before == xag.num_nodes - nodes_before
-    assert sim.values() == node_values(xag, words, mask)
+    assert sim.po_words() == simulate_words(xag, words, mask)
 
 
 def test_bitsim_rollback_truncates_values():
@@ -80,89 +76,43 @@ def test_bitsim_rollback_truncates_values():
     xag.create_and(xag.create_xor(a, b), xag.create_xor(lit_not(a), b))
     sim.sync()
     xag.rollback(checkpoint)
-    sim.sync()
-    assert len(sim.values()) == xag.num_nodes
-    assert sim.values() == node_values(xag, words, mask)
+    assert sim.po_words() == simulate_words(xag, words, mask)
 
 
 def test_bitsim_rollback_then_regrow_resimulates():
     """A rollback between queries must not leave stale values behind."""
-    rng = random.Random(9)
-    xag = random_xag(rng, num_pis=5, num_gates=15)
-    words, mask = _random_stimulus(rng, 5)
+    xag = Xag()
+    a, b, c = xag.create_pis(3)
+    xag.create_po(xag.create_and(a, b))
+    words, mask = _random_stimulus(random.Random(9), 3)
     sim = BitSimulator(xag, words, mask)
     sim.sync()
 
     checkpoint = xag.checkpoint()
-    a, b, c = xag.pi_literals()[:3]
     xag.create_and(xag.create_xor(a, b), c)
     sim.sync()
-    # roll back and grow past the old size WITHOUT an intermediate query:
-    # the node count alone cannot reveal the rollback
+    # roll back and grow back to the old size WITHOUT an intermediate
+    # query: the node count alone cannot reveal the rollback
+    nodes = xag.num_nodes
     xag.rollback(checkpoint)
-    d = xag.create_xor(xag.create_and(a, c), b)
-    xag.create_and(d, xag.create_xor(b, c))
-    sim.sync()
-    assert sim.values() == node_values(xag, words, mask)
+    xag.create_po(xag.create_xor(xag.create_and(a, c), b), "regrown")
+    assert xag.num_nodes == nodes
+    assert sim.po_words() == simulate_words(xag, words, mask)
 
 
-def test_bitsim_update_inputs_matches_full_resimulation():
-    for seed in range(4):
-        rng = random.Random(100 + seed)
-        xag = random_xag(rng, num_pis=8, num_gates=60)
-        words, mask = _random_stimulus(rng, 8)
-        sim = BitSimulator(xag, words, mask)
-        sim.sync()
-
-        changed = list(words)
-        changed[rng.randrange(8)] = rng.getrandbits(256)
-        changed[rng.randrange(8)] = rng.getrandbits(256)
-        sim.update_inputs(changed)
-        assert sim.values() == node_values(xag, changed, mask)
-
-
-def test_bitsim_update_inputs_touches_only_transitive_fanout():
-    # x0 feeds one isolated AND; a long XOR chain hangs off the other PIs,
-    # so changing x0 must not recompute the chain.
+def test_bitsim_substitution_resimulates():
+    """An in-place edit that keeps the node count must still be seen."""
     xag = Xag()
-    x0, x1, x2 = xag.create_pis(3)
-    isolated = xag.create_and(x0, x1)
-    chain = x2
-    for _ in range(30):
-        chain = xag.create_xor(chain, x1)
-        chain = xag.create_and(chain, x2)  # alternate to avoid strashing collapse
-    xag.create_po(isolated, "iso")
-    xag.create_po(chain, "chain")
-
-    words = [0b1010, 0b1100, 0b1111]
-    sim = BitSimulator(xag, words, 0b1111)
-    sim.sync()
-    recomputed = sim.update_inputs([0b0101, 0b1100, 0b1111])
-    assert recomputed == 1           # only the isolated AND is in x0's fanout
-    assert sim.values() == node_values(xag, [0b0101, 0b1100, 0b1111], 0b1111)
-
-
-def test_bitsim_update_inputs_noop_is_free():
-    rng = random.Random(11)
-    xag = random_xag(rng, num_pis=6, num_gates=25)
-    words, mask = _random_stimulus(rng, 6)
+    a, b = xag.create_pis(2)
+    gate = xag.create_and(a, b)
+    xag.create_po(xag.create_xor(gate, a))
+    words, mask = [0b1010, 0b1100], 0b1111
     sim = BitSimulator(xag, words, mask)
-    sim.sync()
-    assert sim.update_inputs(list(words)) == 0
-    assert sim.incremental_updates == 0
-
-
-def test_bitsim_invalidate_recomputes_fanout():
-    rng = random.Random(12)
-    xag = random_xag(rng, num_pis=6, num_gates=30)
-    words, mask = _random_stimulus(rng, 6)
-    sim = BitSimulator(xag, words, mask)
-    sim.sync()
-    # corrupt a gate value behind the simulator's back, then invalidate it
-    gate = next(iter(xag.gates()))
-    sim.values()[gate] ^= mask
-    sim.invalidate([gate])
-    assert sim.values() == node_values(xag, words, mask)
+    before = sim.po_words()
+    nodes = xag.num_nodes
+    xag.substitute_node(lit_node(gate), b)
+    assert xag.num_nodes == nodes
+    assert sim.po_words() == simulate_words(xag, words, mask) != before
 
 
 def test_bitsim_rejects_wrong_stimulus_width():
@@ -183,32 +133,23 @@ def test_simulation_cache_reuses_simulators():
     first = cache.simulator(xag, words, mask)
     second = cache.simulator(xag, words, mask)
     assert first is second
-    assert cache.hits == 1 and cache.misses == 1
 
     other_words = [w ^ 1 for w in words]
     third = cache.simulator(xag, other_words, mask)
-    assert third is first                    # refreshed in place, not rebuilt
-    assert cache.stimulus_updates == 1
-    assert cache.misses == 1
+    assert third is not first                # a new stimulus: a new simulator
     assert third.po_words() == simulate_words(xag, other_words, mask)
 
 
-def test_simulation_cache_evicts_lru():
+def test_simulation_cache_holds_one_simulator():
     rng = random.Random(14)
-    cache = SimulationCache(max_entries=2)
+    cache = SimulationCache()
     networks = [random_xag(random.Random(20 + i), num_pis=4, num_gates=10)
-                for i in range(3)]
+                for i in range(2)]
     words, mask = _random_stimulus(rng, 4)
-    for xag in networks:
-        cache.simulator(xag, words, mask)
-    assert len(cache) == 2
-    cache.simulator(networks[0], words, mask)   # evicted → miss again
-    assert cache.misses == 4
-
-    cache.discard(networks[0])
-    assert len(cache) == 1
-    cache.clear()
-    assert len(cache) == 0 and cache.hits == 0
+    first = cache.simulator(networks[0], words, mask)
+    assert cache.simulator(networks[1], words, mask) is not first
+    # binding the second network replaced the first simulator
+    assert cache.simulator(networks[0], words, mask) is not first
 
 
 # ----------------------------------------------------------------------
@@ -235,16 +176,3 @@ def test_equivalent_detects_mutation_on_wide_networks():
     mutated._kind[gate] = 5 - mutated._kind[gate]   # AND (2) <-> XOR (3)
     assert equivalent(xag, xag.clone())
     assert not equivalent(xag, mutated)
-
-
-def test_equivalent_with_cache_matches_uncached():
-    rng = random.Random(16)
-    for num_pis in (6, 16):
-        xag = random_xag(rng, num_pis=num_pis, num_gates=50, num_pos=3)
-        clone = xag.clone()
-        cache = SimulationCache()
-        assert equivalent(xag, clone, sim_cache=cache)
-        assert equivalent(xag, clone, sim_cache=cache)
-        # second call: both networks served from the cache
-        assert cache.hits >= 2
-        assert equivalent(xag, clone) == equivalent(xag, clone, sim_cache=cache)

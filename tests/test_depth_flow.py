@@ -148,8 +148,8 @@ def test_balance_respects_multi_fanout_boundaries():
 
 
 def test_balance_in_place_notifies_observers():
-    """Balancing goes through substitute_node, so packed sim words and the
-    maintained levels stay valid on the same network object."""
+    """Balancing goes through substitute_node, so a subscribed simulator
+    and the maintained levels stay valid on the same network object."""
     xag = and_chain(12)
     words, mask, _ = equivalence_stimulus(xag.num_pis)
     from repro.xag import BitSimulator
@@ -292,14 +292,12 @@ def test_depth_flow_never_loses_to_mc_on_depth():
 
 def test_depth_flow_shares_caches():
     from repro.cuts.cache import CutFunctionCache
-    from repro.xag.bitsim import SimulationCache
 
     cut_cache = CutFunctionCache()
-    sim_cache = SimulationCache()
     xag = C.int_to_float()
-    first = run_depth_pipeline(xag, cut_cache=cut_cache, sim_cache=sim_cache)
+    first = run_depth_pipeline(xag, cut_cache=cut_cache)
     hits_before = cut_cache.plan_hits
-    second = run_depth_pipeline(xag, cut_cache=cut_cache, sim_cache=sim_cache)
+    second = run_depth_pipeline(xag, cut_cache=cut_cache)
     assert cut_cache.plan_hits > hits_before
     assert (first.final.num_ands, first.depth_after) == \
         (second.final.num_ands, second.depth_after)

@@ -14,7 +14,6 @@ from repro.engine.cli import build_parser, config_from_args, main
 from repro.engine.core import select_cases
 from repro.mc import McDatabase
 from repro.rewriting import CutRewriter, RewriteParams
-from repro.xag.bitsim import SimulationCache
 
 
 # ----------------------------------------------------------------------
@@ -566,8 +565,7 @@ def test_batch_report_summary_pins_meaningful_metrics():
                        "[python kernels] | "
                        "plan cache 30 hits / 10 misses (75% hit rate), "
                        "7 pruned | "
-                       "db 4 recipes / 5 synthesis calls | "
-                       "sim cache 0 hits / 0 misses")
+                       "db 4 recipes / 5 synthesis calls")
     assert "classification hit rate" not in batch.render()
 
 
@@ -580,8 +578,7 @@ def test_cached_flow_produces_same_result_as_uncached():
 
     xag = random_xag(random.Random(4), num_pis=6, num_gates=45)
     plain = optimize(xag, max_rounds=2)
-    cached = optimize(xag, max_rounds=2,
-                      cut_cache=CutFunctionCache(), sim_cache=SimulationCache())
+    cached = optimize(xag, max_rounds=2, cut_cache=CutFunctionCache())
     assert plain.final.num_ands == cached.final.num_ands
     assert plain.final.num_xors == cached.final.num_xors
     from repro.xag import equivalent

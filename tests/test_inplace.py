@@ -15,7 +15,7 @@ from repro.rewriting import (CutRewriter, RewriteParams, optimize,
 from repro.xag import (BitSimulator, LevelTracker, StructHashTracker,
                        balance_in_place, equivalent, is_swept,
                        multiplicative_depth, node_hashes, node_levels,
-                       node_values, sweep)
+                       node_values, simulate_words, sweep)
 from repro.xag.equivalence import equivalence_stimulus
 from repro.xag.graph import Xag, lit_node, lit_not, literal
 
@@ -168,7 +168,7 @@ def test_rollback_across_substitution_is_rejected():
 # ----------------------------------------------------------------------
 def test_fanout_refcount_and_simulation_invariants_under_random_edits():
     """After random substitute_node/rollback sequences the maintained
-    fan-out counts must equal a from-scratch recount, the incremental
+    fan-out counts must equal a from-scratch recount, the subscribed
     simulator must agree with a fresh full simulation, and the cut-set and
     cone-function memos must agree with uncached recomputation.  The memos
     are read every third step only, so the edits they record span several
@@ -229,11 +229,9 @@ def test_fanout_refcount_and_simulation_invariants_under_random_edits():
 
             # invariant 1: maintained refcounts == recomputed
             assert xag.fanout_counts() == recount_fanouts(xag), f"seed {seed} step {step}"
-            # invariant 2: event-driven simulator == fresh simulation
-            fresh = node_values(xag, words, mask)
-            incremental = sim.values()
-            for n in xag.topological_order():
-                assert incremental[n] == fresh[n], f"seed {seed} step {step} node {n}"
+            # invariant 2: subscribed simulator == fresh simulation
+            assert sim.po_words() == simulate_words(xag, words, mask), \
+                f"seed {seed} step {step}"
             # invariant 3: topological order is valid (fan-ins first)
             seen = set()
             for n in xag.topological_order():
@@ -364,10 +362,7 @@ def test_construction_path_revive_notifies_observers():
     assert xag.is_dead(lit_node(u))
     # referencing the dead literal revives it — the simulator must see it
     xag.create_po(xag.create_and(u, c))
-    fresh = node_values(xag, words, mask)
-    incremental = sim.values()
-    for n in xag.topological_order():
-        assert incremental[n] == fresh[n], f"node {n}"
+    assert sim.po_words() == simulate_words(xag, words, mask)
     # and a checkpoint taken before the revive is no longer rollback-able
     xag2 = Xag()
     p, q = xag2.create_pis(2)
@@ -378,22 +373,6 @@ def test_construction_path_revive_notifies_observers():
     xag2.create_po(xag2.create_and(t2, p))   # revives t2
     with pytest.raises(ValueError):
         xag2.rollback(checkpoint)
-
-
-def test_invalidate_handles_dependent_nodes_in_any_order():
-    xag = Xag()
-    a, b = xag.create_pis(2)
-    g1 = xag.create_and(a, b)
-    g2 = xag.create_xor(g1, a)
-    xag.create_po(g2)
-    sim = BitSimulator(xag, [0b1010, 0b1100], 0b1111)
-    sim.sync()
-    # corrupt stored words, then invalidate with the dependent node first
-    sim._values[lit_node(g1)] ^= 0b1111
-    sim._values[lit_node(g2)] ^= 0b0101
-    sim.invalidate([lit_node(g2), lit_node(g1)])
-    fresh = node_values(xag, [0b1010, 0b1100], 0b1111)
-    assert sim.values() == fresh
 
 
 def test_in_place_flow_result_is_swept():
@@ -440,13 +419,11 @@ def test_simulation_cache_entry_stays_valid_across_rewrites():
         working = xag.clone()
     sim = rewriter.sim_cache.simulator(working, words, mask)
     po_initial = list(sim.po_words())
-    full_before = sim.full_updates
-    rewriter.rewrite_in_place(working)
+    stats, _seeds, _pre = rewriter.rewrite_in_place(working)
+    assert stats.rewrites_applied > 0
     # the same simulator object served the round and stayed consistent
     assert rewriter.sim_cache.simulator(working, words, mask) is sim
-    assert sim.po_words() == po_initial
-    # suffix syncs only cover the inserted plans, not the whole network
-    assert sim.full_updates - full_before < working.num_nodes
+    assert sim.po_words() == po_initial == simulate_words(working, words, mask)
 
 
 def test_cut_set_cache_recomputes_only_dirty_fanout():
@@ -491,7 +468,7 @@ def test_in_place_flow_pins(builder, pinned):
 def test_in_place_flow_reports_worklist_rounds():
     xag = C.int_to_float()
     result = optimize(xag)
-    assert result.rounds[0].worklist_size == 0          # first round: all gates
+    assert result.rounds[0].worklist_size is None       # first round: all gates
     assert all(s.worklist_size > 0 for s in result.rounds[1:])
     assert sum(s.substitutions for s in result.rounds) > 0
     assert all(s.verified for s in result.rounds)
@@ -514,7 +491,16 @@ def test_rewrite_does_not_mutate_input():
     assert xag.num_ands == snapshot.num_ands
     assert xag.num_nodes == snapshot.num_nodes
     assert improved.num_ands <= xag.num_ands
-    assert stats.worklist_size == 0  # every gate examined
+    assert stats.worklist_size is None  # every gate examined
+
+
+def test_empty_worklist_round_examines_nothing():
+    """An empty worklist is reported as such, not as an every-gate round."""
+    working = C.int_to_float().clone()
+    stats, seeds, _pre = CutRewriter().rewrite_in_place(working, worklist=set())
+    assert stats.worklist_size == 0
+    assert stats.nodes_considered == 0
+    assert stats.rewrites_applied == 0 and not seeds
 
 
 # ----------------------------------------------------------------------

@@ -209,6 +209,45 @@ def test_blif_declares_const0_for_gate_fanins():
     assert equivalent(xag, rebuilt)
 
 
+def test_blif_round_trips_ports_named_like_internal_signals():
+    """Regression (found by tests/test_reader_fuzz.py): an input listed as
+    an output, and ports named like the writer's gate or constant signals,
+    must write BLIF the reader rebuilds instead of a signal defined twice."""
+    text = "\n".join([
+        ".model ports",
+        ".inputs n3 const0 b",
+        ".outputs b n3 y n4",
+        ".names n3 b n4",
+        "11 1",
+        ".names const0 n4 y",
+        "01 1",
+        "10 1",
+        ".end",
+    ])
+    xag = read_blif(text)
+    rebuilt = read_blif(write_blif(xag))
+    assert equivalent(xag, rebuilt)
+    assert rebuilt.pi_names() == xag.pi_names()
+    assert rebuilt.po_names() == xag.po_names()
+
+
+def test_blif_writer_rejects_outputs_it_cannot_name():
+    """BLIF has one signal per name: an output named after an input it does
+    not carry, or two outputs sharing a name over different literals, have
+    no BLIF form."""
+    xag = Xag()
+    a, b = xag.create_pis(2)
+    xag.create_po(xag.create_not(a), "x0")   # the inputs are x0, x1
+    with pytest.raises(ValueError, match="'x0'"):
+        write_blif(xag)
+    twice = Xag()
+    a, b = twice.create_pis(2)
+    twice.create_po(twice.create_and(a, b), "y")
+    twice.create_po(twice.create_xor(a, b), "y")
+    with pytest.raises(ValueError, match="'y'"):
+        write_blif(twice)
+
+
 def test_blif_reader_resolves_out_of_order_definitions():
     """Legal BLIF may define a cover before its sources; the reader must
     resolve covers in dependency order instead of raising KeyError."""

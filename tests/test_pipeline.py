@@ -28,7 +28,6 @@ from repro.rewriting import (BalancePass, DepthGuard, FlowSummary,
                              parse_flow, run_pipeline, standard_flow)
 from repro.xag import (BitSimulator, Xag, equivalent, multiplicative_depth,
                        node_levels)
-from repro.xag.bitsim import SimulationCache
 from repro.xag.equivalence import equivalence_stimulus
 
 #: pre-pipeline (ANDs after one round, ANDs at convergence, depth, rounds)
@@ -76,7 +75,6 @@ SIZE_BASELINE_GOLDEN = {
 
 _DB = McDatabase()
 _CUT_CACHE = CutFunctionCache(_DB)
-_SIM_CACHE = SimulationCache()
 
 
 def _control_case(name):
@@ -92,8 +90,7 @@ def test_pipeline_aliases_match_prerefactor_golden(name):
         PAPER_GOLDEN[name]
     xag = _control_case(name).build()
     flow = run_pipeline(xag, standard_flow("mc", max_rounds=3),
-                        params=RewriteParams(), cut_cache=_CUT_CACHE,
-                        sim_cache=_SIM_CACHE)
+                        params=RewriteParams(), cut_cache=_CUT_CACHE)
     assert flow.passes[0].name == "one-round"
     assert flow.passes[0].ands_after == one_ands
     assert flow.final.num_ands == conv_ands
@@ -102,7 +99,7 @@ def test_pipeline_aliases_match_prerefactor_golden(name):
     assert flow.verified is True
 
     opt = optimize(xag, params=RewriteParams(), max_rounds=3,
-                   cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+                   cut_cache=_CUT_CACHE)
     assert opt.final.num_ands == opt_ands
     assert len(opt.rounds) == opt_rounds
 
@@ -115,7 +112,7 @@ def test_depth_flow_never_regresses_prerefactor_pairs(name):
     flow = run_pipeline(
         xag, standard_flow("mc-depth", max_rounds=3, max_iterations=4),
         params=RewriteParams(objective="mc-depth"),
-        cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+        cut_cache=_CUT_CACHE)
     assert flow.final.num_ands <= golden_ands
     assert flow.depth_after <= golden_depth
     assert equivalent(xag, flow.final)
@@ -160,7 +157,7 @@ def test_shared_context_caches_match_fresh_after_pass_sequences(seed):
     for node in network.topological_order():
         assert tracker.levels()[node] == fresh_levels[node]
 
-    # maintained packed simulation words == fresh simulator
+    # the context's verification simulator == a fresh simulator
     words, mask, _ = equivalence_stimulus(network.num_pis)
     cached_sim = ctx.sim_cache.simulator(network, words, mask)
     fresh_sim = BitSimulator(network.clone(), words, mask)
@@ -256,7 +253,7 @@ def test_custom_flow_end_to_end_stays_equivalent():
     xag = C.priority_encoder(16)
     result = run_pipeline(xag, parse_flow("balance,mc*2,mc-depth*"),
                           params=RewriteParams(objective="mc-depth"),
-                          cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+                          cut_cache=_CUT_CACHE)
     assert equivalent(xag, result.final)
     assert result.depth_after <= result.depth_before
     assert result.final.num_ands <= xag.num_ands
@@ -277,17 +274,16 @@ def test_result_types_share_flow_summary_base():
 
 def test_flow_summary_arithmetic_on_each_result_type():
     xag = C.int_to_float()
-    flow = optimize(xag, max_rounds=2, cut_cache=_CUT_CACHE,
-                    sim_cache=_SIM_CACHE)
+    flow = optimize(xag, max_rounds=2, cut_cache=_CUT_CACHE)
     assert 0.0 < flow.and_improvement < 1.0
     paper = run_pipeline(xag, standard_flow("mc", max_rounds=2),
-                         cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+                         cut_cache=_CUT_CACHE)
     assert paper.and_improvement == \
         1.0 - paper.final.num_ands / paper.initial.num_ands
     depth = run_pipeline(
         xag, standard_flow("mc-depth", max_rounds=1, max_iterations=2),
         params=RewriteParams(objective="mc-depth"),
-        cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+        cut_cache=_CUT_CACHE)
     assert depth.depth_improvement >= 0.0
     assert depth.ands_before == xag.num_ands
 
@@ -297,7 +293,7 @@ def test_size_baseline_pass_keeps_behaviour():
     input network is the reference for the size comparison."""
     xag = C.priority_encoder(8)
     result = run_pipeline(xag, [SizeBaselinePass(max_rounds=2)],
-                          cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+                          cut_cache=_CUT_CACHE)
     before = xag.num_ands + xag.num_xors
     after = result.final.num_ands + result.final.num_xors
     assert after <= before
@@ -365,8 +361,7 @@ def test_mid_flow_baseline_keeps_initial_reference_intact():
     counts."""
     xag = C.int_to_float()
     result = run_pipeline(xag, parse_flow("mc,baseline,mc*"),
-                          params=RewriteParams(), cut_cache=_CUT_CACHE,
-                          sim_cache=_SIM_CACHE)
+                          params=RewriteParams(), cut_cache=_CUT_CACHE)
     assert result.final is not result.initial
     assert result.initial.num_ands > result.final.num_ands
     assert result.and_improvement > 0.0
