@@ -128,9 +128,9 @@ def test_depth_flow_report():
         "the paper's `mc` objective.  Both from the same initial network, shared",
         "database/caches; `(ANDs, depth)` pairs, depth = multiplicative",
         "depth, wall time in parentheses.  The backend column names the",
-        "kernel backend that ran the row; both backends produce",
-        "bit-identical pairs (pinned in `tests/test_kernels.py`), only the",
-        "timings differ.",
+        "active kernel backend; candidate selection reads each cut's table",
+        "from the cut merge and dispatches nothing to it, so both backends",
+        "produce bit-identical pairs (pinned in `tests/test_kernels.py`).",
         "",
         f"Measured on a {os.cpu_count() or 1}-CPU host, Python "
         f"{platform.python_version()}.",

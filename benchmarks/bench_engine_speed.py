@@ -161,7 +161,8 @@ def test_engine_speed_report():
          f"Measured on a {os.cpu_count() or 1}-CPU host with the "
          f"`{kernels.backend_name()}` kernel backend "
          "(`repro.kernels`); both backends produce bit-identical results, "
-         "only the timings depend on the backend.", "",
+         "and candidate selection, which reads each cut's table from the "
+         "cut merge, runs the same code on both.", "",
          "| measurement | seed | new | speedup |",
          "| --- | --- | --- | --- |"] + _LINES) + "\n"
     (RESULTS_DIR / "engine_speed.md").write_text(body)

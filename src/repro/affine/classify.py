@@ -29,6 +29,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro import gf2
 from repro.affine.operations import AffineOp, AffineTransform
+from repro.tt.anf import degree
 from repro.tt.bits import num_bits, popcount, projection, table_mask
 from repro.tt.operations import apply_input_transform, translate_rows
 from repro.tt.spectrum import table_from_spectrum, walsh_spectrum
@@ -233,10 +234,16 @@ class AffineClassifier:
         the ``2**n * 2`` output affine corrections are single XORs against
         precomputed linear tables.  This is ~``4**n`` times fewer full
         transform evaluations than enumerating the group tuple-wise.
+
+        The search keeps the first strict minimum in enumeration order, so
+        it stops as soon as the running minimum reaches the class minimum
+        when that is known in advance (:func:`_class_minimum`, n <= 3):
+        no later candidate could replace it.
         """
         size = num_bits(num_vars)
         mask = table_mask(num_vars)
         linear_tables = self._linear_output_tables(num_vars)
+        floor = _class_minimum(table, num_vars)
         best_table: Optional[int] = None
         best_choice: Optional[Tuple[List[int], int, int, int]] = None
         for matrix in self._general_linear_group(num_vars):
@@ -252,6 +259,10 @@ class AffineClassifier:
                     if candidate < best_table:
                         best_table = candidate
                         best_choice = (matrix, translation, linear, 1)
+                if best_table == floor:
+                    break
+            if best_table == floor:
+                break
         assert best_table is not None and best_choice is not None
         matrix, translation, linear, const = best_choice
         offset = gf2.mat_vec(matrix, translation)
@@ -359,6 +370,26 @@ class AffineClassifier:
         state.apply_placement(source, position)
         if state.coefficient(1 << position) < 0:
             state.flip_input(position)
+
+
+#: num_vars → smallest table of the affine class of each algebraic degree
+#: (for n <= 3 the degree alone fixes the class).
+_CLASS_MINIMA = {0: (0,), 1: (0, 0), 2: (0, 0, 0x1), 3: (0, 0, 0x03, 0x01)}
+
+
+def _class_minimum(table: int, num_vars: int) -> Optional[int]:
+    """Smallest table affine-equivalent to ``table``, or ``None`` if unknown.
+
+    Affine maps preserve the algebraic degree, and for ``n <= 3`` the
+    functions of one degree form a single class (degree <= 1: the affine
+    functions, minimum 0; degree 2 on two variables: ``x0 x1`` up to
+    complements, minimum 1; on three: rank-2 quadratics, minimum ``0x03``;
+    degree 3: one minterm up to affine terms, minimum ``0x01``).
+    """
+    minima = _CLASS_MINIMA.get(num_vars)
+    if minima is None:
+        return None
+    return minima[degree(table, num_vars)]
 
 
 #: (source, position, num_vars) → (elementary ops, spectral index

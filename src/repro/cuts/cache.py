@@ -1,25 +1,12 @@
-"""Shared cut-function and implementation-plan cache.
+"""Shared implementation-plan cache, and the cone-function reference memo.
 
 During cut rewriting the same Boolean functions recur constantly — carry
 chains, S-box slices, majority fragments — and in the seed every candidate
 cut paid for (a) a fresh simulation of its cone and (b) a fresh trip through
-:meth:`repro.mc.database.McDatabase.plan_for`.  This module centralises both
-behind one object that the cut enumerator (:func:`repro.cuts.enumeration
-.cut_function`) and the rewriter (:class:`repro.rewriting.rewrite
-.CutRewriter`) share:
-
-* **cone functions** are memoised per network, keyed by ``(root, leaves)``;
-  a miss simulates the ≤6-leaf cone with projection truth tables (cheaper
-  than hashing the cone to look its table up anywhere else).  The memo
-  subscribes to the bound network's mutation events, but an in-place
-  substitution (:meth:`repro.xag.graph.Xag.substitute_node`) drops
-  nothing: it only records its dirty, revived and killed nodes.  The next
-  read expands everything recorded since the previous read to its
-  transitive fanout once (:meth:`repro.xag.graph.Xag.edited_closure`) and
-  drops the entries rooted there, so a round of substitutions costs one
-  fanout walk and memoised functions for untouched cones survive whole
-  convergence flows.  Binding to a different network — or a rollback of
-  the bound one — drops the memo wholesale (:meth:`CutFunctionCache.bind`);
+:meth:`repro.mc.database.McDatabase.plan_for`.  The cut merge now computes
+each cut's truth table (:mod:`repro.cuts.enumeration`), which removes (a)
+from rewriting altogether; this module answers (b) for the rewriter
+(:class:`repro.rewriting.rewrite.CutRewriter`):
 
 * **implementation plans** are memoised by the network-independent key
   ``(truth table, num_vars)``.  This is the first level of a two-level
@@ -34,7 +21,22 @@ behind one object that the cut enumerator (:func:`repro.cuts.enumeration
   plan for this function cost at most ``k`` ANDs?" from
   :func:`repro.mc.bounds.lower_bound` alone, without touching the
   database, so the rewriter skips the lookup of a candidate that provably
-  cannot win.
+  cannot win;
+
+* **cone functions** — a cut's function obtained by simulating its cone —
+  are memoised per network, keyed by ``(root, leaves)``, behind
+  :func:`repro.cuts.enumeration.cut_function` with a cache.  Candidate
+  selection no longer reads them (its ``function_*`` counters and
+  ``stored_functions`` read 0 for engine runs); they stay as the simulated
+  reference the tests and the benchmark's traced names use.  The memo
+  subscribes to the bound network's mutation events, but an in-place
+  substitution (:meth:`repro.xag.graph.Xag.substitute_node`) drops
+  nothing: it only records its dirty, revived and killed nodes.  The next
+  read expands everything recorded since the previous read to its
+  transitive fanout once (:meth:`repro.xag.graph.Xag.edited_closure`) and
+  drops the entries rooted there.  Binding to a different network — or a
+  rollback of the bound one — drops the memo wholesale
+  (:meth:`CutFunctionCache.bind`).
 
 The cache is deliberately long-lived: :func:`repro.rewriting.pipeline.run_pipeline`
 keeps one across all passes and rounds of a pipeline, and
@@ -53,7 +55,7 @@ from repro.xag.structhash import cone_hash as _cone_hash
 
 
 class CutFunctionCache:
-    """Memoising front-end for cut-cone simulation and MC database plans."""
+    """Memoising front-end for MC database plans (and cone simulation)."""
 
     def __init__(self, database: Optional[McDatabase] = None) -> None:
         # explicit `is None` check — an empty McDatabase is falsy (it defines
@@ -236,11 +238,12 @@ class CutFunctionCache:
                                entries: Sequence[Tuple[Tuple[int, Tuple[int, ...]], int]]) -> None:
         """Store batch-computed cone functions, counting one miss each.
 
-        This is the install half of per-drain batched cone simulation: the
-        rewriter collects the cones a drain is missing, evaluates them in
-        one vectorised sweep on an accelerated backend, and lands them here
+        The install half of batched cone simulation
+        (:meth:`repro.kernels.numpy_backend.NumpyBackend.simulate_cones`),
         with the same hit/miss accounting as individual
-        :meth:`cone_function` misses — the counters stay backend-invariant.
+        :meth:`cone_function` misses.  Candidate selection no longer calls
+        it; it stays resolvable because ``perfbench/spans.py`` traces it by
+        name.
         """
         self.bind(xag)
         functions = self._functions

@@ -7,13 +7,24 @@ most ``cut_limit`` cuts per node (paper §4.1 uses ``cut_size = 6`` and
 ``cut_limit = 12``).  The trivial cut of each node is always available to the
 merge step but is not reported to the rewriter.
 
-Cut functions are not computed during enumeration; they are evaluated on
-demand by simulating the cut cone with projection truth tables.  Carrying
-a table with every kept cut through the merge instead measured about even
-in pure Python: it computes about twice as many tables as the on-demand
-path simulates, and saves the cone walks that simulation needs.  A
-shared :class:`repro.cuts.cache.CutFunctionCache` memoises the simulated
-tables per ``(root, leaves)`` across the rounds of a flow.
+Every kept cut also gets its truth table and an "AND in cone" bit in the
+merge, from the fan-in cuts whose union formed it: each producer's table is
+re-expressed over the union's leaves, complemented by the fan-in literal and
+combined with the gate's AND or XOR.  Candidate selection reads both from
+the :class:`~repro.cuts.cut.Cut`, so it never walks or simulates a cone.
+
+The table ``T`` of a kept cut satisfies ``T(values of the leaves) = value of
+the root`` under every primary-input assignment (by induction over the
+merge), so a plan built from it is correct where it is inserted.  It equals
+the simulated cone function (:func:`cut_function`) unless the cut is
+*redundant* — some leaf lies inside the cone of the root over the other
+leaves — and then the two differ only on leaf assignments the network
+cannot produce.
+
+Re-expressing a table over the union's leaves is memoised by ``(table,
+position mask, 2**leaves)``; the memo is network-independent and far
+smaller than the number of merges (a few thousand embeddings serve the
+hundreds of thousands of cuts of a crypto batch).
 """
 
 from __future__ import annotations
@@ -21,18 +32,53 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cuts.cut import Cut
-from repro.tt.bits import popcount
+from repro.tt.bits import popcount, projection, table_mask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.cuts.cache import CutFunctionCache
-from repro.xag.graph import SubstitutionResult, Xag, lit_node
+from repro.xag.graph import NodeKind, SubstitutionResult, Xag, lit_node
+
+#: one merge-set entry: sorted leaves, the root's table over them (leaf
+#: ``i`` = variable ``i``) and whether an AND lies inside the cut cone.
+MergeEntry = Tuple[Tuple[int, ...], int, bool]
+#: ``(table, position mask, 2**num_vars)`` → the re-expressed table.
+EmbeddingMemo = Dict[Tuple[int, int, int], int]
+
+#: the constant node's only cut, and the trivial cut's table (variable 0).
+_CONSTANT_ENTRY: MergeEntry = ((), 0, False)
+_TRIVIAL_TABLE = 0b10
+
+
+def _embed(table: int, positions: int, num_vars: int) -> int:
+    """Re-express ``table`` over ``num_vars`` variables.
+
+    ``table`` is a function of ``popcount(positions)`` variables; its
+    variable ``j`` becomes the variable at the ``j``-th lowest set bit of
+    ``positions``.  One multiplication replicates the table across all
+    ``2**num_vars`` rows (the new high variables are don't-cares), then
+    delta swaps move each variable to its position, highest first, so every
+    swap exchanges a real variable with a don't-care.
+    """
+    width = popcount(positions)
+    table *= table_mask(num_vars) // table_mask(width)
+    var = width - 1
+    for target in range(num_vars - 1, -1, -1):
+        if not positions >> target & 1:
+            continue
+        if target != var:
+            low = projection(var, num_vars) & ~projection(target, num_vars)
+            shift = (1 << target) - (1 << var)
+            table = (table & ~(low | low << shift)) \
+                | (table & low) << shift | (table >> shift) & low
+        var -= 1
+    return table
 
 
 def _merge_node_cuts(xag: Xag, node: int,
-                     merge_sets: Dict[int, List[Tuple[int, ...]]],
-                     cut_size: int, cut_limit: int
-                     ) -> List[Tuple[int, ...]]:
-    """Kept leaf tuples of one gate from its fan-ins' merge sets.
+                     merge_sets: Dict[int, List[MergeEntry]],
+                     cut_size: int, cut_limit: int,
+                     embeddings: EmbeddingMemo) -> List[MergeEntry]:
+    """Kept cuts of one gate, with tables, from its fan-ins' merge sets.
 
     Leaf sets are remapped into a *local* bit space: one bit per distinct
     leaf seen across both fan-ins, numbered in **descending** node order.
@@ -46,30 +92,36 @@ def _merge_node_cuts(xag: Xag, node: int,
     so it comes first, and domination is transitive), and stops at
     ``cut_limit`` survivors — only those are converted back to tuples.
 
+    Each union remembers the producer pair that formed it (the last pair
+    wins; any pair gives a correct table).  A kept mask is decoded from its
+    highest local bit down, which yields the leaves in ascending order and,
+    in the same loop, each producer's position mask over them.
+
     This is the single definition of the per-node cut computation, shared
     by the one-shot enumeration and the incremental :class:`CutSetCache`
     so the two can never drift apart.
     """
     f0, f1 = xag.fanins(node)
-    cuts0 = merge_sets[lit_node(f0)]
-    cuts1 = merge_sets[lit_node(f1)]
+    entries0 = merge_sets[lit_node(f0)]
+    entries1 = merge_sets[lit_node(f1)]
     distinct = set()
-    for leaves in cuts0:
+    for leaves, _, _ in entries0:
         distinct.update(leaves)
-    for leaves in cuts1:
+    for leaves, _, _ in entries1:
         distinct.update(leaves)
     local_leaves = sorted(distinct, reverse=True)
     bit = {leaf: 1 << position
            for position, leaf in enumerate(local_leaves)}.__getitem__
-    masks1 = [sum(map(bit, leaves)) for leaves in cuts1]
-    unions = {mask0 | mask1
-              for mask0 in [sum(map(bit, leaves)) for leaves in cuts0]
-              for mask1 in masks1}
+    side1 = [(sum(map(bit, leaves)), table, has_and)
+             for leaves, table, has_and in entries1]
+    unions = {mask0 | mask1: (mask0, table0, and0, mask1, table1, and1)
+              for mask0, table0, and0 in [(sum(map(bit, leaves)), table, has_and)
+                                          for leaves, table, has_and in entries0]
+              for mask1, table1, and1 in side1}
 
     # note: a vectorised variant of this merge (uint64 outer union +
     # broadcast subset tests) measures *slower* than the scalar loop at the
-    # typical ~13x13 batch size, so the merge stays pure Python on every
-    # backend.
+    # typical ~13x13 batch size, so the merge stays pure Python.
     ranked: List[Tuple[int, int]] = []
     for union in unions:
         size = popcount(union)
@@ -89,16 +141,59 @@ def _merge_node_cuts(xag: Xag, node: int,
             if len(kept) == cut_limit:
                 break
 
-    candidates: List[Tuple[int, ...]] = []
+    is_and = xag._kind[node] == NodeKind.AND
+    flip0 = f0 & 1
+    flip1 = f1 & 1
+    candidates: List[MergeEntry] = []
     for mask in kept:
+        mask0, table0, and0, mask1, table1, and1 = unions[mask]
         leaves = []
-        while mask:
-            low = mask & -mask
-            leaves.append(local_leaves[low.bit_length() - 1])
-            mask ^= low
-        leaves.reverse()
-        candidates.append(tuple(leaves))
+        positions0 = positions1 = 0
+        var = 1  # the bit of the next variable; ends as 2**len(leaves)
+        rest = mask
+        while rest:
+            top = rest.bit_length() - 1
+            leaves.append(local_leaves[top])
+            top_bit = 1 << top
+            if mask0 & top_bit:
+                positions0 |= var
+            if mask1 & top_bit:
+                positions1 |= var
+            var <<= 1
+            rest ^= top_bit
+        every = var - 1
+        if positions0 != every:
+            key = (table0, positions0, var)
+            embedded = embeddings.get(key)
+            if embedded is None:
+                embedded = embeddings[key] = _embed(table0, positions0,
+                                                    len(leaves))
+            table0 = embedded
+        if positions1 != every:
+            key = (table1, positions1, var)
+            embedded = embeddings.get(key)
+            if embedded is None:
+                embedded = embeddings[key] = _embed(table1, positions1,
+                                                    len(leaves))
+            table1 = embedded
+        ones = (1 << var) - 1
+        if flip0:
+            table0 ^= ones
+        if flip1:
+            table1 ^= ones
+        candidates.append((tuple(leaves),
+                           table0 & table1 if is_and else table0 ^ table1,
+                           is_and or and0 or and1))
     return candidates
+
+
+def _leaf_entries(xag: Xag, node: int) -> Optional[List[MergeEntry]]:
+    """Merge set of the constant or a primary input (``None`` for a gate)."""
+    if xag.is_constant(node):
+        return [_CONSTANT_ENTRY]
+    if xag.is_pi(node):
+        return [((node,), _TRIVIAL_TABLE, False)]
+    return None
 
 
 def enumerate_cuts(xag: Xag, cut_size: int = 6, cut_limit: int = 12) -> Dict[int, List[Cut]]:
@@ -106,34 +201,34 @@ def enumerate_cuts(xag: Xag, cut_size: int = 6, cut_limit: int = 12) -> Dict[int
 
     Returns a dictionary mapping each node index to its list of non-trivial
     cuts (primary inputs and the constant node map to empty lists).  Cuts are
-    ordered by increasing leaf count.
+    ordered by increasing leaf count and carry their tables (see the module
+    docstring).
     """
     if cut_size < 2:
         raise ValueError("cut_size must be at least 2")
     if cut_limit < 1:
         raise ValueError("cut_limit must be at least 1")
 
-    # sorted leaf tuples usable for merging, per node.  Iteration follows
-    # the live topological order: after an in-place substitution the
-    # creation order is no longer topological, and dead nodes are skipped.
-    merge_sets: Dict[int, List[Tuple[int, ...]]] = {}
+    # cut entries usable for merging, per node.  Iteration follows the live
+    # topological order: after an in-place substitution the creation order
+    # is no longer topological, and dead nodes are skipped.
+    merge_sets: Dict[int, List[MergeEntry]] = {}
+    embeddings: EmbeddingMemo = {}
     result: Dict[int, List[Cut]] = {}
 
     for node in xag.topological_order():
-        if xag.is_constant(node):
-            merge_sets[node] = [()]
+        entries = _leaf_entries(xag, node)
+        if entries is not None:
+            merge_sets[node] = entries
             result[node] = []
             continue
-        if xag.is_pi(node):
-            merge_sets[node] = [(node,)]
-            result[node] = []
-            continue
-
-        kept = _merge_node_cuts(xag, node, merge_sets, cut_size, cut_limit)
-        result[node] = [Cut(node, leaves) for leaves in kept
-                        if leaves != (node,)]
+        kept = _merge_node_cuts(xag, node, merge_sets, cut_size, cut_limit,
+                                embeddings)
+        result[node] = [Cut(node, leaves, table, has_and)
+                        for leaves, table, has_and in kept]
         # the trivial cut participates in the merges of the fan-outs
-        merge_sets[node] = kept + [(node,)]
+        kept.append(((node,), _TRIVIAL_TABLE, False))
+        merge_sets[node] = kept
     return result
 
 
@@ -148,9 +243,12 @@ class CutSetCache:
     records its dirty, revived and killed nodes; the next :meth:`cuts`
     call expands everything recorded since the previous call to its
     transitive fanout once (:meth:`repro.xag.graph.Xag.edited_closure`) —
-    exactly the nodes whose transitive fan-in, and therefore cut sets,
-    changed — drops those entries and recomputes the missing ones in
-    topological order.
+    exactly the nodes whose transitive fan-in, and therefore cut sets and
+    tables, changed — drops those entries and recomputes the missing ones
+    in topological order.
+
+    The table-embedding memo of the merge is network-independent, so it
+    survives :meth:`bind` and :meth:`on_rollback`.
     """
 
     def __init__(self, cut_size: int = 6, cut_limit: int = 12) -> None:
@@ -160,8 +258,9 @@ class CutSetCache:
             raise ValueError("cut_limit must be at least 1")
         self.cut_size = cut_size
         self.cut_limit = cut_limit
-        self._merge: Dict[int, List[Tuple[int, ...]]] = {}
+        self._merge: Dict[int, List[MergeEntry]] = {}
         self._cuts: Dict[int, List[Cut]] = {}
+        self._embeddings: EmbeddingMemo = {}
         #: dirty, revived and killed nodes of the substitutions since the
         #: last :meth:`cuts` call (expanded there).
         self._edited: Set[int] = set()
@@ -200,7 +299,7 @@ class CutSetCache:
         self._bound_mutation_epoch = xag._mutation_epoch
 
     def on_rollback(self, xag: Xag) -> None:
-        """Rollback recycles node indices: drop everything."""
+        """Rollback recycles node indices: drop every cut set."""
         if xag is not self._bound_xag:
             return
         self._merge.clear()
@@ -222,20 +321,18 @@ class CutSetCache:
         for node in xag.topological_order():
             if node in merge_sets:
                 continue
-            if xag.is_constant(node):
-                merge_sets[node] = [()]
-                result[node] = []
-                continue
-            if xag.is_pi(node):
-                merge_sets[node] = [(node,)]
+            entries = _leaf_entries(xag, node)
+            if entries is not None:
+                merge_sets[node] = entries
                 result[node] = []
                 continue
             kept = _merge_node_cuts(xag, node, merge_sets, self.cut_size,
-                                    self.cut_limit)
-            result[node] = [Cut(node, leaves) for leaves in kept
-                            if leaves != (node,)]
+                                    self.cut_limit, self._embeddings)
+            result[node] = [Cut(node, leaves, table, has_and)
+                            for leaves, table, has_and in kept]
             # the trivial cut participates in the merges of the fan-outs
-            merge_sets[node] = kept + [(node,)]
+            kept.append(((node,), _TRIVIAL_TABLE, False))
+            merge_sets[node] = kept
             self.nodes_recomputed += 1
         return result
 
@@ -278,9 +375,12 @@ def cut_cone(xag: Xag, root: int, leaves: Sequence[int]) -> List[int]:
 def cut_function(xag: Xag, cut: Cut, cache: Optional["CutFunctionCache"] = None) -> int:
     """Truth table of the cut root in terms of its leaves (leaf ``i`` = variable ``i``).
 
+    This is the simulated reference: it walks and simulates the cut cone.
+    An enumerated cut already carries its table (``cut.table``, equal to
+    this one unless the cut is redundant, see the module docstring).
     ``cache`` may pass a shared :class:`repro.cuts.cache.CutFunctionCache` so
-    that repeated queries for the same cut (e.g. by the rewriter and by the
-    ablation benchmarks) simulate the cone only once per network.
+    that repeated queries for the same cut simulate the cone only once per
+    network.
     """
     num_vars = len(cut.leaves)
     if num_vars > 16:

@@ -140,9 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 20000)")
     parser.add_argument("--backend", default="auto", choices=BACKEND_CHOICES,
                         help="kernel backend of the batched cut-cone "
-                             "simulation, the one kernel numpy serves: auto "
-                             "picks numpy when importable, else the "
-                             "pure-Python reference (REPRO_BACKEND "
+                             "simulation, which candidate selection no "
+                             "longer uses (cut tables come from the cut "
+                             "merge): auto picks numpy when importable, "
+                             "else the pure-Python reference (REPRO_BACKEND "
                              "overrides); both give bit-identical results "
                              "(default: auto)")
     parser.add_argument("--json", metavar="PATH", default=None,

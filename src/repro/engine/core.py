@@ -114,12 +114,13 @@ class EngineConfig:
     warm_start: Optional[Union[str, Path]] = None
     #: bundle path to write after the run (recipes + classifications + plans).
     persist: Optional[Union[str, Path]] = None
-    #: kernel backend for the batched cut-cone simulation of candidate
-    #: selection, the one kernel numpy still serves (truth tables,
-    #: classification and verification always run on the pure-Python
-    #: reference): "auto" (numpy when importable, else python), "python" or
-    #: "numpy" (a hard error when numpy is not importable).  Both backends
-    #: produce bit-identical results; the choice only affects speed.
+    #: kernel backend for batched cut-cone simulation, the one kernel numpy
+    #: still serves; candidate selection no longer uses it (cut tables come
+    #: from the cut merge, and truth tables, classification and
+    #: verification always run on the pure-Python reference): "auto" (numpy
+    #: when importable, else python), "python" or "numpy" (a hard error
+    #: when numpy is not importable).  Both backends produce bit-identical
+    #: results.
     backend: str = "auto"
 
 

@@ -1,20 +1,23 @@
-"""Kernel backends: where the batched cut-cone simulation runs.
+"""Kernel backends: where batched cut-cone simulation runs.
 
 Truth tables, affine classification and packed verification run on the
 pure-Python big-int reference (:mod:`repro.tt`, :mod:`repro.affine`,
-:mod:`repro.xag`) on every backend.  One kernel is pluggable: the batched
-simulation of a drain round's missing cut cones in
-:meth:`repro.rewriting.rewrite.CutRewriter._select_candidates`.
+:mod:`repro.xag`) on every backend.  One kernel is pluggable, the batched
+simulation of many cut cones:
 
 * the **python** backend simulates each cone with the per-cone big-int
   reference (:func:`repro.cuts.cache._simulate_cone`);
-* the **numpy** backend evaluates every missing cone of a round in one
-  level-ordered ``uint64`` sweep
+* the **numpy** backend evaluates a list of cones in one level-ordered
+  ``uint64`` sweep
   (:meth:`repro.kernels.numpy_backend.NumpyBackend.simulate_cones`).
 
-The two backends are *bit-exact*: the optimisation results — AND counts,
-depths, round trajectories, equivalence verdicts and cache counters — are
-identical and only the wall time changes.
+Candidate selection no longer dispatches to a backend: every cut carries
+its truth table from the cut merge (:mod:`repro.cuts.enumeration`), so no
+cone is simulated while rewriting and both backends run the same code.
+The backend choice, :envvar:`REPRO_BACKEND`, ``EngineConfig.backend`` and
+the engine's ``--backend`` flag stay until the benchmark stops tracing
+``simulate_cones`` by name; the kernel stays bit-exact against the
+reference (``tests/test_kernels.py``).
 
 Selection: ``auto`` (the default) picks numpy when it is importable and
 falls back to python otherwise.  The choice can be forced through
@@ -32,10 +35,8 @@ from typing import Iterator, Optional, Tuple
 class KernelBackend:
     """Pure-Python reference backend (also the base class).
 
-    ``accelerated`` is the flag candidate selection checks before it
-    batches the round's missing cones through ``simulate_cones``: the
-    python backend leaves it ``False``, so each cone is simulated by the
-    per-cone reference when it is first read.
+    ``accelerated`` is ``True`` on a backend that provides the batched
+    ``simulate_cones`` kernel; the python backend leaves it ``False``.
     """
 
     name = "python"

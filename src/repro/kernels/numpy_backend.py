@@ -4,10 +4,11 @@ Importing this module requires numpy; :mod:`repro.kernels` catches the
 :class:`ImportError` and keeps the pure-Python reference backend active.
 
 :meth:`NumpyBackend.simulate_cones` is the one kernel left here.  It
-evaluates a drain round's missing cut cones in one level-ordered
-``uint64`` sweep and is bit-exact against the per-cone big-int reference
-(pinned by ``tests/test_kernels.py``).  Truth tables, classification and
-packed verification run on the pure-Python reference on every backend.
+evaluates a list of cut cones in one level-ordered ``uint64`` sweep and is
+bit-exact against the per-cone big-int reference (pinned by
+``tests/test_kernels.py``).  Candidate selection no longer calls it: cut
+tables come from the cut merge.  Truth tables, classification and packed
+verification run on the pure-Python reference on every backend.
 """
 
 from __future__ import annotations

@@ -196,9 +196,10 @@ class OptimizationContext:
 
     * :attr:`sim_cache` holds the simulator of the working network: the
       per-round equivalence check re-simulates it once per changing round;
-    * :attr:`cut_sets` maintains cut sets incrementally across substitutions;
-    * :attr:`cut_cache` memoises cone functions per node and implementation
-      plans per truth table;
+    * :attr:`cut_sets` maintains cut sets, with each cut's truth table,
+      incrementally across substitutions;
+    * :attr:`cut_cache` memoises implementation plans and lower bounds per
+      truth table;
     * :attr:`levels` shares one maintained AND-level tracker between the
       depth-aware rewriter and the :class:`DepthGuard`.
 
@@ -490,10 +491,10 @@ def _drain_worklist(ctx: OptimizationContext, params: RewriteParams,
     rolled back too, and — like the restart-based depth flow before it —
     only accepted rounds are reported.
 
-    Each round's candidate selection batches its cut-cone simulations
-    through the active kernel backend (one vectorised sweep per drain round
-    on numpy, see :meth:`CutRewriter._select_candidates`); backends only
-    change speed, never which candidates a round selects.
+    Each round's candidate selection reads every cut's truth table from
+    the maintained cut sets, so it simulates no cone; the tables of the
+    cuts a round's substitutions touched are recomputed in the cut merge
+    at the next round (see :meth:`CutRewriter._select_candidates`).
     """
     rewriter = ctx.rewriter(params)
     working = ctx.own_network()

@@ -5,7 +5,7 @@ rewriting pass in the spirit of Mishchenko et al. [1]:
 
 *Phase 1 — candidate selection.*  For every gate (in topological order) the
 enumerated cuts are examined.  For each cut the function of the cut is
-computed, classified to its affine representative, and the representative's
+read, classified to its affine representative, and the representative's
 recipe is fetched from the database (Alg. 1 lines 1–9).  The *gain* of the
 candidate is the number of AND gates inside the cut cone that belong to the
 root's maximum fanout-free cone (they disappear if the root is re-expressed)
@@ -17,9 +17,11 @@ MFFC comes first: a root whose MFFC holds fewer ANDs than the model's floor
 is skipped without looking at a cone.  Each cut's (ANDs, gates) saving is
 one walk down the MFFC that stops at the cut's leaves
 (:func:`repro.cuts.mffc.mffc_saving`); that is the cut cone ∩ MFFC, because
-every path from the root to an MFFC node stays inside the MFFC.  A cone
-interior is built only when a surviving candidate's function is not
-memoised yet, or, under a floor of 0, to check a zero-saving cut for an AND.
+every path from the root to an MFFC node stays inside the MFFC.  Selection
+never walks or simulates a cut cone: each cut carries its truth table and
+an "AND in cone" bit, computed in the cut merge
+(:mod:`repro.cuts.enumeration`), and under a floor of 0 the bit decides
+whether a zero-saving cut has an AND to offer.
 
 Unlike Alg. 1, most cuts never reach classification.  No recipe beats the
 multiplicative complexity of its function, and ``MC(f) >= deg(f) - 1``
@@ -37,7 +39,7 @@ functions are classified and synthesised.
 leaves inside the *same* network and the root is replaced via
 :meth:`repro.xag.graph.Xag.substitute_node` — fan-outs and primary outputs
 are rewired, the displaced MFFC is dereferenced, and subscribed observers
-see each edit: memoised cone functions, cut sets and levels are invalidated
+see each edit: cut sets (with their tables) and levels are invalidated
 per node, the packed simulation words wholesale (the round's equivalence
 check re-simulates the network once).  Roots are applied in completion
 order of a walk from the primary outputs that descends through a selected
@@ -45,7 +47,7 @@ root's cut leaves (:meth:`CutRewriter._applied_roots`), so every leaf is
 final before its root is replaced.
 
 A round examines every live gate, or only a worklist of nodes whose cuts,
-cone functions or MFFCs the previous round may have changed (see
+cut tables or MFFCs the previous round may have changed (see
 :meth:`CutRewriter.rewrite_in_place`).  Both must reach the same (ANDs,
 XORs, depth, rounds); the every-gate round is the worklist's reference in
 the test suite.
@@ -66,7 +68,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro import kernels
 from repro.cuts.cache import CutFunctionCache
 from repro.cuts.cut import Cut
 from repro.cuts.enumeration import CutSetCache
@@ -262,7 +263,7 @@ class CutRewriter:
         convergence flow).  Returns the round statistics plus the *dirty
         seeds*: every node whose structure or reference count this round
         changed.  The caller grows the next round's worklist as the
-        transitive fanout of these seeds — nodes whose cuts, cone functions
+        transitive fanout of these seeds — nodes whose cuts, cut tables
         or MFFCs may have changed — which is what turns "repeat until
         convergence" into an event-driven drain instead of repeated
         whole-network sweeps.
@@ -322,7 +323,6 @@ class CutRewriter:
         cuts = self.cut_sets.cuts(xag)
         selections: Dict[int, Candidate] = {}
         cache = self.cut_cache
-        cache.bind(xag)
         plan_hits_before = cache.plan_hits
         plan_misses_before = cache.plan_misses
         depth_aware = model.depth_aware
@@ -333,21 +333,10 @@ class CutRewriter:
         # traffic, not just a comparison, so the cache statistics depend on
         # the model stating its floor exactly.
         min_gain = model.min_and_gain(allow_zero_gain)
-
-        # Sweep A: structural filters and gain accounting for every cut of
-        # every worklist node.  Nothing here needs the cone *function*, so
-        # the sweep both prices the cheap vetoes first and discovers which
-        # cone tables the drain is missing — on an accelerated backend those
-        # are then evaluated in one vectorised batch instead of one big-int
-        # simulation per cone.  Sweep B consumes the items in the exact
-        # order this sweep produced them, so the selection decisions (and
-        # the cache hit/miss counters) are identical on every backend.
-        backend = kernels.active_backend()
         kinds = xag._kind
         and_kind = NodeKind.AND
         skip_and_free = not model.examine_and_free_cones
-        work: List[Tuple[int, List[Tuple[Cut, int, int]]]] = []
-        missing: List[Tuple[int, Tuple[int, ...], List[int]]] = []
+
         for node in xag.gates():
             if worklist is not None and node not in worklist:
                 continue
@@ -361,7 +350,8 @@ class CutRewriter:
             if min_gain and sum(1 for n in node_mffc
                                 if kinds[n] == and_kind) < min_gain:
                 continue
-            items: List[Tuple[Cut, int, int]] = []
+            best: Optional[Candidate] = None
+            best_key: Optional[Tuple[int, ...]] = None
 
             for cut in node_cuts:
                 leaves = cut.leaves
@@ -372,42 +362,11 @@ class CutRewriter:
                 if min_gain is not None and saved_ands < min_gain:
                     # no plan has negative AND cost
                     continue
-                if not saved_ands and skip_and_free and not any(
-                        kinds[n] == and_kind
-                        for n in cache.cone_interior(xag, node, leaves)):
+                if not saved_ands and skip_and_free and not cut.has_and:
                     # AND-free cones have nothing to offer an AND-count
                     # objective (XOR gates are depth-transparent too).
                     continue
-                items.append((cut, saved_ands, saved_gates))
-                if backend.accelerated and not cache.has_cone_function(
-                        xag, node, leaves):
-                    missing.append((node, leaves,
-                                    cache.cone_interior(xag, node, leaves)))
-            if items:
-                work.append((node, items))
-
-        # Batched cone simulation (numpy backend): all cones this drain is
-        # missing are evaluated in one level-ordered vectorised sweep.  The
-        # install counts one function miss per cone — the same tally the
-        # per-cone ``cone_function`` misses would have produced.
-        prefetched: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        if missing:
-            tables = backend.simulate_cones(xag, missing)
-            entries = []
-            for (root, leaves, _), table in zip(missing, tables):
-                prefetched[(root, leaves)] = table
-                entries.append(((root, leaves), table))
-            cache.install_cone_functions(xag, entries)
-
-        # Sweep B: plan lookup and pricing, in sweep A's decision order.
-        for node, items in work:
-            best: Optional[Candidate] = None
-            best_key: Optional[Tuple[int, ...]] = None
-
-            for cut, saved_ands, saved_gates in items:
-                table = prefetched.get((node, cut.leaves))
-                if table is None:
-                    table = cache.cone_function(xag, node, cut.leaves)
+                table = cut.table
                 if min_gain is not None and cache.prunes(
                         table, cut.size, saved_ands - min_gain):
                     # every plan's AND cost exceeds the saving the model
@@ -425,7 +384,7 @@ class CutRewriter:
                 if depth_aware:
                     assert node_levels is not None
                     root_level = node_levels[node]
-                    leaf_levels = [node_levels[leaf] for leaf in cut.leaves]
+                    leaf_levels = [node_levels[leaf] for leaf in leaves]
                     gain_depth = root_level - \
                         self._plan_and_level(plan, leaf_levels)
                 candidate = Candidate(cut, plan, gain_ands, gain_gates,

@@ -13,6 +13,7 @@ from repro.affine import (
     apply_ops,
 )
 from repro.tt import bits, random_table
+from repro.tt.anf import degree
 from repro.tt.spectrum import spectrum_signature
 
 OP_KINDS = ["swap", "flip_input", "flip_output", "translate", "xor_output"]
@@ -133,6 +134,31 @@ def test_two_variable_classification_is_exact():
     classifier = AffineClassifier()
     representatives = {classifier.classify(table, 2).representative for table in range(16)}
     assert len(representatives) == 2  # affine functions and the AND class
+
+
+def test_exhaustive_search_stops_at_the_class_minimum(monkeypatch):
+    """Stopping the exhaustive search at the known class minimum returns
+    what the full search returns — same representative, ops and transform —
+    on every one of the 278 tables with at most three variables."""
+    from repro.affine import classify as classify_module
+
+    tables = [(table, num_vars) for num_vars in range(4)
+              for table in range(1 << (1 << num_vars))]
+    assert len(tables) == 278
+    early = AffineClassifier()
+    stopped = [early.classify(table, num_vars) for table, num_vars in tables]
+    monkeypatch.setattr(classify_module, "_class_minimum",
+                        lambda table, num_vars: None)
+    full = AffineClassifier()
+    for (table, num_vars), result in zip(tables, stopped):
+        reference = full.classify(table, num_vars)
+        assert result.representative == reference.representative
+        assert result.ops == reference.ops
+        assert result.from_representative.to_dict() == \
+            reference.from_representative.to_dict()
+        # the representative is the minimum the degree predicts
+        assert result.representative == \
+            classify_module._CLASS_MINIMA[num_vars][degree(table, num_vars)]
 
 
 def test_classification_transform_is_always_valid():
