@@ -12,16 +12,19 @@ class Cut:
     to a primary input passes through at least one leaf, and every leaf lies
     on such a path.  Leaves are stored as a sorted tuple of node indices.
 
-    Cuts produced by :func:`repro.cuts.enumeration.enumerate_cuts` and
-    :class:`repro.cuts.enumeration.CutSetCache` also carry, computed in the
-    cut merge, ``table`` — the root's truth table over the leaves (leaf
-    ``i`` = variable ``i``) — and ``has_and``, which is true when an AND
-    gate lies between the leaves and the root.  A hand-built cut leaves
-    both ``None``; :func:`repro.cuts.enumeration.cut_function` simulates
-    any cut.  Equality and hashing look at ``root`` and ``leaves`` only.
+    Cuts built by :func:`repro.cuts.enumeration.enumerate_cuts` and for
+    the candidates of cut rewriting also carry, computed in the cut merge,
+    ``table`` — the root's truth table over the leaves (leaf ``i`` =
+    variable ``i``) — and ``has_and``, which is true when an AND gate lies
+    between the leaves and the root.  The incremental
+    :class:`repro.cuts.enumeration.CutSetCache` keeps the same data as
+    plain ``(leaves, table, has_and)`` merge entries and builds no cuts.  A
+    hand-built cut leaves both ``None``;
+    :func:`repro.cuts.enumeration.cut_function` simulates any cut.
+    Equality and hashing look at ``root`` and ``leaves`` only.
 
-    A plain ``__slots__`` class rather than a frozen dataclass: hundreds of
-    thousands of cuts are built per batch, and a frozen dataclass pays one
+    A plain ``__slots__`` class rather than a frozen dataclass: a one-shot
+    enumeration builds one per kept cut, and a frozen dataclass pays one
     ``object.__setattr__`` per field.
     """
 

@@ -7,11 +7,15 @@ most ``cut_limit`` cuts per node (paper §4.1 uses ``cut_size = 6`` and
 ``cut_limit = 12``).  The trivial cut of each node is always available to the
 merge step but is not reported to the rewriter.
 
-Every kept cut also gets its truth table and an "AND in cone" bit in the
-merge, from the fan-in cuts whose union formed it: each producer's table is
-re-expressed over the union's leaves, complemented by the fan-in literal and
-combined with the gate's AND or XOR.  Candidate selection reads both from
-the :class:`~repro.cuts.cut.Cut`, so it never walks or simulates a cone.
+A cut set is a list of *merge entries* ``(leaves, table, has_and)``: the
+sorted leaves, the root's truth table over them (leaf ``i`` = variable
+``i``) and whether an AND gate lies inside the cut cone.  Every kept cut
+gets its table and bit in the merge, from the fan-in cuts whose union
+formed it: each producer's table is re-expressed over the union's leaves,
+complemented by the fan-in literal and combined with the gate's AND or
+XOR.  Candidate selection reads the entries that :class:`CutSetCache`
+maintains, so it never walks or simulates a cone and builds a
+:class:`~repro.cuts.cut.Cut` only for a candidate.
 
 The table ``T`` of a kept cut satisfies ``T(values of the leaves) = value of
 the root`` under every primary-input assignment (by induction over the
@@ -29,6 +33,7 @@ hundreds of thousands of cuts of a crypto batch).
 
 from __future__ import annotations
 
+from itertools import count
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cuts.cut import Cut
@@ -83,19 +88,22 @@ def _merge_node_cuts(xag: Xag, node: int,
     Leaf sets are remapped into a *local* bit space: one bit per distinct
     leaf seen across both fan-ins, numbered in **descending** node order.
     The pairwise union is then one machine-word ``|`` and the size check one
-    ``bit_count``, and among sets of equal size the larger mask is the one
+    ``popcount``, and among sets of equal size the larger mask is the one
     whose sorted leaf tuple is lexicographically smaller (the highest
-    differing bit is the smallest differing leaf).  Sorting the unions by
-    ``(popcount, -mask)`` is therefore exactly the ``(size, leaves)``
-    priority order.  The dominance filter walks that order, testing each
-    union against the already-kept ones only (a strict subset is smaller,
-    so it comes first, and domination is transitive), and stops at
-    ``cut_limit`` survivors — only those are converted back to tuples.
+    differing bit is the smallest differing leaf).  Unions of at most
+    ``cut_size`` leaves go into one bucket per size, each sorted in
+    descending order: ascending sizes, then descending masks, is exactly
+    the ``(size, leaves)`` priority order.  The dominance filter walks that
+    order, testing each union against the already-kept ones only (a strict
+    subset is smaller, so it comes first, and domination is transitive),
+    and stops at ``cut_limit`` survivors — only those are converted back to
+    tuples.
 
-    Each union remembers the producer pair that formed it (the last pair
-    wins; any pair gives a correct table).  A kept mask is decoded from its
-    highest local bit down, which yields the leaves in ascending order and,
-    in the same loop, each producer's position mask over them.
+    Each union remembers the index ``i * len(entries1) + j`` of the last
+    producer pair ``(entries0[i], entries1[j])`` that formed it (any pair
+    gives a correct table).  A kept mask is decoded from its highest local
+    bit down, which yields the leaves in ascending order and, in the same
+    loop, each producer's position mask over them.
 
     This is the single definition of the per-node cut computation, shared
     by the one-shot enumeration and the incremental :class:`CutSetCache`
@@ -104,49 +112,52 @@ def _merge_node_cuts(xag: Xag, node: int,
     f0, f1 = xag.fanins(node)
     entries0 = merge_sets[lit_node(f0)]
     entries1 = merge_sets[lit_node(f1)]
-    distinct = set()
-    for leaves, _, _ in entries0:
-        distinct.update(leaves)
-    for leaves, _, _ in entries1:
-        distinct.update(leaves)
-    local_leaves = sorted(distinct, reverse=True)
-    bit = {leaf: 1 << position
-           for position, leaf in enumerate(local_leaves)}.__getitem__
-    side1 = [(sum(map(bit, leaves)), table, has_and)
-             for leaves, table, has_and in entries1]
-    unions = {mask0 | mask1: (mask0, table0, and0, mask1, table1, and1)
-              for mask0, table0, and0 in [(sum(map(bit, leaves)), table, has_and)
-                                          for leaves, table, has_and in entries0]
-              for mask1, table1, and1 in side1}
+    leaves0 = [entry[0] for entry in entries0]
+    leaves1 = [entry[0] for entry in entries1]
+    local_leaves = sorted(set().union(*leaves0, *leaves1), reverse=True)
+    bit = dict(zip(local_leaves,
+                   [1 << position for position in range(len(local_leaves))]
+                   )).__getitem__
+    masks0 = [sum(map(bit, leaves)) for leaves in leaves0]
+    masks1 = [sum(map(bit, leaves)) for leaves in leaves1]
+    # later pairs overwrite earlier ones: the last pair wins
+    unions = dict(zip([mask0 | mask1 for mask0 in masks0 for mask1 in masks1],
+                      count()))
 
     # note: a vectorised variant of this merge (uint64 outer union +
     # broadcast subset tests) measures *slower* than the scalar loop at the
     # typical ~13x13 batch size, so the merge stays pure Python.
-    ranked: List[Tuple[int, int]] = []
-    for union in unions:
-        size = popcount(union)
+    buckets: List[List[int]] = [[] for _ in range(cut_size + 1)]
+    for union, size in zip(unions, map(popcount, unions)):
         if size <= cut_size:
-            ranked.append((size, -union))
-    ranked.sort()
+            buckets[size].append(union)
     kept: List[int] = []
-    for _, negated in ranked:
-        mask = -negated
-        for other in kept:
-            # other ⊆ mask is (other & mask) == other (strict: the unions
-            # are distinct)
-            if other & mask == other:
-                break
-        else:
-            kept.append(mask)
-            if len(kept) == cut_limit:
-                break
+    for bucket in buckets:
+        bucket.sort(reverse=True)
+        for mask in bucket:
+            for other in kept:
+                # other ⊆ mask is (other & mask) == other (strict: the
+                # unions are distinct)
+                if other & mask == other:
+                    break
+            else:
+                kept.append(mask)
+                if len(kept) == cut_limit:
+                    break
+        if len(kept) == cut_limit:
+            break
 
     is_and = xag._kind[node] == NodeKind.AND
     flip0 = f0 & 1
     flip1 = f1 & 1
+    width = len(entries1)
     candidates: List[MergeEntry] = []
     for mask in kept:
-        mask0, table0, and0, mask1, table1, and1 = unions[mask]
+        index0, index1 = divmod(unions[mask], width)
+        mask0 = masks0[index0]
+        mask1 = masks1[index1]
+        _, table0, and0 = entries0[index0]
+        _, table1, and1 = entries1[index1]
         leaves = []
         positions0 = positions1 = 0
         var = 1  # the bit of the next variable; ends as 2**len(leaves)
@@ -202,7 +213,7 @@ def enumerate_cuts(xag: Xag, cut_size: int = 6, cut_limit: int = 12) -> Dict[int
     Returns a dictionary mapping each node index to its list of non-trivial
     cuts (primary inputs and the constant node map to empty lists).  Cuts are
     ordered by increasing leaf count and carry their tables (see the module
-    docstring).
+    docstring).  This is the one-shot reference of :class:`CutSetCache`.
     """
     if cut_size < 2:
         raise ValueError("cut_size must be at least 2")
@@ -243,10 +254,23 @@ class CutSetCache:
     records its dirty, revived and killed nodes; the next :meth:`cuts`
     call expands everything recorded since the previous call to its
     transitive fanout once (:meth:`repro.xag.graph.Xag.edited_closure`) —
-    exactly the nodes whose transitive fan-in, and therefore cut sets and
-    tables, changed — drops those entries and recomputes the missing ones
-    in topological order.
+    the nodes whose cut sets *may* have changed — and drops the entries of
+    the dead ones.
 
+    Then it walks the topological order with an early cutoff.  A node
+    without an entry (new, or after :meth:`bind` or a rollback) is merged.
+    A node of the closure is merged again only if it was edited itself
+    (rewired or revived) or the entry of one of its fan-ins changed in this
+    walk; every other node keeps its entry.  A re-merged entry equal to the
+    old one by value does not count as changed, and the old list is kept.
+    This gives the same sets as a fresh enumeration: an entry is a
+    deterministic function of the node's kind, its two fan-in literals and
+    its fan-ins' entries (in order, which decides the producer pair of each
+    cut), so a node with unchanged literals and fan-in entries would get
+    back the entry it has.
+
+    The entries are the representation: :meth:`cuts` hands out the
+    maintained merge sets themselves, and nothing else is built per merge.
     The table-embedding memo of the merge is network-independent, so it
     survives :meth:`bind` and :meth:`on_rollback`.
     """
@@ -259,7 +283,6 @@ class CutSetCache:
         self.cut_size = cut_size
         self.cut_limit = cut_limit
         self._merge: Dict[int, List[MergeEntry]] = {}
-        self._cuts: Dict[int, List[Cut]] = {}
         self._embeddings: EmbeddingMemo = {}
         #: dirty, revived and killed nodes of the substitutions since the
         #: last :meth:`cuts` call (expanded there).
@@ -267,9 +290,10 @@ class CutSetCache:
         self._bound_xag: Optional[Xag] = None
         self._bound_epoch = -1
         self._bound_mutation_epoch = -1
-        #: nodes recomputed across all calls (the benchmark counter).
+        #: merges run across all calls (the benchmark counter).
         self.nodes_recomputed = 0
-        #: cut sets dropped when recorded edits were expanded.
+        #: cut sets put in question when recorded edits were expanded
+        #: (dropped, merged again or kept by the cutoff).
         self.invalidations = 0
 
     def bind(self, xag: Xag) -> None:
@@ -279,7 +303,6 @@ class CutSetCache:
                 and xag._mutation_epoch == self._bound_mutation_epoch):
             return
         self._merge.clear()
-        self._cuts.clear()
         self._edited.clear()
         if self._bound_xag is not None and self._bound_xag is not xag:
             self._bound_xag.unsubscribe(self)
@@ -303,38 +326,53 @@ class CutSetCache:
         if xag is not self._bound_xag:
             return
         self._merge.clear()
-        self._cuts.clear()
         self._edited.clear()
         self._bound_epoch = xag._rollback_epoch
 
-    def cuts(self, xag: Xag) -> Dict[int, List[Cut]]:
-        """Cut sets for every live gate (recomputing only missing entries)."""
+    def cuts(self, xag: Xag) -> Dict[int, List[MergeEntry]]:
+        """Merge sets of every live node, brought up to date.
+
+        Each gate maps to its kept cuts in priority order, followed by its
+        trivial cut; a primary input and the constant map to their single
+        entry.  The returned dictionary and its lists are the maintained
+        state, valid until the next edit: read them, never modify them.
+        """
         self.bind(xag)
         merge_sets = self._merge
-        result = self._cuts
-        if self._edited:
-            for node in xag.edited_closure(self._edited):
-                if merge_sets.pop(node, None) is not None:
+        edited = self._edited
+        closure: Set[int] = set()
+        if edited:
+            closure = xag.edited_closure(edited)
+            dead = xag._dead
+            for node in closure:
+                if merge_sets.get(node) is not None:
                     self.invalidations += 1
-                result.pop(node, None)
-            self._edited.clear()
+                    if dead[node]:
+                        del merge_sets[node]
+        fanin0 = xag._fanin0
+        fanin1 = xag._fanin1
+        # nodes whose entry was created or replaced in this walk
+        changed: Set[int] = set()
         for node in xag.topological_order():
-            if node in merge_sets:
+            old = merge_sets.get(node)
+            if old is not None and (
+                    node not in closure
+                    or (node not in edited
+                        and fanin0[node] >> 1 not in changed
+                        and fanin1[node] >> 1 not in changed)):
                 continue
             entries = _leaf_entries(xag, node)
-            if entries is not None:
+            if entries is None:
+                entries = _merge_node_cuts(xag, node, merge_sets,
+                                           self.cut_size, self.cut_limit,
+                                           self._embeddings)
+                entries.append(((node,), _TRIVIAL_TABLE, False))
+                self.nodes_recomputed += 1
+            if entries != old:
                 merge_sets[node] = entries
-                result[node] = []
-                continue
-            kept = _merge_node_cuts(xag, node, merge_sets, self.cut_size,
-                                    self.cut_limit, self._embeddings)
-            result[node] = [Cut(node, leaves, table, has_and)
-                            for leaves, table, has_and in kept]
-            # the trivial cut participates in the merges of the fan-outs
-            kept.append(((node,), _TRIVIAL_TABLE, False))
-            merge_sets[node] = kept
-            self.nodes_recomputed += 1
-        return result
+                changed.add(node)
+        edited.clear()
+        return merge_sets
 
 
 def cut_cone(xag: Xag, root: int, leaves: Sequence[int]) -> List[int]:

@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="kernel backend of the batched cut-cone "
                              "simulation, which candidate selection no "
                              "longer uses (cut tables come from the cut "
-                             "merge): auto picks numpy when importable, "
+                             "merge): auto picks numpy when installed, "
                              "else the pure-Python reference (REPRO_BACKEND "
                              "overrides); both give bit-identical results "
                              "(default: auto)")

@@ -118,8 +118,8 @@ class EngineConfig:
     #: still serves; candidate selection no longer uses it (cut tables come
     #: from the cut merge, and truth tables, classification and
     #: verification always run on the pure-Python reference): "auto" (numpy
-    #: when importable, else python), "python" or "numpy" (a hard error
-    #: when numpy is not importable).  Both backends produce bit-identical
+    #: when installed, else python), "python" or "numpy" (a hard error
+    #: when numpy is not installed).  Both backends produce bit-identical
     #: results.
     backend: str = "auto"
 

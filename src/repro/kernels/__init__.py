@@ -19,16 +19,20 @@ the engine's ``--backend`` flag stay until the benchmark stops tracing
 ``simulate_cones`` by name; the kernel stays bit-exact against the
 reference (``tests/test_kernels.py``).
 
-Selection: ``auto`` (the default) picks numpy when it is importable and
+Selection: ``auto`` (the default) picks numpy when it is installed and
 falls back to python otherwise.  The choice can be forced through
 :func:`set_backend`, the :envvar:`REPRO_BACKEND` environment variable,
-``EngineConfig.backend`` or the engine's ``--backend`` flag.
+``EngineConfig.backend`` or the engine's ``--backend`` flag.  Detection
+looks numpy up without importing it (:func:`importlib.util.find_spec`);
+only a call of the numpy kernel imports numpy, so no engine process pays
+for it.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from importlib.util import find_spec
 from typing import Iterator, Optional, Tuple
 
 
@@ -50,18 +54,17 @@ _NUMPY_ERROR: Optional[str] = None
 
 
 def numpy_available() -> bool:
-    """True when the numpy backend can be constructed in this process."""
+    """True when numpy is installed, so the numpy backend can be used."""
     return _load_numpy_backend() is not None
 
 
 def _load_numpy_backend() -> Optional[KernelBackend]:
     global _NUMPY_BACKEND, _NUMPY_ERROR
     if _NUMPY_BACKEND is None and _NUMPY_ERROR is None:
-        try:
-            from repro.kernels.numpy_backend import NumpyBackend
-        except ImportError as error:
-            _NUMPY_ERROR = str(error)
+        if find_spec("numpy") is None:
+            _NUMPY_ERROR = "No module named 'numpy'"
         else:
+            from repro.kernels.numpy_backend import NumpyBackend
             _NUMPY_BACKEND = NumpyBackend()
     return _NUMPY_BACKEND
 
@@ -78,7 +81,7 @@ def resolve_backend(name: str = "auto") -> str:
     """Map a requested backend name to a concrete one, validating it.
 
     ``auto`` keeps whatever backend is active — the import-time detection
-    (numpy when importable, else python) unless :envvar:`REPRO_BACKEND`
+    (numpy when installed, else python) unless :envvar:`REPRO_BACKEND`
     or :func:`set_backend` chose otherwise.  Unknown names and explicit
     requests for an unavailable backend raise :class:`ValueError` (the
     engine CLI turns that into exit code 2).
@@ -91,7 +94,7 @@ def resolve_backend(name: str = "auto") -> str:
         return _ACTIVE.name
     if name == "numpy" and not numpy_available():
         raise ValueError(
-            f"kernel backend 'numpy' requested but numpy is not importable "
+            f"kernel backend 'numpy' requested but numpy is not installed "
             f"({_NUMPY_ERROR}); install the 'numpy' extra or use --backend python")
     return name
 
@@ -132,7 +135,7 @@ def use_backend(name: str) -> Iterator[KernelBackend]:
         _ACTIVE = previous
 
 
-# Auto-detect at import: numpy when importable, else the reference.
+# Auto-detect at import: numpy when installed, else the reference.
 # REPRO_BACKEND overrides the detection; an unknown value fails loudly
 # here rather than silently running the wrong backend.
 _ACTIVE = _load_numpy_backend() or _PYTHON_BACKEND

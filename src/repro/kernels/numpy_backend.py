@@ -1,7 +1,9 @@
 """NumPy kernel backend: the batched cut-cone simulation.
 
-Importing this module requires numpy; :mod:`repro.kernels` catches the
-:class:`ImportError` and keeps the pure-Python reference backend active.
+numpy is imported by the kernel itself, on its first call, so selecting
+this backend costs no numpy import; :mod:`repro.kernels` offers it only
+when numpy is installed and keeps the pure-Python reference backend active
+otherwise.
 
 :meth:`NumpyBackend.simulate_cones` is the one kernel left here.  It
 evaluates a list of cut cones in one level-ordered ``uint64`` sweep and is
@@ -15,12 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.tt.bits import projection, table_mask
 
 _WORD_MASK = (1 << 64) - 1
-_U64 = np.uint64
 
 
 class NumpyBackend:
@@ -45,8 +44,11 @@ class NumpyBackend:
         fits neither the 6 projection slots nor one word; it is simulated by
         the per-cone reference instead.
         """
+        import numpy as np
+
         from repro.cuts.cache import _simulate_cone
 
+        u64 = np.uint64
         kinds = xag._kind
         fanin0 = xag._fanin0
         fanin1 = xag._fanin1
@@ -91,7 +93,7 @@ class NumpyBackend:
                 levels.append(level)
             root_slots.append((slot_of[root], len(leaves)))
 
-        values = np.zeros(num_slots, dtype=_U64)
+        values = np.zeros(num_slots, dtype=u64)
         for var in range(6):
             values[1 + var] = projection(var, 6)
         if out_slots:
@@ -99,9 +101,9 @@ class NumpyBackend:
             a_arr = np.array(a_slots, dtype=np.int64)
             b_arr = np.array(b_slots, dtype=np.int64)
             a_mask = np.where(np.array(a_flips, dtype=bool),
-                              _U64(_WORD_MASK), _U64(0))
+                              u64(_WORD_MASK), u64(0))
             b_mask = np.where(np.array(b_flips, dtype=bool),
-                              _U64(_WORD_MASK), _U64(0))
+                              u64(_WORD_MASK), u64(0))
             is_and = np.array(and_flags, dtype=bool)
             level_arr = np.array(levels, dtype=np.int64)
             order = np.argsort(level_arr, kind="stable")

@@ -3,8 +3,8 @@
 This module implements the paper's Algorithm 1 as a two-phase, DAG-aware
 rewriting pass in the spirit of Mishchenko et al. [1]:
 
-*Phase 1 — candidate selection.*  For every gate (in topological order) the
-enumerated cuts are examined.  For each cut the function of the cut is
+*Phase 1 — candidate selection.*  For every gate (in topological order) its
+priority cuts are examined.  For each cut the function of the cut is
 read, classified to its affine representative, and the representative's
 recipe is fetched from the database (Alg. 1 lines 1–9).  The *gain* of the
 candidate is the number of AND gates inside the cut cone that belong to the
@@ -18,10 +18,12 @@ is skipped without looking at a cone.  Each cut's (ANDs, gates) saving is
 one walk down the MFFC that stops at the cut's leaves
 (:func:`repro.cuts.mffc.mffc_saving`); that is the cut cone ∩ MFFC, because
 every path from the root to an MFFC node stays inside the MFFC.  Selection
-never walks or simulates a cut cone: each cut carries its truth table and
-an "AND in cone" bit, computed in the cut merge
-(:mod:`repro.cuts.enumeration`), and under a floor of 0 the bit decides
-whether a zero-saving cut has an AND to offer.
+never walks or simulates a cut cone: it reads the merge entries ``(leaves,
+table, has_and)`` that :class:`~repro.cuts.enumeration.CutSetCache`
+maintains — each cut's truth table and "AND in cone" bit, computed in the
+cut merge (:mod:`repro.cuts.enumeration`) — and builds a
+:class:`~repro.cuts.cut.Cut` only for a candidate it prices.  Under a floor
+of 0 the bit decides whether a zero-saving cut has an AND to offer.
 
 Unlike Alg. 1, most cuts never reach classification.  No recipe beats the
 multiplicative complexity of its function, and ``MC(f) >= deg(f) - 1``
@@ -39,12 +41,13 @@ functions are classified and synthesised.
 leaves inside the *same* network and the root is replaced via
 :meth:`repro.xag.graph.Xag.substitute_node` — fan-outs and primary outputs
 are rewired, the displaced MFFC is dereferenced, and subscribed observers
-see each edit: cut sets (with their tables) and levels are invalidated
-per node, the packed simulation words wholesale (the round's equivalence
-check re-simulates the network once).  Roots are applied in completion
-order of a walk from the primary outputs that descends through a selected
-root's cut leaves (:meth:`CutRewriter._applied_roots`), so every leaf is
-final before its root is replaced.
+see each edit: cut sets (with their tables) are merged again only where
+they can change, levels are invalidated per node, the packed simulation
+words wholesale (the round's equivalence check re-simulates the network
+once).  Roots are applied in completion order of a walk from the primary
+outputs that descends through a selected root's cut leaves
+(:meth:`CutRewriter._applied_roots`), so every leaf is final before its
+root is replaced.
 
 A round examines every live gate, or only a worklist of nodes whose cuts,
 cut tables or MFFCs the previous round may have changed (see
@@ -206,7 +209,7 @@ class CutRewriter:
         self.database = self.cut_cache.database
         self.sim_cache = sim_cache if sim_cache is not None else SimulationCache()
         self.params = params if params is not None else RewriteParams()
-        #: incrementally maintained cut sets (invalidated per mutation event).
+        #: incrementally maintained cut sets (updated from mutation events).
         #: A shared instance may be injected — the pipeline layer keeps one
         #: alive across every pass of a flow — as long as its cut parameters
         #: match the rewriting parameters.
@@ -340,9 +343,6 @@ class CutRewriter:
         for node in xag.gates():
             if worklist is not None and node not in worklist:
                 continue
-            node_cuts = cuts.get(node, [])
-            if not node_cuts:
-                continue
             stats.nodes_considered += 1
             # MFFC first: a cut saves at most the MFFC's ANDs, so a root
             # whose MFFC holds fewer than the floor has no candidate.
@@ -353,26 +353,27 @@ class CutRewriter:
             best: Optional[Candidate] = None
             best_key: Optional[Tuple[int, ...]] = None
 
-            for cut in node_cuts:
-                leaves = cut.leaves
-                if cut.size < 2 or cut.size > params.cut_size or node in leaves:
+            # the maintained merge entries: kept cuts in priority order,
+            # then the trivial cut, which the size test skips
+            for leaves, table, has_and in cuts[node]:
+                size = len(leaves)
+                if size < 2 or size > params.cut_size or node in leaves:
                     continue
                 saved_ands, saved_gates = mffc_saving(xag, node, leaves,
                                                       node_mffc)
                 if min_gain is not None and saved_ands < min_gain:
                     # no plan has negative AND cost
                     continue
-                if not saved_ands and skip_and_free and not cut.has_and:
+                if not saved_ands and skip_and_free and not has_and:
                     # AND-free cones have nothing to offer an AND-count
                     # objective (XOR gates are depth-transparent too).
                     continue
-                table = cut.table
                 if min_gain is not None and cache.prunes(
-                        table, cut.size, saved_ands - min_gain):
+                        table, size, saved_ands - min_gain):
                     # every plan's AND cost exceeds the saving the model
                     # needs: the veto would refuse this candidate.
                     continue
-                plan = cache.plan_for(table, cut.size)
+                plan = cache.plan_for(table, size)
                 stats.candidates_evaluated += 1
 
                 cost_ands = plan.num_ands
@@ -387,7 +388,8 @@ class CutRewriter:
                     leaf_levels = [node_levels[leaf] for leaf in leaves]
                     gain_depth = root_level - \
                         self._plan_and_level(plan, leaf_levels)
-                candidate = Candidate(cut, plan, gain_ands, gain_gates,
+                candidate = Candidate(Cut(node, leaves, table, has_and),
+                                      plan, gain_ands, gain_gates,
                                       gain_depth, root_level)
 
                 if not model.acceptable(candidate, allow_zero_gain):

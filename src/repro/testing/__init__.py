@@ -9,7 +9,8 @@ shared and with fresh caches on seeded random XAGs.
 
 from repro.testing.generate import full_adder_naive, random_xag, seeded_xag
 from repro.testing.oracle import (assert_equivalent, find_counterexample,
-                                  reference_stimulus, reference_words)
+                                  merge_entries, reference_stimulus,
+                                  reference_words)
 from repro.testing.shrink import shrink_xag
 
 #: re-exported lazily so ``python -m repro.testing.diff`` does not import
@@ -31,6 +32,7 @@ __all__ = [
     "full_adder_naive",
     "assert_equivalent",
     "find_counterexample",
+    "merge_entries",
     "reference_stimulus",
     "reference_words",
     "shrink_xag",

@@ -4,17 +4,41 @@ Everything here simulates with :func:`repro.xag.simulate.simulate_words`
 directly — *never* through the :class:`repro.xag.bitsim.BitSimulator` that
 an optimisation flow verifies its rounds with — so a bug in the flow's
 verification cannot make the oracle agree with the network it is supposed
-to check.
+to check.  :func:`merge_entries` puts a one-shot cut enumeration into the
+layout the incremental cut-set cache maintains, so the two can be compared
+entry by entry.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.cuts.cut import Cut
 from repro.xag.equivalence import equivalence_stimulus
 from repro.xag.graph import Xag
 from repro.xag.simulate import simulate_words
+
+
+def merge_entries(xag: Xag, cuts: Dict[int, List[Cut]]
+                  ) -> Dict[int, List[Tuple[Tuple[int, ...], int, bool]]]:
+    """``cuts`` (from :func:`repro.cuts.enumeration.enumerate_cuts`) in the
+    layout :meth:`repro.cuts.enumeration.CutSetCache.cuts` returns.
+
+    Each gate maps to the ``(leaves, table, has_and)`` of its cuts, in
+    order, followed by its trivial cut ``((gate,), 0b10, False)``; a
+    primary input maps to its trivial cut alone and the constant to
+    ``[((), 0, False)]``.
+    """
+    entries: Dict[int, List[Tuple[Tuple[int, ...], int, bool]]] = {}
+    for node, node_cuts in cuts.items():
+        if xag.is_constant(node):
+            entries[node] = [((), 0, False)]
+            continue
+        entries[node] = [(cut.leaves, cut.table, cut.has_and)
+                         for cut in node_cuts]
+        entries[node].append(((node,), 0b10, False))
+    return entries
 
 
 def reference_stimulus(num_pis: int, num_random_words: int = 64,

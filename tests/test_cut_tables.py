@@ -9,8 +9,9 @@ it (:mod:`repro.cuts.enumeration`).  The contract checked here:
 * for every irredundant cut, the table equals the simulated cone function
   and the bit says whether the cone holds an AND;
 
-both for one-shot :func:`enumerate_cuts` and for a :class:`CutSetCache`
-kept through random in-place edits and rollbacks.
+both for one-shot :func:`enumerate_cuts` and for the merge entries a
+:class:`CutSetCache` keeps through random in-place edits and rollbacks
+(equal, entry by entry, to a fresh enumeration's).
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 
 from repro.cuts.cache import _simulate_cone
 from repro.cuts.enumeration import CutSetCache, cut_cone, enumerate_cuts
-from repro.testing import random_xag
+from repro.testing import merge_entries, random_xag
 from repro.tt.operations import eval_packed
 from repro.xag import node_values
 from repro.xag.equivalence import equivalence_stimulus
@@ -79,7 +80,7 @@ def test_enumerated_tables_hold_on_random_networks():
 
 
 def test_cut_set_cache_tables_hold_through_edits_and_rollbacks():
-    """The maintained tables equal a fresh enumeration's after random
+    """The maintained entries equal a fresh enumeration's after random
     substitutions, constant collapses and rollbacks, and keep the
     contract; the table-embedding memo survives every rollback."""
     steps = 0
@@ -109,7 +110,8 @@ def test_cut_set_cache_tables_hold_through_edits_and_rollbacks():
                 pis = xag.pi_literals()
                 xag.create_and(xag.create_xor(rng.choice(pis), rng.choice(pis)),
                                rng.choice(pis))
-                cache.cuts(xag)
+                assert cache.cuts(xag) == merge_entries(
+                    xag, enumerate_cuts(xag, cut_size, cut_limit))
                 embeddings = len(cache._embeddings)
                 xag.rollback(checkpoint)
                 assert len(cache._embeddings) == embeddings
@@ -117,11 +119,9 @@ def test_cut_set_cache_tables_hold_through_edits_and_rollbacks():
                 continue
             maintained = cache.cuts(xag)
             fresh = enumerate_cuts(xag, cut_size, cut_limit)
-            assert maintained == fresh
-            for node, node_cuts in fresh.items():
-                assert [(c.table, c.has_and) for c in maintained[node]] == \
-                    [(c.table, c.has_and) for c in node_cuts], (seed, step, node)
-            check_cut_tables(xag, maintained)
+            # leaves, table and AND bit of every kept cut, in order
+            assert maintained == merge_entries(xag, fresh), (seed, step)
+            check_cut_tables(xag, fresh)
             steps += 1
     assert steps >= 50
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import kernels
-from repro.testing import random_xag
+from repro.testing import merge_entries, random_xag
 from repro.circuits import arithmetic as A
 from repro.circuits import control as C
 from repro.cuts.cache import CutFunctionCache
@@ -51,9 +51,9 @@ def fanin_cone(xag, node):
 
 def check_cut_memos(xag, cut_sets, functions):
     """The maintained cut sets and cone functions equal uncached ones."""
-    cuts = cut_sets.cuts(xag)
-    assert cuts == enumerate_cuts(xag)
-    for node_cuts in cuts.values():
+    fresh = enumerate_cuts(xag)
+    assert cut_sets.cuts(xag) == merge_entries(xag, fresh)
+    for node_cuts in fresh.values():
         for cut in node_cuts:
             assert functions.cone_function(xag, cut.root, cut.leaves) == \
                 cut_function(xag, cut)
@@ -430,7 +430,8 @@ def test_cut_set_cache_recomputes_only_dirty_fanout():
     xag = C.priority_encoder(16)
     cache = CutSetCache(cut_size=4, cut_limit=8)
     first = cache.cuts(xag)
-    assert first == enumerate_cuts(xag, cut_size=4, cut_limit=8)
+    assert first == merge_entries(xag, enumerate_cuts(xag, cut_size=4,
+                                                      cut_limit=8))
     full_cost = cache.nodes_recomputed
 
     rewriter = CutRewriter(params=RewriteParams(cut_size=4, cut_limit=8,
@@ -442,8 +443,42 @@ def test_cut_set_cache_recomputes_only_dirty_fanout():
     rewriter.rewrite_in_place(working)
     cache2.cuts(working)
     # identical algorithm, incremental recomputation
-    assert cache2.cuts(working) == enumerate_cuts(working, cut_size=4, cut_limit=8)
+    assert cache2.cuts(working) == merge_entries(
+        working, enumerate_cuts(working, cut_size=4, cut_limit=8))
     assert cache2.nodes_recomputed - baseline <= baseline
+
+
+def test_cut_set_cache_cutoff_stops_where_cut_sets_stop_changing():
+    """A 19-gate AND/XOR chain ``g1 .. g19`` over ``x0 .. x19`` with
+    4-leaf cuts: a cut of ``g_k`` reaches at most three gates down, so
+    rewiring ``g2`` from ``g1`` onto the spare input ``z`` changes the cut
+    sets of ``g2``, ``g3`` and ``g4`` only.  The whole chain above ``g1`` is
+    the edited closure, but the walk merges just ``g2`` (edited), ``g3`` and
+    ``g4`` (a fan-in's entry changed) and ``g5`` (merged, found equal), and
+    every entry from ``g5`` up stays the same list object."""
+    xag = Xag()
+    pis = xag.create_pis(21)
+    acc = xag.create_and(pis[0], pis[1])
+    chain = [lit_node(acc)]
+    for index, pi in enumerate(pis[2:-1], start=2):
+        acc = (xag.create_xor if index % 2 == 0 else xag.create_and)(acc, pi)
+        chain.append(lit_node(acc))
+    xag.create_po(acc, "y")
+    cache = CutSetCache(cut_size=4, cut_limit=8)
+    before = dict(cache.cuts(xag))
+    merges = cache.nodes_recomputed
+    assert merges == len(chain) == 19
+
+    result = xag.substitute_node(chain[0], pis[-1])
+    assert result.dirty == {chain[1]} and result.killed == [chain[0]]
+    closure = xag.edited_closure(result.dirty | set(result.killed))
+    after = cache.cuts(xag)
+    assert after == merge_entries(xag, enumerate_cuts(xag, cut_size=4,
+                                                      cut_limit=8))
+    assert cache.nodes_recomputed - merges == 4 < len(closure) == 19
+    assert chain[0] not in after
+    assert [after[gate] is before[gate] for gate in chain[1:]] == \
+        [False] * 3 + [True] * 15
 
 
 # ----------------------------------------------------------------------

@@ -8,14 +8,20 @@ simulation, must agree bit-exactly with the per-cone reference, and whole
 optimisation runs must give the same (ANDs, depth, rounds) triples and
 cache counters on both backends.
 
-The numpy-specific tests skip cleanly when numpy is not importable (CI runs
+The numpy-specific tests skip cleanly when numpy is not installed (CI runs
 a dedicated no-numpy leg).
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import gf2, kernels
 from repro.affine.classify import AffineClassifier
 from repro.affine.operations import apply_ops
@@ -35,7 +41,7 @@ from repro.xag.equivalence import equivalence_stimulus
 from repro.xag.simulate import simulate_words
 
 requires_numpy = pytest.mark.skipif(not kernels.numpy_available(),
-                                    reason="numpy backend not importable")
+                                    reason="numpy is not installed")
 
 
 # ----------------------------------------------------------------------
@@ -60,6 +66,33 @@ def test_auto_resolves_to_numpy_when_available():
     with kernels.use_backend("numpy") as backend:
         assert backend.accelerated
         assert kernels.backend_name() == "numpy"
+
+
+def test_engine_import_and_backend_selection_load_no_numpy():
+    """numpy is detected, not imported: importing the engine, resolving
+    ``auto`` and activating the numpy backend leave it out of
+    ``sys.modules`` (only a call of the numpy kernel imports it)."""
+    code = textwrap.dedent("""
+        import sys
+        import repro.engine
+        from repro import kernels
+        backend = kernels.resolve_backend("auto")
+        if kernels.numpy_available():
+            with kernels.use_backend("numpy"):
+                pass
+        assert "numpy" not in sys.modules, sorted(sys.modules)
+        print(backend)
+    """)
+    env = dict(os.environ)
+    env.pop("REPRO_BACKEND", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parent.parent)]
+        + [path for path in [env.get("PYTHONPATH")] if path])
+    completed = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == \
+        ["numpy" if kernels.numpy_available() else "python"]
 
 
 def test_auto_keeps_a_forced_backend():

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.testing import random_xag
+from repro.testing import merge_entries, random_xag
 from repro.circuits import control as C
 from repro.cuts.cache import CutFunctionCache
 from repro.cuts.enumeration import enumerate_cuts
@@ -163,25 +163,24 @@ def test_shared_context_caches_match_fresh_after_pass_sequences(seed):
     fresh_sim = BitSimulator(network.clone(), words, mask)
     assert cached_sim.po_words() == fresh_sim.po_words()
 
-    # incrementally maintained cut sets == one-shot enumeration
+    # incrementally maintained cut sets == one-shot enumeration (leaves,
+    # table and AND bit of every kept cut, in order)
     cached_cuts = ctx.cut_sets.cuts(network)
-    fresh_cuts = enumerate_cuts(network, cut_size=4, cut_limit=6)
+    fresh_cuts = merge_entries(
+        network, enumerate_cuts(network, cut_size=4, cut_limit=6))
+    assert cached_cuts == fresh_cuts
     live_gates = [node for node in network.topological_order()
                   if network.is_gate(node)]
-    for node in live_gates:
-        cached = {cut.leaves for cut in cached_cuts.get(node, [])}
-        fresh = {cut.leaves for cut in fresh_cuts.get(node, [])}
-        assert cached == fresh, f"cut sets diverged at node {node}"
 
     # memoised cone functions == fresh simulation of the same cones
     fresh_cache = CutFunctionCache()
     checked = 0
     for node in live_gates[-10:]:
-        for cut in cached_cuts.get(node, [])[:2]:
-            if cut.size < 2 or node in cut.leaves:
+        for leaves, _table, _has_and in cached_cuts[node][:2]:
+            if len(leaves) < 2 or node in leaves:
                 continue
-            assert ctx.cut_cache.cone_function(network, node, cut.leaves) == \
-                fresh_cache.cone_function(network, node, cut.leaves)
+            assert ctx.cut_cache.cone_function(network, node, leaves) == \
+                fresh_cache.cone_function(network, node, leaves)
             checked += 1
     assert checked > 0
 
