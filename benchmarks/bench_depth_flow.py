@@ -5,9 +5,9 @@ AND count and its multiplicative depth — homomorphic noise growth is
 exponential in the number of AND levels.  This benchmark races the plain
 ``"mc"`` convergence flow against the depth-aware flow
 (``standard_flow("mc-depth")``: balance → depth-guarded mc rounds →
-``"mc-depth"`` rewriting, iterated to a fixpoint; the guarded stage drains
-one persistent dirty-node worklist over a shared optimisation context) and
-pins its contract:
+``"mc-depth"`` rewriting, iterated to a fixpoint; every stage rewrites one
+working network in place over a shared optimisation context) and pins its
+contract:
 
 * the multiplicative depth never exceeds the initial network's;
 * the AND count stays within 1 % of the pure-MC flow per circuit;

@@ -62,24 +62,6 @@ def gf16_mul(a: int, b: int) -> int:
     return (hi << 2) | lo
 
 
-def gf16_square(a: int) -> int:
-    """Square in GF(16)."""
-    ah, al = (a >> 2) & 0b11, a & 0b11
-    hi = gf4_square(ah)
-    lo = gf4_mul(gf4_square(ah), GF4_N) ^ gf4_square(al)
-    return (hi << 2) | lo
-
-
-def gf16_inverse(a: int) -> int:
-    """Inverse in GF(16) (0 maps to 0)."""
-    ah, al = (a >> 2) & 0b11, a & 0b11
-    delta = gf4_mul(gf4_square(ah), GF4_N) ^ gf4_mul(ah, al) ^ gf4_square(al)
-    delta_inv = gf4_square(delta)  # x^-1 == x^2 in GF(4)
-    hi = gf4_mul(ah, delta_inv)
-    lo = gf4_mul(ah ^ al, delta_inv)
-    return (hi << 2) | lo
-
-
 def _select_gf256_modulus() -> int:
     """Smallest M in GF(16) such that z^2 + z + M is irreducible over GF(16)."""
     images = {gf16_mul(u, u) ^ u for u in range(16)}
@@ -101,16 +83,6 @@ def gf256_mul(a: int, b: int) -> int:
     m3 = gf16_mul(ah ^ al, bh ^ bl)
     hi = m3 ^ m2
     lo = gf16_mul(m1, GF16_M) ^ m2
-    return (hi << 4) | lo
-
-
-def gf256_inverse(a: int) -> int:
-    """Inverse in the tower representation of GF(256) (0 maps to 0)."""
-    ah, al = (a >> 4) & 0xF, a & 0xF
-    delta = gf16_mul(gf16_mul(ah, ah), GF16_M) ^ gf16_mul(ah, al) ^ gf16_mul(al, al)
-    delta_inv = gf16_inverse(delta)
-    hi = gf16_mul(ah, delta_inv)
-    lo = gf16_mul(ah ^ al, delta_inv)
     return (hi << 4) | lo
 
 

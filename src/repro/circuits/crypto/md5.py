@@ -78,13 +78,3 @@ def _constant_word(xag: Xag, value: int) -> List[int]:
     from repro.circuits import word as W
 
     return W.constant_word(xag, value, H.WORD_BITS)
-
-
-def md5_digest_single_block(message: bytes) -> bytes:
-    """Software helper: expected digest layout for a single-block message.
-
-    Only used by tests (delegates the actual hashing to :mod:`hashlib`).
-    """
-    import hashlib
-
-    return hashlib.md5(message).digest()

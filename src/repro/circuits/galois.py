@@ -58,16 +58,6 @@ class BinaryField:
             return 0
         return self.power(a, self.order - 2)
 
-    def minimal_polynomial_holds(self, element: int, polynomial_coeffs: Sequence[int]) -> bool:
-        """Evaluate a GF(2)[x] polynomial (coefficient list, LSB first) at ``element``."""
-        accumulator = 0
-        power = 1
-        for coeff in polynomial_coeffs:
-            if coeff:
-                accumulator ^= power
-            power = self.multiply(power, element)
-        return accumulator == 0
-
 
 #: The AES field GF(2^8) with the Rijndael polynomial x^8 + x^4 + x^3 + x + 1.
 AES_FIELD = BinaryField(8, 0x11B)

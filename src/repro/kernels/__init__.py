@@ -113,11 +113,6 @@ def set_backend(name: str) -> KernelBackend:
     return _ACTIVE
 
 
-def active_backend() -> KernelBackend:
-    """The backend kernels dispatch to right now."""
-    return _ACTIVE
-
-
 def backend_name() -> str:
     """Name of the active backend (``python`` or ``numpy``)."""
     return _ACTIVE.name

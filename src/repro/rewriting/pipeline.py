@@ -11,10 +11,9 @@ ideas, and :func:`run_pipeline` is the one function that runs them:
   functions and plans via :class:`~repro.cuts.cache.CutFunctionCache`,
   maintained AND levels via :class:`~repro.xag.levels.LevelCache`, the
   verification simulator via :class:`~repro.xag.bitsim.SimulationCache`),
-  constructed **once** and shared by every pass.  Because the context also
-  carries the dirty-node worklist between passes, a multi-stage flow drains
-  one persistent event-driven worklist instead of re-enumerating the whole
-  network at each stage boundary.
+  constructed **once** and shared by every pass, so a multi-stage flow
+  keeps its cut sets, plans and levels across stage boundaries instead of
+  re-enumerating the whole network at each one.
 
 * :class:`Pass` — the unit of composition: ``run(ctx) -> PassResult`` with
   uniform statistics (counts, depth, rounds, balance stats, timing,
@@ -202,12 +201,6 @@ class OptimizationContext:
       truth table;
     * :attr:`levels` shares one maintained AND-level tracker between the
       depth-aware rewriter and the :class:`DepthGuard`.
-
-    The context also carries the **dirty-node worklist** between rewrite
-    passes: a pass records the nodes its last round touched together with
-    the objective it was pricing, and the next pass with the same objective
-    seeds its first round from their transitive fanout instead of examining
-    every gate.
     """
 
     def __init__(self, xag: Xag, database: Optional[McDatabase] = None,
@@ -224,12 +217,7 @@ class OptimizationContext:
         #: :class:`SizeBaselinePass`, mirroring the paper's "Initial" columns).
         self.initial = xag
         self._network: Optional[Xag] = None
-        self._owned = False
         self._rewriters: Dict[tuple, CutRewriter] = {}
-        #: dirty seeds of the last rewrite round, and the cost model that
-        #: produced them (``None`` seeds = examine every gate).
-        self.seeds: Optional[Set[int]] = None
-        self.seeds_objective: Optional[CostModel] = None
 
     # ------------------------------------------------------------------
     # working network
@@ -241,52 +229,35 @@ class OptimizationContext:
 
     @property
     def network(self) -> Xag:
-        """The working network (materialised from :attr:`initial` on first use).
+        """The working network, which passes mutate in place.
 
-        It starts as a swept clone the context owns.  After a
-        :meth:`rebase` it is the baseline's output, which passes that mutate
-        must first clone through :meth:`own_network`.
+        It is materialised on first use (and again after a :meth:`rebase`)
+        as a swept copy of :attr:`initial` that the context owns, so no pass
+        ever edits the caller's network or the "Initial" reference.
         """
         if self._network is None:
             self._network = sweep_owned(self.initial)
-            self._owned = True
         return self._network
-
-    def own_network(self) -> Xag:
-        """The working network, cloned first if it aliases caller state."""
-        network = self.network
-        if not self._owned:
-            network = network.clone()
-            self._network = network
-            self._owned = True
-        return network
 
     def adopt(self, network: Xag) -> None:
         """Replace the working network by a fresh object the context owns
         (a restored snapshot or a swept copy).
 
-        Node indices of the previous network are meaningless for the new
-        one, so the worklist is reset; the subscriber caches rebind lazily
-        on their next use (they key on network identity).
+        The subscriber caches rebind lazily on their next use (they key on
+        network identity).
         """
         self._network = network
-        self._owned = True
-        self.clear_seeds()
 
     def rebase(self, network: Xag) -> None:
         """Make ``network`` the flow's "Initial" reference point.
 
         Used by :class:`SizeBaselinePass`: subsequent improvements are priced
         against the baseline's output, exactly like the paper's tables.  The
-        new reference must stay intact as later passes mutate the working
-        network, so the adopted copy is marked *unowned* — the next mutating
-        pass clones it instead of editing the "Initial" network in place.
+        working network is dropped, so the next read materialises an owned
+        copy of the new reference and later passes leave it intact.
         """
         self.initial = network
-        if self._network is not None:
-            self._network = network
-            self._owned = False
-            self.clear_seeds()
+        self._network = None
 
     def finish(self) -> Xag:
         """The final network: the swept working copy (or the rebased input
@@ -294,31 +265,6 @@ class OptimizationContext:
         if self._network is None:
             return self.initial
         return sweep(self._network)
-
-    # ------------------------------------------------------------------
-    # worklist
-    # ------------------------------------------------------------------
-    def take_seeds(self, objective: Union[str, CostModel]) -> Optional[Set[int]]:
-        """Dirty seeds for a pass pricing ``objective`` (``None`` = all gates).
-
-        Seeds recorded under a different cost model are not reusable: a node
-        rejected by the "mc" model may still hold a depth-only win for
-        "mc-depth", so a model switch re-examines everything.
-        """
-        if self.seeds_objective != cost_model(objective):
-            return None
-        return self.seeds
-
-    def set_seeds(self, seeds: Optional[Set[int]],
-                  objective: Union[str, CostModel]) -> None:
-        """Record the dirty seeds of the last executed round."""
-        self.seeds = seeds
-        self.seeds_objective = cost_model(objective)
-
-    def clear_seeds(self) -> None:
-        """Force the next rewrite pass to examine every gate."""
-        self.seeds = None
-        self.seeds_objective = None
 
     # ------------------------------------------------------------------
     # shared machinery
@@ -366,10 +312,9 @@ class Pass:
 
     A pass reads and advances the shared :class:`OptimizationContext` and
     returns a :class:`PassResult`.  Custom passes only need to honour that
-    contract — mutate :attr:`OptimizationContext.network` via
-    ``ctx.own_network()`` / ``ctx.adopt()`` so the subscriber caches stay
-    coherent, and call :meth:`begin` / :meth:`complete` for uniform
-    statistics.
+    contract — mutate :attr:`OptimizationContext.network` in place or
+    replace it via ``ctx.adopt()`` so the subscriber caches stay coherent,
+    and call :meth:`begin` / :meth:`complete` for uniform statistics.
     """
 
     name = "pass"
@@ -410,7 +355,7 @@ class SweepPass(Pass):
         result = self.begin(ctx)
         swept = sweep(ctx.network)
         if swept is not ctx.network:
-            # compaction renumbers nodes: caches rebind, the worklist resets
+            # compaction renumbers nodes: the caches rebind
             ctx.adopt(swept)
         return self.complete(ctx, result, start)
 
@@ -419,9 +364,8 @@ class BalancePass(Pass):
     """AND/XOR tree rebalancing (:func:`repro.xag.balance.balance_in_place`).
 
     Runs in place through ``substitute_node`` so the context's maintained
-    levels and verification simulator follow the edits of the same network
-    object.  A rebalanced tree dirties cones the worklist cannot describe
-    cheaply, so any rebalancing clears the worklist.
+    levels, cut sets and verification simulator follow the edits of the
+    same network object.
     """
 
     name = "balance"
@@ -430,11 +374,9 @@ class BalancePass(Pass):
     def run(self, ctx: OptimizationContext) -> PassResult:
         start = time.perf_counter()
         result = self.begin(ctx)
-        stats = balance_in_place(ctx.own_network(), verify=ctx.params.verify,
+        stats = balance_in_place(ctx.network, verify=ctx.params.verify,
                                  sim_cache=ctx.sim_cache)
         result.balance.append(stats)
-        if stats.trees_rebalanced:
-            ctx.clear_seeds()
         return self.complete(ctx, result, start)
 
 
@@ -442,9 +384,9 @@ class RewritePass(Pass):
     """MC cut rewriting rounds under one objective.
 
     ``max_rounds=1`` is a single round, ``None`` repeats until the objective
-    stops improving.  Rounds drain the context's persistent dirty-node
-    worklist; a final round that brings no improvement is rolled back to its
-    pre-round snapshot.
+    stops improving.  Every round examines every live gate of the context's
+    working network; a final round that brings no improvement is rolled
+    back to its pre-round snapshot.
     """
 
     kind = "rewrite"
@@ -474,22 +416,21 @@ class RewritePass(Pass):
         start = time.perf_counter()
         params = self.resolved_params(ctx)
         result = self.begin(ctx, objective=cost_model(params.objective).name)
-        _drain_worklist(ctx, params, result, self.max_rounds)
+        _drain_rounds(ctx, params, result, self.max_rounds)
         return self.complete(ctx, result, start)
 
 
-def _drain_worklist(ctx: OptimizationContext, params: RewriteParams,
-                    result: PassResult, max_rounds: Optional[int],
-                    guard_level: Optional[int] = None) -> None:
-    """Drain in-place rewriting rounds off the context's worklist.
+def _drain_rounds(ctx: OptimizationContext, params: RewriteParams,
+                  result: PassResult, max_rounds: Optional[int],
+                  guard_level: Optional[int] = None) -> None:
+    """Run in-place rewriting rounds on the context's working network.
 
     The shared protocol of :class:`RewritePass` and :class:`DepthGuard`:
-    each round examines the transitive fanout of the current seeds (all
-    gates when there are none), runs with a pre-round snapshot, and a round
-    that brings no improvement is rolled back to the snapshot.  With
-    ``guard_level`` a round that raises the critical AND-level above it is
-    rolled back too, and — like the restart-based depth flow before it —
-    only accepted rounds are reported.
+    each round examines every live gate, runs with a pre-round snapshot,
+    and a round that brings no improvement is rolled back to the snapshot.
+    With ``guard_level`` a round that raises the critical AND-level above
+    it is rolled back too, and — like the restart-based depth flow before
+    it — only accepted rounds are reported.
 
     Each round's candidate selection reads every cut's truth table from
     the maintained cut sets, so it simulates no cone; the tables of the
@@ -497,17 +438,10 @@ def _drain_worklist(ctx: OptimizationContext, params: RewriteParams,
     at the next round (see :meth:`CutRewriter._select_candidates`).
     """
     rewriter = ctx.rewriter(params)
-    working = ctx.own_network()
-    seeds = ctx.take_seeds(params.objective)
+    working = ctx.network
     executed = 0
     while max_rounds is None or executed < max_rounds:
-        if seeds is None:
-            worklist: Optional[Set[int]] = None
-        else:
-            worklist = {node for node in working.transitive_fanout(seeds)
-                        if working.is_gate(node)}
-        stats, seeds, snapshot = rewriter.rewrite_in_place(
-            working, worklist, snapshot=True)
+        stats, snapshot = rewriter.rewrite_in_place(working, snapshot=True)
         executed += 1
         if not stats.made_progress:
             if guard_level is None:
@@ -517,15 +451,13 @@ def _drain_worklist(ctx: OptimizationContext, params: RewriteParams,
                 # the round mutated but won nothing: restore the snapshot
                 result.discarded_rounds += 1
                 ctx.adopt(snapshot)
-                return
-            break
+            return
         if guard_level is not None and ctx.critical_level() > guard_level:
             # the round's savings would deepen the critical path
             result.discarded_rounds += 1
             ctx.adopt(snapshot)
             return
         result.rounds.append(stats)
-    ctx.set_seeds(seeds, params.objective)
 
 
 class SizeBaselinePass(Pass):
@@ -593,8 +525,8 @@ class DepthGuard(Pass):
     can steer into worse local optima when run first) while the depth still
     never increases.
 
-    Rounds drain the context's persistent worklist — the depth flow no
-    longer restarts a full cut re-enumeration per guarded round.
+    Rounds run on the context's working network and its maintained cut
+    sets, so a guarded round does not restart a full cut enumeration.
     """
 
     kind = "guard"
@@ -607,8 +539,8 @@ class DepthGuard(Pass):
         start = time.perf_counter()
         params = self.inner.resolved_params(ctx)
         result = self.begin(ctx, objective=cost_model(params.objective).name)
-        _drain_worklist(ctx, params, result, self.inner.max_rounds,
-                        guard_level=ctx.critical_level())
+        _drain_rounds(ctx, params, result, self.inner.max_rounds,
+                      guard_level=ctx.critical_level())
         return self.complete(ctx, result, start)
 
 

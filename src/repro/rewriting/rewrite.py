@@ -49,11 +49,11 @@ outputs that descends through a selected root's cut leaves
 (:meth:`CutRewriter._applied_roots`), so every leaf is final before its
 root is replaced.
 
-A round examines every live gate, or only a worklist of nodes whose cuts,
-cut tables or MFFCs the previous round may have changed (see
-:meth:`CutRewriter.rewrite_in_place`).  Both must reach the same (ANDs,
-XORs, depth, rounds); the every-gate round is the worklist's reference in
-the test suite.
+Every round examines every live gate, as Alg. 1 does.  What a later round
+does not redo is the structure: the cut sets and their tables are
+maintained across substitutions and merged again only where an edit can
+change them (:class:`~repro.cuts.enumeration.CutSetCache`), and plans are
+memoised per truth table (:class:`~repro.cuts.cache.CutFunctionCache`).
 
 The ``objective`` parameter selects the :class:`~repro.rewriting.cost.CostModel`
 that prices candidates, vetoes replacements and decides round convergence —
@@ -161,9 +161,6 @@ class RoundStats:
     apply_seconds: float = 0.0
     #: substitutions performed (incl. cascaded collapses).
     substitutions: int = 0
-    #: dirty-worklist nodes this round was restricted to (``None`` = a
-    #: round that examined every gate; ``0`` = an empty worklist).
-    worklist_size: Optional[int] = None
 
     @property
     def and_improvement(self) -> float:
@@ -252,34 +249,22 @@ class CutRewriter:
         across rounds.
         """
         working = sweep_owned(xag)
-        stats, _seeds, _pre = self.rewrite_in_place(working)
+        stats, _pre = self.rewrite_in_place(working)
         return sweep(working), stats
 
-    def rewrite_in_place(self, xag: Xag,
-                         worklist: Optional[Set[int]] = None,
-                         snapshot: bool = False
-                         ) -> Tuple[RoundStats, Set[int], Optional[Xag]]:
+    def rewrite_in_place(self, xag: Xag, snapshot: bool = False
+                         ) -> Tuple[RoundStats, Optional[Xag]]:
         """Run one in-place round on ``xag``, mutating it.
 
-        ``worklist`` restricts Phase-1 candidate selection to the given
-        nodes (``None`` examines every live gate — the first round of a
-        convergence flow).  Returns the round statistics plus the *dirty
-        seeds*: every node whose structure or reference count this round
-        changed.  The caller grows the next round's worklist as the
-        transitive fanout of these seeds — nodes whose cuts, cut tables
-        or MFFCs may have changed — which is what turns "repeat until
-        convergence" into an event-driven drain instead of repeated
-        whole-network sweeps.
-
-        With ``snapshot`` a clone of the pre-application network is returned
-        as the third element whenever the round is about to mutate (``None``
-        for empty rounds); the convergence loop uses it to discard a final
-        round that brought no improvement.
+        Phase 1 examines every live gate.  Returns the round statistics
+        and, with ``snapshot``, a clone of the pre-application network
+        whenever the round is about to mutate (``None`` for empty rounds and
+        without ``snapshot``); the convergence loop uses it to discard a
+        final round that brought no improvement.
         """
         model = self._model()
         stats = RoundStats(ands_before=xag.num_ands, xors_before=xag.num_xors,
-                           objective=model.name,
-                           worklist_size=None if worklist is None else len(worklist))
+                           objective=model.name)
         start = time.perf_counter()
         if model.depth_aware:
             stats.depth_before = self._levels(xag).critical_level()
@@ -293,12 +278,12 @@ class CutRewriter:
             po_before = sim.po_snapshot()
             stats.verify_seconds += time.perf_counter() - verify_start
 
-        selections = self._select_candidates(xag, stats, worklist=worklist)
+        selections = self._select_candidates(xag, stats)
         stats.select_seconds = time.perf_counter() - start - stats.verify_seconds
 
         apply_start = time.perf_counter()
         pre_round = xag.clone() if snapshot and selections else None
-        seeds = self._apply_in_place(xag, selections, stats)
+        self._apply_in_place(xag, selections, stats)
         stats.apply_seconds = time.perf_counter() - apply_start
 
         stats.ands_after = xag.num_ands
@@ -314,13 +299,13 @@ class CutRewriter:
             if not stats.verified:
                 raise AssertionError("cut rewriting changed the network function")
         stats.runtime_seconds = time.perf_counter() - start
-        return stats, seeds, pre_round
+        return stats, pre_round
 
     # ------------------------------------------------------------------
     # phase 1: candidate selection
     # ------------------------------------------------------------------
-    def _select_candidates(self, xag: Xag, stats: RoundStats,
-                           worklist: Optional[Set[int]] = None) -> Dict[int, Candidate]:
+    def _select_candidates(self, xag: Xag,
+                           stats: RoundStats) -> Dict[int, Candidate]:
         params = self.params
         model = self._model()
         cuts = self.cut_sets.cuts(xag)
@@ -341,8 +326,6 @@ class CutRewriter:
         skip_and_free = not model.examine_and_free_cones
 
         for node in xag.gates():
-            if worklist is not None and node not in worklist:
-                continue
             stats.nodes_considered += 1
             # MFFC first: a cut saves at most the MFFC's ANDs, so a root
             # whose MFFC holds fewer than the floor has no candidate.
@@ -496,19 +479,19 @@ class CutRewriter:
         return applied
 
     def _apply_in_place(self, xag: Xag, selections: Dict[int, Candidate],
-                        stats: RoundStats) -> Set[int]:
+                        stats: RoundStats) -> None:
         """Substitute every applied root by its candidate implementation.
 
-        Returns the dirty seeds of this round (see :meth:`rewrite_in_place`).
+        :func:`insert_plan` can leave orphans — rep-input chains for recipe
+        variables the recipe never consumes.  They are deliberately left for
+        the flow-end sweep rather than dereferenced per round: eagerly
+        collecting them changes MFFC pricing in later rounds and with it the
+        pinned (ANDs, depth, rounds) triples of the EPFL control group and
+        perfbench/expected.json, while the final sweep compacts them away
+        either way.
         """
-        seeds: Set[int] = set()
         if not selections:
-            return seeds
-        # selected roots that do not get applied this round (buried inside
-        # another applied cone, or folded away by a cascade) stay dirty: an
-        # every-gate round would examine them again, so the worklist must
-        # re-examine them too.
-        seeds.update(selections)
+            return
         resolution: Dict[int, int] = {}
 
         def resolve(lit: int) -> int:
@@ -526,7 +509,6 @@ class CutRewriter:
                 continue
             candidate = selections[root]
             leaf_signals = [resolve(literal(leaf)) for leaf in candidate.cut.leaves]
-            nodes_before = xag.num_nodes
             new_lit = insert_plan(xag, candidate.plan, leaf_signals)
             if (new_lit >> 1) != root:
                 result = xag.substitute_node(root, new_lit)
@@ -534,16 +516,3 @@ class CutRewriter:
                 stats.substitutions += len(result.pairs)
                 for old, repl in result.pairs:
                     resolution[old] = repl
-                seeds.update(result.dirty)
-                seeds.update(result.touched_refs)
-                seeds.update(result.revived)
-            seeds.update(range(nodes_before, xag.num_nodes))
-        # insert_plan can leave orphans — rep-input chains for recipe
-        # variables the recipe never consumes.  They are deliberately left
-        # for the flow-end sweep rather than dereferenced per round:
-        # eagerly collecting them changes MFFC pricing in later rounds and
-        # with it the pinned (ANDs, depth, rounds) triples of the EPFL
-        # control group and perfbench/expected.json, while the final sweep
-        # compacts them away either way.
-        return {node for node in seeds
-                if node < xag.num_nodes and not xag.is_dead(node)}

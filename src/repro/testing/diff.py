@@ -15,9 +15,9 @@ untouched input (a fresh packed simulation of the final network, never the
 flow's own verification simulator), must not increase the AND count, must
 report verified rounds, and must agree exactly on (ANDs, XORs,
 multiplicative depth).
-Whether the dirty-node worklist misses a rewrite is not checked here: the
-test suite compares every flow against rounds that examine every gate
-(``tests/test_worklist_oracle.py``).
+Both runs examine every live gate in every round, so only cache state can
+make them diverge; the results of each cost model's canonical flow are
+pinned in the test suite (``tests/test_flow_pins.py``).
 
 A failing seed is shrunk (:func:`repro.testing.shrink.shrink_xag`) to a
 minimal reproducer and written to disk as validated JSON; ``--replay FILE``

@@ -110,23 +110,19 @@ class SubstitutionResult:
     * ``killed`` — nodes whose last reference disappeared; they are dead and
       no longer reachable from the primary outputs.
     * ``revived`` — previously dead nodes that became referenced again.
-    * ``touched_refs`` — nodes whose reference count changed (used by the
-      rewriter to seed the next convergence round's dirty worklist: a
-      changed fanout count can grow or shrink MFFCs above it).
 
     Observers record ``dirty``, ``revived`` and ``killed`` and expand them
     with :meth:`Xag.edited_closure` when they are next read, so a batch of
     substitutions costs one fanout walk instead of one per event.
     """
 
-    __slots__ = ("pairs", "dirty", "killed", "revived", "touched_refs")
+    __slots__ = ("pairs", "dirty", "killed", "revived")
 
     def __init__(self) -> None:
         self.pairs: List[Tuple[int, int]] = []
         self.dirty: Set[int] = set()
         self.killed: List[int] = []
         self.revived: List[int] = []
-        self.touched_refs: Set[int] = set()
 
 
 class Xag:
@@ -524,8 +520,6 @@ class Xag:
             if self._dead[target]:
                 self._revive(target, result)
             result.pairs.append((node, repl))
-            result.touched_refs.add(node)
-            result.touched_refs.add(target)
             # primary outputs: gate references live in the fan-out list, so
             # a reference surplus is the only way a PO can point here — skip
             # the O(num_pos) scan for the (vast majority of) interior nodes.
@@ -741,7 +735,6 @@ class Xag:
             for child in (self._fanin0[n] >> 1, self._fanin1[n] >> 1):
                 self._refs[child] -= 1
                 self._fanouts[child].remove(n)
-                result.touched_refs.add(child)
                 if self._refs[child] == 0 and not self._dead[child]:
                     stack.append(child)
 
@@ -774,14 +767,11 @@ class Xag:
                 self._num_xors += 1
             if result is not None:
                 result.revived.append(n)
-                result.touched_refs.add(n)
             for child in (self._fanin0[n] >> 1, self._fanin1[n] >> 1):
                 if self._dead[child]:
                     stack.append(child)
                 self._refs[child] += 1
                 self._fanouts[child].append(n)
-                if result is not None:
-                    result.touched_refs.add(child)
             kind = self._kind[n]
             f0 = self._fanin0[n]
             f1 = self._fanin1[n]
@@ -876,10 +866,6 @@ class Xag:
     def pi_literals(self) -> List[int]:
         """Literals of the primary inputs, in creation order."""
         return [literal(node) for node in self._pis]
-
-    def pi_index(self, node: int) -> int:
-        """Position of a PI node among the primary inputs."""
-        return self._pis.index(node)
 
     def pi_name(self, index: int) -> str:
         """Name of the ``index``-th primary input."""

@@ -288,11 +288,6 @@ class StructHashTracker:
         self.sync()
         return self._hashes
 
-    def node_hash(self, node: int) -> int:
-        """Hash of one (live) node."""
-        self.sync()
-        return self._hashes[node]
-
     def graph_hash(self) -> int:
         """Whole-graph hash over the PO literal list (see module docs).
 

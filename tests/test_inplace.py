@@ -419,7 +419,7 @@ def test_simulation_cache_entry_stays_valid_across_rewrites():
         working = xag.clone()
     sim = rewriter.sim_cache.simulator(working, words, mask)
     po_initial = list(sim.po_words())
-    stats, _seeds, _pre = rewriter.rewrite_in_place(working)
+    stats, _pre = rewriter.rewrite_in_place(working)
     assert stats.rewrites_applied > 0
     # the same simulator object served the round and stayed consistent
     assert rewriter.sim_cache.simulator(working, words, mask) is sim
@@ -500,11 +500,10 @@ def test_in_place_flow_pins(builder, pinned):
             len(result.rounds)) == pinned
 
 
-def test_in_place_flow_reports_worklist_rounds():
+def test_in_place_flow_reports_rounds():
     xag = C.int_to_float()
     result = optimize(xag)
-    assert result.rounds[0].worklist_size is None       # first round: all gates
-    assert all(s.worklist_size > 0 for s in result.rounds[1:])
+    assert all(s.nodes_considered > 0 for s in result.rounds)
     assert sum(s.substitutions for s in result.rounds) > 0
     assert all(s.verified for s in result.rounds)
     assert result.converged
@@ -526,16 +525,8 @@ def test_rewrite_does_not_mutate_input():
     assert xag.num_ands == snapshot.num_ands
     assert xag.num_nodes == snapshot.num_nodes
     assert improved.num_ands <= xag.num_ands
-    assert stats.worklist_size is None  # every gate examined
-
-
-def test_empty_worklist_round_examines_nothing():
-    """An empty worklist is reported as such, not as an every-gate round."""
-    working = C.int_to_float().clone()
-    stats, seeds, _pre = CutRewriter().rewrite_in_place(working, worklist=set())
-    assert stats.worklist_size == 0
-    assert stats.nodes_considered == 0
-    assert stats.rewrites_applied == 0 and not seeds
+    # every live gate examined
+    assert stats.nodes_considered == stats.ands_before + stats.xors_before
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,11 @@
 The parity golden numbers were captured from the hand-rolled convergence
 drains that preceded the pass pipeline, on the EPFL control group with
 ``RewriteParams()`` defaults and ``max_rounds=3``; ``standard_flow("mc")``
-and ``optimize`` must reproduce them exactly.  The depth flow switched its
-guarded-mc stage from restart-per-round to one persistent dirty-node
-worklist, so its bar is *no regression* of the ``(ANDs, depth)`` pair
-instead of exact equality (see ``benchmarks/results/depth_flow.md`` for the
-re-measured table).
+and ``optimize`` must reproduce them exactly.  The depth flow's guarded-mc
+stage stopped restarting per round (it keeps one working network and its
+maintained caches), so its bar is *no regression* of the ``(ANDs, depth)``
+pair instead of exact equality (see ``benchmarks/results/depth_flow.md``
+for the re-measured table).
 """
 
 import random
@@ -47,7 +47,7 @@ PAPER_GOLDEN = {
 }
 
 #: pre-pipeline depth flow (ANDs, depth) pairs on the fast control circuits
-#: (same parameters, max_iterations=4) — the persistent-worklist stage may
+#: (same parameters, max_iterations=4) — the in-place guarded stage may
 #: only match or improve these.
 DEPTH_GOLDEN = {
     "arbiter": (120, 18),
@@ -106,7 +106,7 @@ def test_pipeline_aliases_match_prerefactor_golden(name):
 
 @pytest.mark.parametrize("name", sorted(DEPTH_GOLDEN))
 def test_depth_flow_never_regresses_prerefactor_pairs(name):
-    """Persistent-worklist depth flow: (ANDs, depth) no worse than before."""
+    """In-place depth flow: (ANDs, depth) no worse than before."""
     golden_ands, golden_depth = DEPTH_GOLDEN[name]
     xag = _control_case(name).build()
     flow = run_pipeline(
@@ -365,6 +365,9 @@ def test_mid_flow_baseline_keeps_initial_reference_intact():
     assert result.initial.num_ands > result.final.num_ands
     assert result.and_improvement > 0.0
     assert equivalent(xag, result.final)
+    final = result.final
+    assert (final.num_ands, final.num_xors, multiplicative_depth(final),
+            len(result.rounds)) == (70, 66, 15, 7)
 
 
 def test_size_baseline_not_duplicated_for_nested_baseline_step():

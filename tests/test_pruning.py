@@ -63,8 +63,8 @@ def _run(xag, objective, allow_zero_gain, database, monkeypatch):
     """
     rounds = []
 
-    def recording(self, network, stats, worklist=None):
-        selections = _SELECT(self, network, stats, worklist=worklist)
+    def recording(self, network, stats):
+        selections = _SELECT(self, network, stats)
         rounds.append({
             root: (c.cut.leaves, c.plan.table,
                    (c.gain_ands, c.gain_gates, c.gain_depth))

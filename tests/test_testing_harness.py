@@ -4,9 +4,9 @@ The centrepiece is the fault-injection test: a deliberately broken plan
 insertion (every inserted plan computes the complement of its cut
 function) must be *caught* by :func:`repro.testing.diff.check_modes`,
 *shrunk* to a small reproducer on disk, and the reproducer must *replay
-clean* once the fault is removed.  A stale dirty-node worklist is caught
-elsewhere: ``tests/test_worklist_oracle.py`` compares every flow with
-rounds that examine every gate.
+clean* once the fault is removed.  The harness compares two runs of one
+flow; the results of each cost model's canonical flow are pinned in
+``tests/test_flow_pins.py``.
 """
 
 from __future__ import annotations
