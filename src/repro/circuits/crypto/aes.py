@@ -44,12 +44,6 @@ def gf4_mul(a: int, b: int) -> int:
     return (hi << 1) | lo
 
 
-def gf4_square(a: int) -> int:
-    """Square (= inverse for non-zero elements) in GF(4)."""
-    a0, a1 = a & 1, (a >> 1) & 1
-    return (a1 << 1) | (a0 ^ a1)
-
-
 def gf16_mul(a: int, b: int) -> int:
     """Multiply two GF(16) elements in the tower basis."""
     ah, al = (a >> 2) & 0b11, a & 0b11

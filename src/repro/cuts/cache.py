@@ -29,14 +29,11 @@ from rewriting altogether; this module answers (b) for the rewriter
   selection no longer reads them (its ``function_*`` counters and
   ``stored_functions`` read 0 for engine runs); they stay as the simulated
   reference the tests and the benchmark's traced names use.  The memo
-  subscribes to the bound network's mutation events, but an in-place
-  substitution (:meth:`repro.xag.graph.Xag.substitute_node`) drops
-  nothing: it only records its dirty, revived and killed nodes.  The next
-  read expands everything recorded since the previous read to its
-  transitive fanout once (:meth:`repro.xag.graph.Xag.edited_closure`) and
-  drops the entries rooted there.  Binding to a different network — or a
-  rollback of the bound one — drops the memo wholesale
-  (:meth:`CutFunctionCache.bind`).
+  subscribes to the bound network's mutation events and is dropped
+  wholesale by every in-place edit
+  (:meth:`repro.xag.graph.Xag.substitute_node`), every rollback and every
+  bind to a different network (:meth:`CutFunctionCache.bind`), as
+  :class:`repro.xag.bitsim.BitSimulator` drops its simulation words.
 
 The cache is deliberately long-lived: :func:`repro.rewriting.pipeline.run_pipeline`
 keeps one across all passes and rounds of a pipeline, and
@@ -45,7 +42,7 @@ keeps one across all passes and rounds of a pipeline, and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mc.bounds import lower_bound
 from repro.mc.database import ImplementationPlan, McDatabase
@@ -65,27 +62,16 @@ class CutFunctionCache:
         #: cone interiors (topological node lists), same keys and lifetime
         #: as the cone-function memo.
         self._interiors: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-        #: root node → memo keys rooted there, for per-root invalidation.
-        self._root_keys: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-        #: dirty, revived and killed nodes of the substitutions since the
-        #: last read (expanded by :meth:`bind`).
-        self._edited: Set[int] = set()
         self._plans: Dict[Tuple[int, int], ImplementationPlan] = {}
         #: multiplicative-complexity lower bounds, same keys as the plans.
         self._lower_bounds: Dict[Tuple[int, int], int] = {}
         self._bound_xag: Optional[Xag] = None
-        self._bound_epoch = -1
-        self._bound_mutation_epoch = -1
         self.function_hits = 0
         self.function_misses = 0
         self.plan_hits = 0
         self.plan_misses = 0
         #: candidates :meth:`prunes` ruled out before any plan lookup.
         self.plans_pruned = 0
-        #: cone-function entries dropped when recorded substitutions were
-        #: expanded at a read (entries of an abandoned network, dropped
-        #: wholesale by a rebind, are not counted).
-        self.function_invalidations = 0
 
     @classmethod
     def ensure(cls, cut_cache: Optional["CutFunctionCache"],
@@ -104,79 +90,37 @@ class CutFunctionCache:
         return cut_cache
 
     # ------------------------------------------------------------------
-    # cone functions (per network epoch)
+    # cone functions (per network, dropped on every change)
     # ------------------------------------------------------------------
     def bind(self, xag: Xag) -> None:
         """Attach the cone-function memo to ``xag``.
 
         Keys of the memo are node indices, so entries from a different
-        network are meaningless; binding to a new network drops them, as
-        does a rollback of the bound network (rollback recycles node
-        indices — detected via the network's rollback epoch, exactly like
-        :meth:`repro.xag.levels.LevelTracker.sync`).  In-place substitutions
-        of the bound network do *not* drop the memo: the cache records the
-        nodes each one changed, and the first bind after them removes only
-        the entries whose cone may contain such a node (the roots in their
-        transitive fanout).  Every read goes through here.  The plan memo
-        is keyed by truth tables and survives rebinding.
+        network are meaningless: binding to a new network drops them, and
+        so do the hooks on every in-place edit and rollback of the bound
+        network.  Appending nodes leaves every existing cone as it is.
+        Every read goes through here.  The plan memo is keyed by truth
+        tables and survives rebinding.
         """
-        if (xag is self._bound_xag
-                and xag._rollback_epoch == self._bound_epoch
-                and xag._mutation_epoch == self._bound_mutation_epoch):
-            if self._edited:
-                self._drop_edited(xag)
+        if xag is self._bound_xag:
             return
-        self._functions.clear()
-        self._interiors.clear()
-        self._root_keys.clear()
-        self._edited.clear()
-        if self._bound_xag is not None and self._bound_xag is not xag:
+        self._drop_cones()
+        if self._bound_xag is not None:
             self._bound_xag.unsubscribe(self)
         self._bound_xag = xag
-        self._bound_epoch = xag._rollback_epoch
-        self._bound_mutation_epoch = xag._mutation_epoch
         xag.subscribe(self)
 
     def on_substitution(self, xag: Xag, result: SubstitutionResult) -> None:
-        """Record the nodes an in-place edit changed (expanded at the next read).
-
-        A memo entry ``(root, leaves)`` is only stale when a rewired (or
-        killed/revived) node sits *inside* its cone, which requires ``root``
-        to lie in the transitive fanout of that node — so everything outside
-        the expanded set survives.
-        """
-        if xag is not self._bound_xag:
-            return
-        edited = self._edited
-        edited.update(result.dirty)
-        edited.update(result.revived)
-        edited.update(result.killed)
-        self._bound_mutation_epoch = xag._mutation_epoch
-
-    def _drop_edited(self, xag: Xag) -> None:
-        """Drop the entries rooted in the closure of the recorded edits."""
-        functions = self._functions
-        interiors = self._interiors
-        root_keys = self._root_keys
-        for root in xag.edited_closure(self._edited):
-            keys = root_keys.pop(root, None)
-            if not keys:
-                continue
-            for key in keys:
-                if functions.pop(key, None) is not None:
-                    self.function_invalidations += 1
-                interiors.pop(key, None)
-        self._edited.clear()
+        """An in-place edit invalidates the whole cone-function memo."""
+        self._drop_cones()
 
     def on_rollback(self, xag: Xag) -> None:
         """A rollback recycles node indices: drop the whole cone-function memo."""
-        if xag is not self._bound_xag:
-            return
+        self._drop_cones()
+
+    def _drop_cones(self) -> None:
         self._functions.clear()
         self._interiors.clear()
-        self._root_keys.clear()
-        self._edited.clear()
-        self._bound_epoch = xag._rollback_epoch
 
     def cone_function(self, xag: Xag, root: int, leaves: Tuple[int, ...],
                       interior: Optional[Sequence[int]] = None) -> int:
@@ -198,7 +142,6 @@ class CutFunctionCache:
             interior = self.cone_interior(xag, root, leaves)
         table = _simulate_cone(xag, root, leaves, interior)
         self._functions[key] = table
-        self._register_key(root, key)
         return table
 
     def cone_hash_for(self, xag: Xag, root: int, leaves: Tuple[int, ...],
@@ -220,9 +163,7 @@ class CutFunctionCache:
                       leaves: Tuple[int, ...]) -> List[int]:
         """Topologically-ordered cone of ``(root, leaves)``, memoised.
 
-        The traversal shares the cone-function memo's invalidation rule: a
-        cached interior can only go stale when a rewired node sits inside
-        the cone, which puts ``root`` in the dirty transitive fanout.
+        The traversal shares the cone-function memo's lifetime.
         """
         self.bind(xag)
         key = (root, leaves)
@@ -231,7 +172,6 @@ class CutFunctionCache:
             from repro.cuts.enumeration import cut_cone
             interior = cut_cone(xag, root, leaves)
             self._interiors[key] = interior
-            self._register_key(root, key)
         return interior
 
     def install_cone_functions(self, xag: Xag,
@@ -252,14 +192,6 @@ class CutFunctionCache:
                 continue
             self.function_misses += 1
             functions[key] = table
-            self._register_key(key[0], key)
-
-    def _register_key(self, root: int,
-                      key: Tuple[int, Tuple[int, ...]]) -> None:
-        """Record ``key`` for per-root invalidation (at most once per key)."""
-        keys = self._root_keys.setdefault(root, [])
-        if key not in keys:
-            keys.append(key)
 
     # ------------------------------------------------------------------
     # implementation plans (network independent)
@@ -338,16 +270,7 @@ class CutFunctionCache:
     # bookkeeping
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
-        """Counters for the engine report and the ablation benchmarks.
-
-        ``function_invalidations`` counts memo entries dropped when recorded
-        substitutions are expanded at a read; this call expands any still
-        pending first.  Entries of a network the memo is rebound away from
-        (a snapshot restore abandoning it) are dropped wholesale and not
-        counted.
-        """
-        if self._edited:
-            self._drop_edited(self._bound_xag)
+        """Counters for the engine report and the ablation benchmarks."""
         function_total = self.function_hits + self.function_misses
         plan_total = self.plan_hits + self.plan_misses
         return {
@@ -355,7 +278,6 @@ class CutFunctionCache:
             "stored_plans": len(self._plans),
             "function_hits": self.function_hits,
             "function_misses": self.function_misses,
-            "function_invalidations": self.function_invalidations,
             "function_hit_rate": self.function_hits / function_total if function_total else 0.0,
             "plan_hits": self.plan_hits,
             "plan_misses": self.plan_misses,
@@ -365,23 +287,17 @@ class CutFunctionCache:
 
     def clear(self) -> None:
         """Drop all memoised entries and counters (the database is untouched)."""
-        self._functions.clear()
-        self._interiors.clear()
-        self._root_keys.clear()
-        self._edited.clear()
+        self._drop_cones()
         self._plans.clear()
         self._lower_bounds.clear()
         if self._bound_xag is not None:
             self._bound_xag.unsubscribe(self)
         self._bound_xag = None
-        self._bound_epoch = -1
-        self._bound_mutation_epoch = -1
         self.function_hits = 0
         self.function_misses = 0
         self.plan_hits = 0
         self.plan_misses = 0
         self.plans_pruned = 0
-        self.function_invalidations = 0
 
     def __len__(self) -> int:
         return len(self._plans)

@@ -417,8 +417,8 @@ def cut_function(xag: Xag, cut: Cut, cache: Optional["CutFunctionCache"] = None)
     An enumerated cut already carries its table (``cut.table``, equal to
     this one unless the cut is redundant, see the module docstring).
     ``cache`` may pass a shared :class:`repro.cuts.cache.CutFunctionCache` so
-    that repeated queries for the same cut simulate the cone only once per
-    network.
+    that repeated queries for the same cut simulate the cone only once
+    until the network changes.
     """
     num_vars = len(cut.leaves)
     if num_vars > 16:

@@ -17,7 +17,7 @@ A :class:`CostModel` owns four decisions:
   rewriter keeps the candidate with the greatest key per node.
 * **veto** — :meth:`CostModel.acceptable` refuses candidates outright.
   This is where mc-depth's hard no-deepening rule lives: the estimated
-  root-level gain is computed against the maintained levels of
+  root-level gain is computed against the levels of
   :class:`~repro.xag.levels.LevelTracker` and any candidate with
   ``gain_depth < 0`` is rejected, so no node level — hence no critical
   AND-level — can ever increase.  :meth:`CostModel.min_and_gain` states
@@ -71,7 +71,7 @@ class CostModel:
     name: str = "abstract"
     #: one-line summary shown by ``--help`` style listings.
     description: str = ""
-    #: True when pricing needs the maintained AND-levels: the rewriter
+    #: True when pricing needs the AND-levels: the rewriter
     #: binds a :class:`~repro.xag.levels.LevelTracker`, prices
     #: ``gain_depth`` per candidate and records round depths.
     depth_aware: bool = False

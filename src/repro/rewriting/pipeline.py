@@ -9,7 +9,7 @@ ideas, and :func:`run_pipeline` is the one function that runs them:
   together with the caches that subscribe to its edits (incremental cut
   sets via :class:`~repro.cuts.enumeration.CutSetCache`, memoised cone
   functions and plans via :class:`~repro.cuts.cache.CutFunctionCache`,
-  maintained AND levels via :class:`~repro.xag.levels.LevelCache`, the
+  memoised AND levels via :class:`~repro.xag.levels.LevelCache`, the
   verification simulator via :class:`~repro.xag.bitsim.SimulationCache`),
   constructed **once** and shared by every pass, so a multi-stage flow
   keeps its cut sets, plans and levels across stage boundaries instead of
@@ -199,8 +199,8 @@ class OptimizationContext:
       incrementally across substitutions;
     * :attr:`cut_cache` memoises implementation plans and lower bounds per
       truth table;
-    * :attr:`levels` shares one maintained AND-level tracker between the
-      depth-aware rewriter and the :class:`DepthGuard`.
+    * :attr:`levels` shares one AND-level tracker between the depth-aware
+      rewriter and the :class:`DepthGuard`.
     """
 
     def __init__(self, xag: Xag, database: Optional[McDatabase] = None,
@@ -292,9 +292,9 @@ class OptimizationContext:
     def critical_level(self) -> int:
         """Multiplicative depth of the working network.
 
-        Served from the shared maintained :class:`LevelCache` tracker, so
-        per-pass and per-fixpoint depth reads cost one incremental sync over
-        the dirty fanout instead of a from-scratch topological pass.
+        Served from the shared :class:`LevelCache` tracker, so repeated
+        reads of an unchanged network recompute nothing; the first read
+        after an edit costs one topological pass.
         """
         return self.levels.tracker(self.network).critical_level()
 
@@ -363,9 +363,9 @@ class SweepPass(Pass):
 class BalancePass(Pass):
     """AND/XOR tree rebalancing (:func:`repro.xag.balance.balance_in_place`).
 
-    Runs in place through ``substitute_node`` so the context's maintained
-    levels, cut sets and verification simulator follow the edits of the
-    same network object.
+    Runs in place through ``substitute_node`` so the context's levels, cut
+    sets and verification simulator follow the edits of the same network
+    object.
     """
 
     name = "balance"

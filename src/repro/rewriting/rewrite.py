@@ -42,9 +42,9 @@ leaves inside the *same* network and the root is replaced via
 :meth:`repro.xag.graph.Xag.substitute_node` — fan-outs and primary outputs
 are rewired, the displaced MFFC is dereferenced, and subscribed observers
 see each edit: cut sets (with their tables) are merged again only where
-they can change, levels are invalidated per node, the packed simulation
-words wholesale (the round's equivalence check re-simulates the network
-once).  Roots are applied in completion order of a walk from the primary
+they can change, while the AND-levels and the packed simulation words are
+dropped wholesale (the next level read and the round's equivalence check
+each recompute the network in one pass).  Roots are applied in completion order of a walk from the primary
 outputs that descends through a selected root's cut leaves
 (:meth:`CutRewriter._applied_roots`), so every leaf is final before its
 root is replaced.
@@ -59,7 +59,7 @@ The ``objective`` parameter selects the :class:`~repro.rewriting.cost.CostModel`
 that prices candidates, vetoes replacements and decides round convergence —
 either a registered name (``"mc"``, ``"size"``, ``"mc-depth"``, ``"fhe"``,
 …) or a model instance injected directly.  Depth-aware models price the
-AND-level gain at the cut root against the maintained levels of
+AND-level gain at the cut root against the levels of
 :class:`repro.xag.levels.LevelTracker` and can refuse any replacement that
 would *raise* the root's AND-level — so no node level, and in particular
 the critical AND-level (multiplicative depth), can ever increase.
@@ -219,7 +219,7 @@ class CutRewriter:
         else:
             self.cut_sets = CutSetCache(cut_size=self.params.cut_size,
                                         cut_limit=self.params.cut_limit)
-        #: maintained AND-levels of the network currently being rewritten
+        #: AND-levels of the network currently being rewritten
         #: (bound lazily, only under the "mc-depth" objective; a shared
         #: :class:`LevelCache` lets several rewriters and a depth guard
         #: observe the same tracker).

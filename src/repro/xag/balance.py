@@ -12,11 +12,12 @@ This module rebuilds such trees in place:
 * **AND trees** — maximal single-fanout trees of AND gates reached through
   non-complemented edges (OR chains are AND chains with complemented leaf
   edges, so they are covered too).  The operands are re-merged Huffman-style
-  against the maintained AND-levels of :class:`~repro.xag.levels.LevelTracker`
-  (always combine the two shallowest operands; ``level(AND(a, b)) =
+  against the AND-levels of :class:`~repro.xag.levels.LevelTracker` (always
+  combine the two shallowest operands; ``level(AND(a, b)) =
   max(level(a), level(b)) + 1``), which minimises the root's AND-level over
   all associative re-bracketings.  A tree is only rebuilt when the predicted
-  root level strictly improves.
+  root level strictly improves; the tracker recomputes the levels after
+  each rebuild, at the next tree's read.
 * **XOR trees** — XOR gates are transparent to the multiplicative depth
   (their root AND-level is the maximum over the leaves, whatever the shape),
   so XOR trees are rebalanced against *total* gate levels instead: same

@@ -27,11 +27,14 @@ The network supports two editing disciplines:
   (and :meth:`Xag.gates`, which is defined in terms of it) provide the
   fanin-before-fanout order every consumer should iterate in.
 
-Observers (level trackers, cone-function memos) can subscribe to the
-network's mutation events (:meth:`Xag.subscribe`): they receive per-node
-invalidations — which gates were rewired, killed or revived — instead of the
-all-or-nothing rollback epoch, so state for untouched cones stays valid
-across in-place rewrites.
+Observers subscribe to the network's mutation events (:meth:`Xag.subscribe`).
+Every in-place edit hands them a :class:`SubstitutionResult` naming the gates
+that were rewired, killed or revived, and every rollback calls their
+``on_rollback``.  The cut-set cache
+(:class:`repro.cuts.enumeration.CutSetCache`) uses the per-node record to
+merge again only the cut sets an edit can change; every other observer (the
+packed simulator, the level and hash trackers, the cone-function memo) drops
+its state and recomputes it at its next query.
 """
 
 from __future__ import annotations
@@ -96,9 +99,8 @@ class SubstitutionResult:
     """Record of everything one :meth:`Xag.substitute_node` call changed.
 
     This is both the return value of the substitution and the payload handed
-    to subscribed observers, so that incremental state (packed simulation
-    words, memoised cone functions) can be invalidated per node instead of
-    wholesale:
+    to subscribed observers, so that the cut sets can be invalidated per
+    node instead of wholesale:
 
     * ``pairs`` — the ``(old_node, replacement_literal)`` substitutions that
       were performed, in order.  Cascaded substitutions (a fan-out gate that
@@ -111,9 +113,9 @@ class SubstitutionResult:
       no longer reachable from the primary outputs.
     * ``revived`` — previously dead nodes that became referenced again.
 
-    Observers record ``dirty``, ``revived`` and ``killed`` and expand them
-    with :meth:`Xag.edited_closure` when they are next read, so a batch of
-    substitutions costs one fanout walk instead of one per event.
+    The cut-set cache records ``dirty``, ``revived`` and ``killed`` and
+    expands them with :meth:`Xag.edited_closure` when it is next read, so a
+    batch of substitutions costs one fanout walk instead of one per event.
     """
 
     __slots__ = ("pairs", "dirty", "killed", "revived")
@@ -162,8 +164,8 @@ class Xag:
         #: per-node dead flag (1 = removed by dereferencing).
         self._dead = bytearray(1)
         self._num_dead = 0
-        #: bumped on every rollback so observers (e.g. level trackers)
-        #: can tell "rolled back and re-grown" apart from "only appended".
+        #: bumped on every rollback so the cut-set cache can tell "rolled
+        #: back and re-grown" apart from "only appended".
         self._rollback_epoch = 0
         #: bumped on every substitution / take-out / revive; checkpoints
         #: record it so a rollback across an in-place edit is rejected.
@@ -743,16 +745,16 @@ class Xag:
 
         This is a mutation like any other: it bumps the mutation epoch
         (invalidating outstanding checkpoints) and notifies observers with
-        the revived cone, so incremental state (stale levels in a
-        :class:`~repro.xag.levels.LevelTracker`, memoised cone functions)
-        is invalidated instead of silently surviving.
+        the revived cone, so their state (memoised levels of a
+        :class:`~repro.xag.levels.LevelTracker`, the cut sets of the revived
+        nodes) is invalidated instead of silently surviving.
         """
         result = SubstitutionResult()
         self._revive(node, result)
         self._mutation_epoch += 1
         self._notify_substitution(result)
 
-    def _revive(self, node: int, result: Optional[SubstitutionResult]) -> None:
+    def _revive(self, node: int, result: SubstitutionResult) -> None:
         """Resurrect a dead node (and, recursively, its dead fan-in cone)."""
         stack = [node]
         while stack:
@@ -765,8 +767,7 @@ class Xag:
                 self._num_ands += 1
             else:
                 self._num_xors += 1
-            if result is not None:
-                result.revived.append(n)
+            result.revived.append(n)
             for child in (self._fanin0[n] >> 1, self._fanin1[n] >> 1):
                 if self._dead[child]:
                     stack.append(child)
@@ -891,10 +892,6 @@ class Xag:
         """Names of all primary outputs."""
         return list(self._po_names)
 
-    def is_topo_clean(self) -> bool:
-        """True while node index order is still a valid topological order."""
-        return self._topo_clean
-
     def topological_order(self) -> List[int]:
         """All live node indices, fan-ins before fan-outs.
 
@@ -951,15 +948,6 @@ class Xag:
         for node in self.topological_order():
             if self._kind[node] in (NodeKind.AND, NodeKind.XOR) and not dead[node]:
                 yield node
-
-    def nodes(self) -> Iterator[int]:
-        """Iterate over all node indices in creation order (dead included).
-
-        Full-network passes that need fan-ins before fan-outs must iterate
-        :meth:`topological_order` instead — after an in-place substitution
-        the creation order is no longer topological.
-        """
-        return iter(range(len(self._kind)))
 
     def fanout_counts(self) -> List[int]:
         """Fan-out count per node (primary outputs count as fan-outs).

@@ -9,13 +9,11 @@ This module provides the one identity they all share: a **canonical
 structural hash** propagated bottom-up (the ``NodeHash``/``propagate_hash``
 idiom), with three consumers:
 
-* **per-node hashes** — :class:`StructHashTracker` maintains one hash per
-  node *incrementally* under the substitution-event API, following the
-  exact discipline of :class:`repro.xag.levels.LevelTracker`: appending
-  nodes only hashes the new suffix, an in-place substitution recomputes
-  only the dirty transitive fanout (pruning where a recomputed hash is
-  unchanged), and a rollback resets the tracker via the network's rollback
-  epoch;
+* **per-node hashes** — :func:`node_hashes` hashes every node in one
+  topological pass; :class:`StructHashTracker` memoises it per network the
+  way :class:`repro.xag.levels.LevelTracker` memoises the levels (a
+  substitution or a rollback drops the memo, the next query recomputes
+  it);
 * **cone hashes** — :func:`cone_hash` hashes a ``(root, leaves)`` cut cone
   with *leaf-relative* placeholders (leaf ``i`` hashes as variable ``i``),
   so the identity is independent of everything below the cut: identical
@@ -50,7 +48,7 @@ content-addressed-store scale.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.xag.graph import NodeKind, SubstitutionResult, Xag, lit_node
 
@@ -129,11 +127,11 @@ def _gate_hash(xag: Xag, node: int, values: Dict[int, int]) -> int:
 # one-shot computations (no subscription)
 # ----------------------------------------------------------------------
 def node_hashes(xag: Xag) -> List[int]:
-    """Fresh per-node hashes in one topological pass (dead entries stale).
+    """Fresh per-node hashes in one topological pass (dead nodes read 0).
 
-    The from-scratch reference :class:`StructHashTracker` must agree with
-    bit-exactly — property tests pin the two against each other across
-    random substitution/rollback/balance sequences.
+    :class:`StructHashTracker` memoises it; property tests check the memo
+    against a fresh call across random substitution/rollback/balance
+    sequences.
     """
     hashes = [0] * xag.num_nodes
     hashes[0] = CONST_HASH
@@ -165,7 +163,7 @@ def graph_hash(xag: Xag, hashes: Optional[Sequence[int]] = None) -> int:
     Invariant under PI/PO renaming, gate creation-order permutation and
     serialisation round-trips; sensitive to the PI count, the PO order and
     every structural difference in the PO cones.  ``hashes`` may pass
-    per-node hashes already computed (a maintained tracker's array).
+    per-node hashes already computed (a tracker's memo).
     """
     if hashes is None:
         hashes = node_hashes(xag)
@@ -200,90 +198,48 @@ def cone_hash(xag: Xag, root: int, leaves: Sequence[int],
 
 
 # ----------------------------------------------------------------------
-# incremental maintenance
+# per-network memo
 # ----------------------------------------------------------------------
 class StructHashTracker:
-    """Incrementally maintained per-node hashes bound to one :class:`Xag`.
+    """Per-node hashes of one :class:`Xag`, recomputed after each change.
 
-    Follows the :class:`repro.xag.levels.LevelTracker` event discipline:
-    lazy invalidation records from :meth:`on_substitution`, a cheap
-    suffix-only pass while the network is append-only, one change-pruned
-    topological sweep otherwise, and an epoch-checked reset on rollback.
-    Entries of dead nodes are stale — only live-node hashes are
-    meaningful, mirroring the :class:`~repro.xag.levels.LevelTracker`
-    level-array contract.
+    A memo of :func:`node_hashes`, kept like the levels of
+    :class:`repro.xag.levels.LevelTracker`: a substitution or a rollback
+    drops it, and the next query recomputes it in one topological pass (so
+    does a query after nodes were appended, which do not notify).  Only
+    live-node hashes are meaningful.
     """
 
     def __init__(self, xag: Xag) -> None:
         self.xag = xag
-        self._hashes: List[int] = []
-        self._pi_slots: Dict[int, int] = {}
-        self._synced = 0
-        self._rollback_epoch = xag._rollback_epoch
-        #: nodes rewired/revived by substitutions since the last sync.
-        self._pending_dirty: Set[int] = set()
-        #: nodes hashed by suffix syncs (initial pass + appended nodes).
-        self.full_updates = 0
-        #: nodes recomputed by transitive-fanout invalidation sweeps.
-        self.incremental_updates = 0
+        self._hashes: Optional[List[int]] = None
         xag.subscribe(self)
 
     # ------------------------------------------------------------------
     # mutation events
     # ------------------------------------------------------------------
     def on_substitution(self, xag: Xag, result: SubstitutionResult) -> None:
-        """Record per-node invalidations from an in-place edit (lazy)."""
-        if xag is not self.xag:
-            return
-        synced = self._synced
-        pending = self._pending_dirty
-        for node in result.dirty:
-            if node < synced:
-                pending.add(node)
-        for node in result.revived:
-            if node < synced:
-                pending.add(node)
-        for node in result.killed:
-            pending.discard(node)
+        """An in-place edit invalidates every stored hash."""
+        self._hashes = None
 
     def on_rollback(self, xag: Xag) -> None:
-        """Rollback invalidates everything; :meth:`sync` resets via the epoch."""
-        self._pending_dirty.clear()
+        """A rollback invalidates every stored hash."""
+        self._hashes = None
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def sync(self) -> None:
-        """Bring the hash array up to date with the network."""
+        """Recompute the hashes if the network changed since the last query."""
         xag = self.xag
-        count = xag.num_nodes
-        if xag._rollback_epoch != self._rollback_epoch:
-            self._rollback_epoch = xag._rollback_epoch
-            del self._hashes[:]
-            self._pi_slots.clear()
-            self._synced = 0
-            self._pending_dirty.clear()
-        if len(self._pi_slots) != xag.num_pis:
-            # PIs are append-only between rollbacks; refresh the slot map.
-            self._pi_slots = {node: slot
-                              for slot, node in enumerate(xag.pis())}
-        pending = self._pending_dirty
-        if count == self._synced and not pending:
+        if self._hashes is not None and len(self._hashes) == xag.num_nodes:
             return
-        self._hashes.extend([0] * (count - len(self._hashes)))
-        if xag.is_topo_clean() and not pending:
-            self._compute_range(self._synced, count)
-            self.full_updates += count - self._synced
-        else:
-            self._resync(count)
-            pending.clear()
-        self._synced = count
+        self._hashes = node_hashes(xag)
 
     def hashes(self) -> List[int]:
-        """Hash of every node (live list — do not mutate).
+        """Hash of every node (do not mutate; replaced after a change).
 
-        Entries of dead nodes are stale; only live-node hashes are
-        meaningful.
+        Only live-node hashes are meaningful.
         """
         self.sync()
         return self._hashes
@@ -291,106 +247,8 @@ class StructHashTracker:
     def graph_hash(self) -> int:
         """Whole-graph hash over the PO literal list (see module docs).
 
-        Served from the maintained array, so mid-flow re-hashing costs one
-        incremental sync over the dirty fanout instead of a from-scratch
-        topological pass.
+        Served from the memoised per-node hashes, so repeated reads of an
+        unchanged network hash nothing again.
         """
         self.sync()
         return graph_hash(self.xag, self._hashes)
-
-    def cone_hash(self, root: int, leaves: Sequence[int],
-                  interior: Optional[Iterable[int]] = None) -> int:
-        """Leaf-relative content address of a cut cone (see :func:`cone_hash`).
-
-        Cone hashes substitute abstract variables for the leaves, so they
-        are *not* derived from the maintained per-node hashes — the tracker
-        only lends its network binding here.
-        """
-        return cone_hash(self.xag, root, leaves, interior)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _compute_range(self, start: int, end: int) -> None:
-        xag = self.xag
-        kinds = xag._kind
-        fanin0 = xag._fanin0
-        fanin1 = xag._fanin1
-        hashes = self._hashes
-        pi_slots = self._pi_slots
-        and_kind = NodeKind.AND
-        xor_kind = NodeKind.XOR
-        pi_kind = NodeKind.PI
-        for node in range(start, end):
-            kind = kinds[node]
-            if kind == and_kind:
-                f0 = fanin0[node]
-                f1 = fanin1[node]
-                hashes[node] = _and_hash(hashes[f0 >> 1], f0 & 1,
-                                         hashes[f1 >> 1], f1 & 1)
-            elif kind == xor_kind:
-                f0 = fanin0[node]
-                f1 = fanin1[node]
-                hashes[node] = _xor_hash(hashes[f0 >> 1], hashes[f1 >> 1],
-                                         (f0 & 1) ^ (f1 & 1))
-            elif kind == pi_kind:
-                hashes[node] = pi_hash(pi_slots[node])
-            else:
-                hashes[node] = CONST_HASH
-
-    def _resync(self, count: int) -> None:
-        """One topological pass recomputing new and invalidated nodes only.
-
-        Mirrors :meth:`LevelTracker._resync`: a gate is recomputed when it
-        is new, was rewired, or has a fan-in whose hash changed; a
-        recomputation that reproduces the stored hash stops the
-        propagation.
-        """
-        xag = self.xag
-        kinds = xag._kind
-        fanin0 = xag._fanin0
-        fanin1 = xag._fanin1
-        hashes = self._hashes
-        pending = self._pending_dirty
-        new_start = self._synced
-        and_kind = NodeKind.AND
-        xor_kind = NodeKind.XOR
-        pi_kind = NodeKind.PI
-        pi_slots = self._pi_slots
-        changed = bytearray(count)
-        appended = 0
-        recomputed = 0
-        for node in xag.topological_order():
-            kind = kinds[node]
-            if kind != and_kind and kind != xor_kind:
-                if node >= new_start:
-                    hashes[node] = (pi_hash(pi_slots[node])
-                                    if kind == pi_kind else CONST_HASH)
-                    appended += 1
-                continue
-            f0 = fanin0[node]
-            f1 = fanin1[node]
-            is_new = node >= new_start
-            if not (is_new or node in pending
-                    or changed[f0 >> 1] or changed[f1 >> 1]):
-                continue
-            if kind == and_kind:
-                value = _and_hash(hashes[f0 >> 1], f0 & 1,
-                                  hashes[f1 >> 1], f1 & 1)
-            else:
-                value = _xor_hash(hashes[f0 >> 1], hashes[f1 >> 1],
-                                  (f0 & 1) ^ (f1 & 1))
-            if is_new:
-                appended += 1
-            else:
-                recomputed += 1
-            if value != hashes[node]:
-                hashes[node] = value
-                changed[node] = 1
-        self.full_updates += appended
-        self.incremental_updates += recomputed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<StructHashTracker nodes={self._synced}/"
-                f"{self.xag.num_nodes} full={self.full_updates} "
-                f"incr={self.incremental_updates}>")

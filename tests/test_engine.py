@@ -476,7 +476,7 @@ def test_jobs_two_matches_jobs_one():
             for key, value in stats.items():
                 expected = float if key.endswith("_rate") else int
                 assert type(value) is expected, (section, key, value)
-    for key in ("stored_plans", "function_misses", "function_invalidations"):
+    for key in ("stored_plans", "function_misses"):
         assert pooled.cut_cache_stats[key] == sequential.cut_cache_stats[key]
     # pruning depends on the table and the saving only, never on what the
     # (per-worker) caches already hold
