@@ -33,6 +33,7 @@ hundreds of thousands of cuts of a crypto batch).
 
 from __future__ import annotations
 
+import weakref
 from itertools import count
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -273,6 +274,13 @@ class CutSetCache:
     maintained merge sets themselves, and nothing else is built per merge.
     The table-embedding memo of the merge is network-independent, so it
     survives :meth:`bind` and :meth:`on_rollback`.
+
+    Entries are never modified in place, so a shallow copy of the merge
+    dict describes the network it was taken from.  :meth:`snapshot` clones
+    the bound network together with such a copy; :meth:`bind` hands the
+    copy back when that clone becomes the working network (a rolled-back
+    round) unedited, and the next :meth:`cuts` call of any network drops
+    it.
     """
 
     def __init__(self, cut_size: int = 6, cut_limit: int = 12) -> None:
@@ -290,19 +298,41 @@ class CutSetCache:
         self._bound_xag: Optional[Xag] = None
         self._bound_epoch = -1
         self._bound_mutation_epoch = -1
+        #: the last :meth:`snapshot`: a weak reference to the clone, its
+        #: mutation and rollback epochs at cloning, and the merge sets.
+        self._snapshot: Optional[Tuple["weakref.ref[Xag]", int, int,
+                                       Dict[int, List[MergeEntry]]]] = None
+        #: True from a hand-back to the next :meth:`cuts` call.
+        self._handed_back = False
         #: merges run across all calls (the benchmark counter).
         self.nodes_recomputed = 0
         #: cut sets put in question when recorded edits were expanded
         #: (dropped, merged again or kept by the cutoff).
         self.invalidations = 0
+        #: :meth:`cuts` calls that started from handed-back merge sets.
+        self.snapshot_reads = 0
 
     def bind(self, xag: Xag) -> None:
-        """Attach the cache to ``xag``, subscribing to its mutation events."""
+        """Attach the cache to ``xag``, subscribing to its mutation events.
+
+        The merge sets start empty (the next :meth:`cuts` call enumerates
+        every node), unless ``xag`` is the clone of the last
+        :meth:`snapshot` and has not been edited since: then the merge sets
+        taken with it are handed back.
+        """
         if (xag is self._bound_xag
                 and xag._rollback_epoch == self._bound_epoch
                 and xag._mutation_epoch == self._bound_mutation_epoch):
             return
-        self._merge.clear()
+        merge: Dict[int, List[MergeEntry]] = {}
+        if self._snapshot is not None:
+            clone, mutation_epoch, rollback_epoch, taken = self._snapshot
+            if (clone() is xag and xag._mutation_epoch == mutation_epoch
+                    and xag._rollback_epoch == rollback_epoch):
+                merge = taken
+                self._handed_back = True
+            self._snapshot = None
+        self._merge = merge
         self._edited.clear()
         if self._bound_xag is not None and self._bound_xag is not xag:
             self._bound_xag.unsubscribe(self)
@@ -310,6 +340,23 @@ class CutSetCache:
         self._bound_epoch = xag._rollback_epoch
         self._bound_mutation_epoch = xag._mutation_epoch
         xag.subscribe(self)
+
+    def snapshot(self, xag: Xag) -> Xag:
+        """A clone of ``xag``, taken together with the merge sets that
+        describe it.
+
+        The merge sets are kept only when the cache is bound to ``xag`` and
+        has recorded no edit since its last read; the clone has the same
+        node indices, so they describe it exactly.  :meth:`bind` hands them
+        back if the clone is bound before it is edited; the next
+        :meth:`cuts` call drops them.
+        """
+        clone = xag.clone()
+        self._snapshot = None
+        if xag is self._bound_xag and not self._edited:
+            self._snapshot = (weakref.ref(clone), clone._mutation_epoch,
+                              clone._rollback_epoch, dict(self._merge))
+        return clone
 
     def on_substitution(self, xag: Xag, result: SubstitutionResult) -> None:
         """Record the nodes an in-place edit changed (expanded lazily)."""
@@ -338,6 +385,11 @@ class CutSetCache:
         state, valid until the next edit: read them, never modify them.
         """
         self.bind(xag)
+        # a snapshot taken before this read is not handed back any more
+        self._snapshot = None
+        if self._handed_back:
+            self._handed_back = False
+            self.snapshot_reads += 1
         merge_sets = self._merge
         edited = self._edited
         closure: Set[int] = set()

@@ -23,6 +23,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -57,6 +58,75 @@ class ImplementationPlan:
     def num_ands(self) -> int:
         """AND gates required to realise the plan (affine re-wiring is free)."""
         return self.recipe.num_ands
+
+    @cached_property
+    def estimated_gates(self) -> int:
+        """Upper bound on the gates :func:`~repro.rewriting.insert.insert_plan`
+        adds (before structural hashing): the recipe's gates, ``w - 1`` XORs
+        per transform row of weight ``w`` and one XOR per output-correction
+        leaf.  Computed on first use, once per plan."""
+        transform = self.transform
+        correction_xors = 0
+        for row in transform.matrix:
+            weight = bin(row).count("1")
+            if weight:
+                correction_xors += weight - 1
+        correction_xors += bin(transform.output_linear).count("1")
+        return self.recipe.num_gates + correction_xors
+
+    @cached_property
+    def level_terms(self) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+        """The output's AND-level as terms over the leaf levels.
+
+        :func:`~repro.rewriting.insert.insert_plan` feeds recipe input ``v``
+        the XOR of the leaves in transform row ``v`` and XORs the
+        output-correction leaves onto the recipe output; XOR gates are
+        depth-transparent and every recipe AND adds one level.  So with
+        leaf ``j`` at level ``L_j >= 0`` the built output sits at most at
+        ``max(c, max_j L_j + d_j)`` (structural hashing can only build
+        shallower), and the bound is exact for that XOR/AND structure:
+        ``d_j`` is the most recipe ANDs on a path from leaf ``j`` to the
+        output (0 for a correction leaf; leaves with no path are left out)
+        and ``c`` the most on any path from a recipe input or the constant.
+        Returns ``(c, ((j, d_j), ...))``, derived once per plan on first
+        use; :meth:`and_level` evaluates it.
+        """
+        transform = self.transform
+        recipe = self.recipe
+        # per recipe node: (c, {leaf position: d})
+        terms: Dict[int, Tuple[int, Dict[int, int]]] = {0: (0, {})}
+        for var, node in enumerate(recipe.pis()):
+            row = transform.matrix[var]
+            terms[node] = (0, {j: 0 for j in range(self.num_vars)
+                               if row >> j & 1})
+        for node in recipe.gates():
+            f0, f1 = recipe.fanins(node)
+            c0, leaves0 = terms[f0 >> 1]
+            c1, leaves1 = terms[f1 >> 1]
+            weight = 1 if recipe.is_and(node) else 0
+            merged = {j: d + weight for j, d in leaves0.items()}
+            for j, d in leaves1.items():
+                if d + weight > merged.get(j, -1):
+                    merged[j] = d + weight
+            terms[node] = (max(c0, c1) + weight, merged)
+        constant, output = terms[recipe.po_literal(0) >> 1]
+        output = dict(output)
+        for j in range(self.num_vars):
+            if transform.output_linear >> j & 1:
+                output.setdefault(j, 0)
+        return constant, tuple(sorted(output.items()))
+
+    def and_level(self, leaf_levels: Sequence[int]) -> int:
+        """Upper bound on the AND-level of the output
+        :func:`~repro.rewriting.insert.insert_plan` builds over leaves at
+        ``leaf_levels`` (by variable): ``max(c, max_j L_j + d_j)`` over
+        :attr:`level_terms`."""
+        level, terms = self.level_terms
+        for position, extra in terms:
+            reached = leaf_levels[position] + extra
+            if reached > level:
+                level = reached
+        return level
 
 
 class McDatabase:

@@ -243,10 +243,14 @@ class OptimizationContext:
         """Replace the working network by a fresh object the context owns
         (a restored snapshot or a swept copy).
 
-        The subscriber caches rebind lazily on their next use (they key on
-        network identity).
+        The cut sets bind to it at once: a pre-round snapshot
+        (:meth:`CutSetCache.snapshot`) gets the merge sets taken with it
+        back, and the edits of the passes that follow (a balance pass) are
+        recorded like any others.  The other subscriber caches rebind
+        lazily on their next use (they key on network identity).
         """
         self._network = network
+        self.cut_sets.bind(network)
 
     def rebase(self, network: Xag) -> None:
         """Make ``network`` the flow's "Initial" reference point.
@@ -435,7 +439,10 @@ def _drain_rounds(ctx: OptimizationContext, params: RewriteParams,
     Each round's candidate selection reads every cut's truth table from
     the maintained cut sets, so it simulates no cone; the tables of the
     cuts a round's substitutions touched are recomputed in the cut merge
-    at the next round (see :meth:`CutRewriter._select_candidates`).
+    at the next round (see :meth:`CutRewriter._select_candidates`).  The
+    snapshot is taken with the cut sets read at the round's start, and
+    :meth:`OptimizationContext.adopt` hands them back on a rollback, so a
+    discarded round costs no enumeration of the restored network.
     """
     rewriter = ctx.rewriter(params)
     working = ctx.network
@@ -526,7 +533,9 @@ class DepthGuard(Pass):
     never increases.
 
     Rounds run on the context's working network and its maintained cut
-    sets, so a guarded round does not restart a full cut enumeration.
+    sets, so a guarded round does not restart a full cut enumeration, and
+    a discarded round's snapshot gets back the cut sets taken with it
+    (:meth:`~repro.cuts.enumeration.CutSetCache.snapshot`).
     """
 
     kind = "guard"

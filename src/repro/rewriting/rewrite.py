@@ -62,7 +62,11 @@ either a registered name (``"mc"``, ``"size"``, ``"mc-depth"``, ``"fhe"``,
 AND-level gain at the cut root against the levels of
 :class:`repro.xag.levels.LevelTracker` and can refuse any replacement that
 would *raise* the root's AND-level — so no node level, and in particular
-the critical AND-level (multiplicative depth), can ever increase.
+the critical AND-level (multiplicative depth), can ever increase.  A plan's
+AND-level over the cut leaves is ``max(c, max_j level(leaf j) + d_j)``, with
+terms derived once per plan
+(:attr:`~repro.mc.database.ImplementationPlan.level_terms`), and its gate
+cost is likewise computed once per plan.
 """
 
 from __future__ import annotations
@@ -282,7 +286,9 @@ class CutRewriter:
         stats.select_seconds = time.perf_counter() - start - stats.verify_seconds
 
         apply_start = time.perf_counter()
-        pre_round = xag.clone() if snapshot and selections else None
+        # the clone keeps the cut sets read above, for a rollback to it
+        pre_round = self.cut_sets.snapshot(xag) \
+            if snapshot and selections else None
         self._apply_in_place(xag, selections, stats)
         stats.apply_seconds = time.perf_counter() - apply_start
 
@@ -359,18 +365,15 @@ class CutRewriter:
                 plan = cache.plan_for(table, size)
                 stats.candidates_evaluated += 1
 
-                cost_ands = plan.num_ands
-                cost_gates = self._estimated_gates(plan)
-                gain_ands = saved_ands - cost_ands
-                gain_gates = saved_gates - cost_gates
+                gain_ands = saved_ands - plan.num_ands
+                gain_gates = saved_gates - plan.estimated_gates
                 gain_depth = 0
                 root_level = 0
                 if depth_aware:
                     assert node_levels is not None
                     root_level = node_levels[node]
-                    leaf_levels = [node_levels[leaf] for leaf in leaves]
-                    gain_depth = root_level - \
-                        self._plan_and_level(plan, leaf_levels)
+                    gain_depth = root_level - plan.and_level(
+                        [node_levels[leaf] for leaf in leaves])
                 candidate = Candidate(Cut(node, leaves, table, has_and),
                                       plan, gain_ands, gain_gates,
                                       gain_depth, root_level)
@@ -388,49 +391,6 @@ class CutRewriter:
         stats.plan_cache_hits = cache.plan_hits - plan_hits_before
         stats.plan_cache_misses = cache.plan_misses - plan_misses_before
         return selections
-
-    @staticmethod
-    def _plan_and_level(plan: ImplementationPlan,
-                        leaf_levels: List[int]) -> int:
-        """Upper bound on the AND-level of the plan's output.
-
-        Rep-input and output-correction XOR trees are depth-transparent
-        (level = max over the selected leaves); each recipe AND adds one.
-        Structural hashing and constant folding during :func:`insert_plan`
-        can only produce shallower nodes, so the built root never exceeds
-        this estimate.
-        """
-        transform = plan.transform
-        levels: Dict[int, int] = {0: 0}
-        recipe = plan.recipe
-        for var, node in enumerate(recipe.pis()):
-            row = transform.matrix[var]
-            levels[node] = max(
-                [leaf_levels[j] for j in range(plan.num_vars) if (row >> j) & 1],
-                default=0)
-        for node in recipe.gates():
-            f0, f1 = recipe.fanins(node)
-            levels[node] = max(levels[f0 >> 1], levels[f1 >> 1]) + \
-                (1 if recipe.is_and(node) else 0)
-        output = levels[recipe.po_literal(0) >> 1]
-        correction = max(
-            [leaf_levels[j] for j in range(plan.num_vars)
-             if (transform.output_linear >> j) & 1],
-            default=0)
-        return max(output, correction)
-
-    @staticmethod
-    def _estimated_gates(plan: ImplementationPlan) -> int:
-        """Upper bound on the gates added by :func:`insert_plan` (before hashing)."""
-        transform = plan.transform
-        correction_xors = 0
-        for row in transform.matrix:
-            weight = bin(row).count("1")
-            if weight:
-                correction_xors += weight - 1
-        output_weight = bin(transform.output_linear).count("1")
-        correction_xors += output_weight
-        return plan.recipe.num_gates + correction_xors
 
     # ------------------------------------------------------------------
     # phase 2: in-place application

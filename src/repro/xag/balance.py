@@ -12,18 +12,23 @@ This module rebuilds such trees in place:
 * **AND trees** — maximal single-fanout trees of AND gates reached through
   non-complemented edges (OR chains are AND chains with complemented leaf
   edges, so they are covered too).  The operands are re-merged Huffman-style
-  against the AND-levels of :class:`~repro.xag.levels.LevelTracker` (always
-  combine the two shallowest operands; ``level(AND(a, b)) =
-  max(level(a), level(b)) + 1``), which minimises the root's AND-level over
-  all associative re-bracketings.  A tree is only rebuilt when the predicted
-  root level strictly improves; the tracker recomputes the levels after
-  each rebuild, at the next tree's read.
+  against their AND-levels (always combine the two shallowest operands;
+  ``level(AND(a, b)) = max(level(a), level(b)) + 1``), which minimises the
+  root's AND-level over all associative re-bracketings.  A tree is only
+  rebuilt when the predicted root level strictly improves.
 * **XOR trees** — XOR gates are transparent to the multiplicative depth
   (their root AND-level is the maximum over the leaves, whatever the shape),
   so XOR trees are rebalanced against *total* gate levels instead: same
   Huffman merge, weight 1 per XOR, reducing the ordinary logic depth without
   touching the AND count or the multiplicative depth.  Fan-in complements
   inside an XOR tree fold into one output parity.
+
+One call keeps one AND-level list and one gate-level list
+(:class:`_BalanceLevels`): both are computed once by
+:func:`~repro.xag.depth.node_levels` and, after every edit, updated by
+forward propagation from the rewired, revived and appended nodes, stopping
+where a level does not change.  A tree's operand levels only change through
+trees rebuilt before it, so no tree needs a whole-network recompute.
 
 Every rebuild replaces the tree root via
 :meth:`repro.xag.graph.Xag.substitute_node`, so subscribed observers (cut
@@ -38,13 +43,14 @@ packed simulation: the primary-output words before and after must match.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.xag.bitsim import BitSimulator, SimulationCache
+from repro.xag.depth import node_levels
 from repro.xag.equivalence import equivalence_stimulus
-from repro.xag.graph import NodeKind, Xag, literal
-from repro.xag.levels import LevelTracker
+from repro.xag.graph import NodeKind, SubstitutionResult, Xag, literal
 
 
 @dataclass
@@ -72,6 +78,84 @@ class BalanceStats:
         if self.depth_before == 0:
             return 0.0
         return 1.0 - self.depth_after / self.depth_before
+
+
+class _BalanceLevels:
+    """AND-levels and gate levels of one network, kept for one balance call.
+
+    Both lists start as :func:`~repro.xag.depth.node_levels`.  As an
+    observer of the network it hears of every substitution and of every
+    dead node a gate constructor revives; it then computes the levels of
+    the nodes appended since (in index order: an appended node only
+    references older ones) and propagates from the rewired and revived
+    nodes through their fan-outs, stopping where neither level changes.
+    Only live-node levels are meaningful.  The call never rolls the network
+    back, so there is no rollback hook.
+    """
+
+    def __init__(self, xag: Xag) -> None:
+        self.xag = xag
+        self.and_levels = node_levels(xag, and_only=True)
+        self.gate_levels = node_levels(xag, and_only=False)
+        xag.subscribe(self)
+
+    def on_substitution(self, xag: Xag, result: SubstitutionResult) -> None:
+        self.grow()
+        self._propagate(result.dirty.union(result.revived))
+
+    def grow(self) -> None:
+        """Levels of the gates appended since the last edit or call (a
+        balance call appends gates only)."""
+        xag = self.xag
+        and_levels = self.and_levels
+        gate_levels = self.gate_levels
+        kinds = xag._kind
+        fanin0 = xag._fanin0
+        fanin1 = xag._fanin1
+        for node in range(len(and_levels), xag.num_nodes):
+            a = fanin0[node] >> 1
+            b = fanin1[node] >> 1
+            and_levels.append(max(and_levels[a], and_levels[b])
+                              + (kinds[node] == NodeKind.AND))
+            gate_levels.append(max(gate_levels[a], gate_levels[b]) + 1)
+
+    def _propagate(self, seeds: Iterable[int]) -> None:
+        """Recompute ``seeds`` and, while a level changes, their fan-outs."""
+        xag = self.xag
+        and_levels = self.and_levels
+        gate_levels = self.gate_levels
+        kinds = xag._kind
+        fanin0 = xag._fanin0
+        fanin1 = xag._fanin1
+        fanouts = xag._fanouts
+        dead = xag._dead
+        queue = deque(seeds)
+        queued = set(queue)
+        while queue:
+            node = queue.popleft()
+            queued.discard(node)
+            if dead[node]:
+                continue
+            a = fanin0[node] >> 1
+            b = fanin1[node] >> 1
+            and_level = max(and_levels[a], and_levels[b]) \
+                + (kinds[node] == NodeKind.AND)
+            gate_level = max(gate_levels[a], gate_levels[b]) + 1
+            if and_level == and_levels[node] and \
+                    gate_level == gate_levels[node]:
+                continue
+            and_levels[node] = and_level
+            gate_levels[node] = gate_level
+            for fanout in fanouts[node]:
+                if fanout not in queued:
+                    queued.add(fanout)
+                    queue.append(fanout)
+
+    def critical_level(self) -> int:
+        """Largest AND-level over the primary-output drivers."""
+        levels = self.and_levels
+        return max((levels[lit >> 1] for lit in self.xag.po_literals()),
+                   default=0)
 
 
 def _collect_tree(xag: Xag, root: int) -> Tuple[List[int], int]:
@@ -162,9 +246,8 @@ def balance_in_place(xag: Xag, verify: bool = True,
     ``sim_cache`` so the pass and its rewriting rounds share one simulator.
     """
     stats = BalanceStats(ands_before=xag.num_ands, xors_before=xag.num_xors)
-    and_levels = LevelTracker(xag, and_only=True)
-    gate_levels = LevelTracker(xag, and_only=False)
-    stats.depth_before = and_levels.critical_level()
+    levels = _BalanceLevels(xag)
+    stats.depth_before = levels.critical_level()
 
     sim: Optional[BitSimulator] = None
     po_before: Optional[List[int]] = None
@@ -179,6 +262,8 @@ def balance_in_place(xag: Xag, verify: bool = True,
     for _ in range(max_passes):
         stats.passes += 1
         rebuilt = 0
+        # a build that substituted nothing may have appended tree roots
+        levels.grow()
         roots = [node for node in xag.topological_order()
                  if xag.is_gate(node) and _is_tree_root(xag, node)]
         for root in roots:
@@ -189,10 +274,9 @@ def balance_in_place(xag: Xag, verify: bool = True,
             if len(operands) < 3:
                 continue
             is_and = xag.is_and(root)
-            tracker = and_levels if is_and else gate_levels
-            node_levels = tracker.levels()
-            operand_levels = [node_levels[lit >> 1] for lit in operands]
-            if _merged_level(operand_levels, 1) >= node_levels[root]:
+            tree_levels = levels.and_levels if is_and else levels.gate_levels
+            operand_levels = [tree_levels[lit >> 1] for lit in operands]
+            if _merged_level(operand_levels, 1) >= tree_levels[root]:
                 continue
             op = xag.create_and if is_and else xag.create_xor
             new_lit = _build_balanced(xag, operands, operand_levels, 1, op)
@@ -206,9 +290,10 @@ def balance_in_place(xag: Xag, verify: bool = True,
         if not rebuilt:
             break
 
+    xag.unsubscribe(levels)
     stats.ands_after = xag.num_ands
     stats.xors_after = xag.num_xors
-    stats.depth_after = and_levels.critical_level()
+    stats.depth_after = levels.critical_level()
     if verify:
         assert sim is not None and po_before is not None
         stats.verified = sim.po_matches(po_before)

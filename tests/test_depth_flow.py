@@ -1,16 +1,18 @@
 """Multiplicative-depth subsystem: level tracker, balancing, mc-depth flow."""
 
+import importlib
 import random
 
 import pytest
 
-from repro.testing import random_xag
+from repro.testing import random_xag, seeded_xag
 from repro.circuits import arithmetic as A
 from repro.circuits import control as C
 from repro.rewriting import (CutRewriter, RewriteParams, optimize,
                              run_pipeline, standard_flow)
 from repro.xag import (LevelTracker, Xag, balance, balance_in_place,
-                       equivalent, multiplicative_depth, node_levels)
+                       equivalent, multiplicative_depth, node_levels,
+                       simulate_words)
 from repro.xag.equivalence import equivalence_stimulus
 from repro.xag.graph import lit_node, lit_not
 
@@ -22,6 +24,16 @@ def and_chain(width=12):
     for pi in pis[1:]:
         acc = xag.create_and(acc, pi)
     xag.create_po(acc, "all")
+    return xag
+
+
+def or_chain(width=8):
+    xag = Xag()
+    pis = xag.create_pis(width)
+    acc = pis[0]
+    for pi in pis[1:]:
+        acc = xag.create_or(acc, pi)
+    xag.create_po(acc, "any")
     return xag
 
 
@@ -101,12 +113,7 @@ def test_balance_and_chain_to_logarithmic_depth():
 
 def test_balance_or_chain_through_complemented_edges():
     """OR chains are AND chains with complemented leaf edges."""
-    xag = Xag()
-    pis = xag.create_pis(8)
-    acc = pis[0]
-    for pi in pis[1:]:
-        acc = xag.create_or(acc, pi)
-    xag.create_po(acc, "any")
+    xag = or_chain(8)
     assert multiplicative_depth(xag) == 7
     balanced, _ = balance(xag)
     assert equivalent(xag, balanced)
@@ -162,6 +169,200 @@ def test_balance_in_place_notifies_observers():
         assert tracker.levels()[node] == fresh[node]
 
 
+def reference_balance(xag, max_passes=16):
+    """Oracle balancer: the rebalancing loop reading ``node_levels`` afresh
+    for every tree, as the balancer did before it propagated its levels."""
+    from repro.xag.balance import (BalanceStats, _build_balanced,
+                                   _collect_tree, _is_tree_root,
+                                   _merged_level)
+
+    words, mask, _ = equivalence_stimulus(xag.num_pis)
+    po_before = simulate_words(xag, words, mask)
+    stats = BalanceStats(ands_before=xag.num_ands, xors_before=xag.num_xors,
+                         depth_before=multiplicative_depth(xag))
+    for _ in range(max_passes):
+        stats.passes += 1
+        rebuilt = 0
+        roots = [node for node in xag.topological_order()
+                 if xag.is_gate(node) and _is_tree_root(xag, node)]
+        for root in roots:
+            if xag.is_dead(root):
+                continue
+            operands, parity = _collect_tree(xag, root)
+            stats.trees_examined += 1
+            if len(operands) < 3:
+                continue
+            is_and = xag.is_and(root)
+            levels = node_levels(xag, and_only=is_and)
+            operand_levels = [levels[lit >> 1] for lit in operands]
+            if _merged_level(operand_levels, 1) >= levels[root]:
+                continue
+            op = xag.create_and if is_and else xag.create_xor
+            new_lit = _build_balanced(xag, operands, operand_levels, 1, op)
+            new_lit ^= parity
+            if (new_lit >> 1) == root:
+                continue
+            result = xag.substitute_node(root, new_lit)
+            stats.trees_rebalanced += 1
+            rebuilt += 1
+            stats.substitutions += len(result.pairs)
+        if not rebuilt:
+            break
+    stats.ands_after = xag.num_ands
+    stats.xors_after = xag.num_xors
+    stats.depth_after = multiplicative_depth(xag)
+    stats.verified = simulate_words(xag, words, mask) == po_before
+    return stats
+
+
+def network_state(xag):
+    """Everything balancing may change: fan-ins, kinds, POs, dead flags."""
+    return (list(xag._kind), list(xag._fanin0), list(xag._fanin1),
+            xag.po_literals(), bytes(xag._dead))
+
+
+def complemented_xor_tree(width=10):
+    """An XOR chain whose interior edges carry complements (the
+    complement of each inverted leaf is pushed to the gate's output)."""
+    xag = Xag()
+    pis = xag.create_pis(width)
+    acc = xag.create_and(pis[0], pis[1])
+    for index, pi in enumerate(pis[2:]):
+        acc = xag.create_xor(acc, lit_not(pi) if index % 2 else pi)
+    xag.create_po(acc, "parity")
+    return xag
+
+
+def strash_merging_chain():
+    """An AND chain whose balanced rebuild pairs ``c & d``, which already
+    exists as a gate of its own (a second primary output)."""
+    xag = Xag()
+    a, b, c, d, e, f = xag.create_pis(6)
+    shared = xag.create_and(c, d)
+    acc = a
+    for pi in (b, c, d, e, f):
+        acc = xag.create_and(acc, pi)
+    xag.create_po(acc, "all")
+    xag.create_po(shared, "cd")
+    return xag, lit_node(shared)
+
+
+def balance_pin_networks():
+    """The balancing pin corpus: 60 seeded random networks, the hand-built
+    shapes above and four control circuits with many rebuilt trees."""
+    networks = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        knobs = dict(num_pis=rng.randint(5, 10),
+                     num_gates=rng.randint(30, 120),
+                     num_pos=rng.randint(1, 3),
+                     and_bias=rng.choice([0.6, 0.8, 1.0]),
+                     not_probability=rng.choice([0.0, 0.2, 0.4]),
+                     max_fanout=rng.choice([None, None, 1, 2]))
+        xag = (seeded_xag(seed, **knobs) if seed % 2
+               else random_xag(random.Random(seed), **knobs))
+        networks.append((f"seed{seed}", xag))
+    networks.append(("or_chain", or_chain()))
+    networks.append(("complemented_xor_tree", complemented_xor_tree()))
+    networks.append(("strash_merge", strash_merging_chain()[0]))
+    networks.append(("and_chain", and_chain(16)))
+    for builder in (C.voter, C.i2c_like, C.cavlc_like, C.router_like):
+        networks.append((builder.__name__, builder()))
+    return networks
+
+
+def test_balance_matches_per_tree_level_reference():
+    """Propagated levels change nothing: the balanced network and its
+    ``BalanceStats`` equal the per-tree ``node_levels`` reference's."""
+    rebuilt = 0
+    for name, xag in balance_pin_networks():
+        expected = xag.clone()
+        reference = reference_balance(expected)
+        stats = balance_in_place(xag)
+        assert network_state(xag) == network_state(expected), name
+        assert stats == reference, name
+        rebuilt += stats.trees_rebalanced
+    assert rebuilt > 250
+
+
+def test_balance_rebuild_strash_merges_into_existing_gate():
+    xag, shared = strash_merging_chain()
+    original = xag.clone()
+    fanout_before = xag.fanout_size(shared)
+    stats = balance_in_place(xag)
+    assert stats.trees_rebalanced == 1
+    # the rebuilt tree reuses the existing ``c & d`` gate
+    assert xag.fanout_size(shared) == fanout_before + 1
+    assert xag.num_ands == original.num_ands - 1
+    assert stats.depth_after == 3 < stats.depth_before == 5
+    assert equivalent(original, xag)
+
+
+def test_balance_levels_follow_every_rebuild(monkeypatch):
+    """After every rebuilt tree the balancer's propagated AND and gate
+    levels equal a fresh ``node_levels`` on every live node."""
+    # ``repro.xag.balance`` is shadowed by the function of that name
+    balance_module = importlib.import_module("repro.xag.balance")
+    tracked = []
+
+    class Recording(balance_module._BalanceLevels):
+        def __init__(self, xag):
+            super().__init__(xag)
+            tracked.append(self)
+
+    monkeypatch.setattr(balance_module, "_BalanceLevels", Recording)
+    checks = 0
+    for name, xag in balance_pin_networks():
+        substitute = xag.substitute_node
+
+        def checked(old, new_lit, xag=xag, substitute=substitute):
+            nonlocal checks
+            result = substitute(old, new_lit)
+            # a clone: reading the network itself would warm its
+            # topological-order cache and could change the pass order
+            fresh = xag.clone()
+            live = fresh.topological_order()
+            for and_only, maintained in (
+                    (True, tracked[-1].and_levels),
+                    (False, tracked[-1].gate_levels)):
+                levels = node_levels(fresh, and_only=and_only)
+                assert [maintained[node] for node in live] == \
+                    [levels[node] for node in live], (name, and_only)
+            checks += 1
+            return result
+
+        xag.substitute_node = checked
+        balance_in_place(xag)
+    assert checks > 250
+
+
+def test_balance_levels_see_construction_path_revivals():
+    """A dead node revived by a gate constructor (not by a substitution)
+    notifies the balancer's levels like any edit: its level is recomputed
+    from fan-ins that got shallower while it was dead."""
+    from repro.xag.balance import _BalanceLevels
+
+    xag = Xag()
+    p, q, r, s, x, y, d = xag.create_pis(7)
+    h = xag.create_and(xag.create_and(p, q), s)     # level 2
+    g = xag.create_and(h, r)                        # level 3
+    deep = xag.create_and(x, g)                     # level 4
+    xag.create_po(xag.create_xor(deep, y))
+    xag.create_po(g)
+    levels = _BalanceLevels(xag)
+    top = lit_node(xag.po_literal(0))
+    xag.substitute_node(top, y)                     # kills top and deep
+    xag.substitute_node(lit_node(h), p)             # g drops to level 1
+    assert xag.is_dead(lit_node(deep))
+    xag.create_po(xag.create_and(deep, d))          # revives deep
+    levels.grow()                                   # the appended AND
+    fresh = node_levels(xag.clone(), and_only=True)
+    for node in xag.topological_order():
+        assert levels.and_levels[node] == fresh[node]
+    assert levels.and_levels[lit_node(deep)] == 2
+    assert levels.critical_level() == 3
+
+
 def test_balance_xor_trees_keep_mult_depth_and_and_count():
     xag = Xag()
     pis = xag.create_pis(10)
@@ -201,6 +402,58 @@ def test_mc_depth_rejects_unknown_objective_still():
             C.int_to_float())
 
 
+def recipe_walk_level(plan, leaf_levels):
+    """Oracle of ``plan.and_level``: walk the recipe once per query.
+
+    Rep-input and output-correction XOR trees are depth-transparent (level
+    = max over the selected leaves); each recipe AND adds one.
+    """
+    transform = plan.transform
+    levels = {0: 0}
+    recipe = plan.recipe
+    for var, node in enumerate(recipe.pis()):
+        row = transform.matrix[var]
+        levels[node] = max(
+            [leaf_levels[j] for j in range(plan.num_vars) if (row >> j) & 1],
+            default=0)
+    for node in recipe.gates():
+        f0, f1 = recipe.fanins(node)
+        levels[node] = max(levels[f0 >> 1], levels[f1 >> 1]) + \
+            (1 if recipe.is_and(node) else 0)
+    output = levels[recipe.po_literal(0) >> 1]
+    correction = max(
+        [leaf_levels[j] for j in range(plan.num_vars)
+         if (transform.output_linear >> j) & 1],
+        default=0)
+    return max(output, correction)
+
+
+def test_plan_level_terms_equal_recipe_walk():
+    """Every plan of the EPFL control group converged under mc-depth: the
+    per-plan terms give the recipe walk's level on 20 random leaf-level
+    vectors and on all-zero leaves."""
+    from repro.cuts.cache import CutFunctionCache
+    from repro.engine.core import EngineConfig, run_circuit, select_cases
+
+    config = EngineConfig(suites=("epfl",), groups=["control"],
+                          objective="mc-depth", max_rounds=None)
+    cut_cache = CutFunctionCache()
+    reports = [run_circuit(case, config, cut_cache=cut_cache)
+               for case in select_cases(config)]
+    assert len(reports) == 10
+    assert all(report.error is None for report in reports)
+    plans = list(cut_cache._plans.values())
+    assert len(plans) > 50
+    rng = random.Random(7)
+    for plan in plans:
+        for _ in range(20):
+            leaf_levels = [rng.randint(0, 12) for _ in range(plan.num_vars)]
+            assert plan.and_level(leaf_levels) == \
+                recipe_walk_level(plan, leaf_levels)
+        assert plan.and_level([0] * plan.num_vars) == \
+            recipe_walk_level(plan, [0] * plan.num_vars)
+
+
 def test_plan_and_level_estimates_upper_bound():
     """The plan's estimated AND-level must never undercut the built logic."""
     from repro.cuts.enumeration import enumerate_cuts
@@ -220,7 +473,8 @@ def test_plan_and_level_estimates_upper_bound():
             table = cache.cone_function(xag, node, cut.leaves)
             plan = cache.plan_for(table, cut.size)
             leaf_levels = [levels[leaf] for leaf in cut.leaves]
-            estimate = CutRewriter._plan_and_level(plan, leaf_levels)
+            estimate = plan.and_level(leaf_levels)
+            assert estimate == recipe_walk_level(plan, leaf_levels)
             target = xag.clone()
             lit = insert_plan(target, plan,
                               [leaf << 1 for leaf in cut.leaves])

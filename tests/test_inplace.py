@@ -12,7 +12,8 @@ from repro.cuts import Cut
 from repro.cuts.cache import CutFunctionCache
 from repro.cuts.enumeration import CutSetCache, cut_function, enumerate_cuts
 from repro.rewriting import (CutRewriter, RewriteParams, optimize,
-                             run_pipeline, standard_flow)
+                             parse_flow, run_pipeline, standard_flow)
+from repro.rewriting.pipeline import OptimizationContext
 from repro.xag import (BitSimulator, LevelTracker, StructHashTracker,
                        balance_in_place, equivalent, is_swept,
                        multiplicative_depth, node_hashes, node_levels,
@@ -477,6 +478,135 @@ def test_cut_set_cache_cutoff_stops_where_cut_sets_stop_changing():
     assert chain[0] not in after
     assert [after[gate] is before[gate] for gate in chain[1:]] == \
         [False] * 3 + [True] * 15
+
+
+# ----------------------------------------------------------------------
+# cut sets handed back with a rolled-back round's snapshot
+# ----------------------------------------------------------------------
+def fresh_entries(xag, cache):
+    return merge_entries(xag, enumerate_cuts(xag, cache.cut_size,
+                                             cache.cut_limit))
+
+
+class EditRecorder:
+    """Collects the edited nodes of every substitution event."""
+
+    def __init__(self):
+        self.edited = set()
+
+    def on_substitution(self, xag, result):
+        self.edited.update(result.dirty, result.revived, result.killed)
+
+
+def checked_rollbacks(monkeypatch, xag, passes, params=None):
+    """Run ``passes``; right after every rollback to a pre-round snapshot
+    the cut sets must equal a fresh enumeration, served without a merge.
+    Returns the ``(ANDs, depth)`` of the discarded and the restored network
+    per rollback."""
+    adopt = OptimizationContext.adopt
+    rollbacks = []
+
+    def checked(self, network):
+        discarded = self.network
+        adopt(self, network)
+        cache = self.cut_sets
+        merges, served = cache.nodes_recomputed, cache.snapshot_reads
+        assert cache.cuts(network) == fresh_entries(network, cache)
+        assert cache.nodes_recomputed == merges
+        assert cache.snapshot_reads == served + 1
+        rollbacks.append(((discarded.num_ands,
+                           multiplicative_depth(discarded)),
+                          (network.num_ands, multiplicative_depth(network))))
+
+    monkeypatch.setattr(OptimizationContext, "adopt", checked)
+    result = run_pipeline(xag, passes, params=params)
+    assert equivalent(xag, result.final)
+    return rollbacks
+
+
+def test_no_progress_rollback_hands_back_cut_sets(monkeypatch):
+    """adder(8)'s depth flow ends each mc-depth stage with a round that
+    changed the network but neither its ANDs nor its depth."""
+    rollbacks = checked_rollbacks(monkeypatch, A.adder(8),
+                                  standard_flow("mc-depth"),
+                                  RewriteParams(objective="mc-depth"))
+    assert rollbacks
+    for (ands, depth), (restored_ands, restored_depth) in rollbacks:
+        assert ands >= restored_ands and depth >= restored_depth
+
+
+def test_depth_guard_rollback_hands_back_cut_sets(monkeypatch):
+    """A guarded mc round that saves an AND but deepens the network."""
+    rng = random.Random(181)
+    xag = random_xag(rng, num_pis=rng.randint(5, 8),
+                     num_gates=rng.randint(20, 60), and_bias=0.7)
+    rollbacks = checked_rollbacks(monkeypatch, xag, parse_flow("guard(mc*)"))
+    assert rollbacks == [((6, 4), (7, 3))]
+
+
+def test_balance_on_handed_back_snapshot_remerges_its_edited_closure():
+    """The context binds the cut sets to an adopted snapshot at once, so a
+    balance pass on it is recorded as ordinary edits: the next read merges
+    no more than their edited closure."""
+    xag = C.int_to_float()
+    pis = xag.pi_literals()
+    chain = pis[0]
+    for pi in pis[1:8]:
+        chain = xag.create_and(chain, pi)
+    xag.create_po(chain, "chain")
+    ctx = OptimizationContext(xag)
+    working = ctx.network
+    cache = ctx.cut_sets
+    cache.cuts(working)
+    snapshot = cache.snapshot(working)
+    # the discarded round's edit
+    working.substitute_node(next(working.gates()), 0)
+    ctx.adopt(snapshot)
+    recorder = EditRecorder()
+    snapshot.subscribe(recorder)
+    merges = cache.nodes_recomputed
+    stats = balance_in_place(snapshot)
+    assert stats.trees_rebalanced > 0
+    closure = snapshot.edited_closure(recorder.edited)
+    assert cache.cuts(snapshot) == fresh_entries(snapshot, cache)
+    assert 0 < cache.nodes_recomputed - merges <= len(closure) \
+        < snapshot.num_gates
+    assert cache.snapshot_reads == 1
+
+
+def test_cut_set_cache_re_enumerates_clones_it_cannot_vouch_for():
+    """Only an unedited clone taken by ``snapshot`` gets merge sets back,
+    and only until the next read of any network."""
+    xag = C.int_to_float()
+    cache = CutSetCache()
+    cache.cuts(xag)
+
+    def read(network):
+        merges = cache.nodes_recomputed
+        assert cache.cuts(network) == fresh_entries(network, cache)
+        return cache.nodes_recomputed - merges
+
+    # a clone the cache did not take
+    other = xag.clone()
+    cache.bind(other)
+    assert read(other) == other.num_gates
+    # a taken clone, edited while the cache was bound elsewhere
+    edited = cache.snapshot(other)
+    edited.substitute_node(next(edited.gates()), 1)
+    cache.bind(edited)
+    assert read(edited) == edited.num_gates
+    # a taken clone whose original was read again before the hand-back
+    late = cache.snapshot(edited)
+    assert read(edited) == 0
+    cache.bind(late)
+    assert read(late) == late.num_gates
+    assert cache.snapshot_reads == 0
+    # an unedited taken clone: its merge sets come back, no merge runs
+    taken = cache.snapshot(late)
+    late.substitute_node(next(late.gates()), 0)
+    cache.bind(taken)
+    assert read(taken) == 0
+    assert cache.snapshot_reads == 1
 
 
 # ----------------------------------------------------------------------
