@@ -14,7 +14,10 @@ maps ``r`` back to ``f``.  Two strategies are implemented:
   first-order positions ``e_1 .. e_n`` with variable swaps/translations and
   normalise their signs with input complements.  Ties are explored with
   bounded backtracking controlled by ``iteration_limit`` (the paper uses an
-  iteration limit of 100 000 and omits classes that exceed it).
+  iteration limit of 100 000 and omits classes that exceed it).  Each
+  greedy state carries its truth table beside its signed spectral view and
+  updates both with every operation (:class:`_State`), so finished states
+  are compared by table without an inverse Walsh transform.
 
 The greedy strategy is not guaranteed to be perfectly canonical for ties deep
 in the spectrum; this only affects database/cache hit rates, never functional
@@ -25,14 +28,16 @@ verified before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import gf2
 from repro.affine.operations import AffineOp, AffineTransform
 from repro.tt.anf import degree
 from repro.tt.bits import num_bits, popcount, projection, table_mask
-from repro.tt.operations import apply_input_transform, translate_rows
-from repro.tt.spectrum import table_from_spectrum, walsh_spectrum
+from repro.tt.operations import (apply_input_transform, flip_variable,
+                                 translate_rows, xor_with_variable)
+from repro.tt.spectrum import walsh_spectrum
 
 
 @dataclass
@@ -59,107 +64,101 @@ class Classification:
 
 
 class _State:
-    """Running canonisation state as a signed permutation of one spectrum.
+    """Running canonisation state: a truth table beside its spectral view.
 
     Every operation the spectral strategy performs acts on the Walsh
     spectrum by a structured signed permutation: an input matrix ``M``
     permutes indices (``W'(w) = W(M^{-T} w)``), an input complement
     multiplies by ``(-1)^{w_a}``, an output complement negates everything
-    and ``f ^ x_a`` translates indices by ``e_a``.  The state therefore
-    never touches truth tables: it is the view
+    and ``f ^ x_a`` translates indices by ``e_a``.  The state keeps the
+    permuted spectrum and its magnitudes, together with a global sign and
+    a sign-pattern vector, as the view
 
-        ``W_state(w) = sign * (-1)^{<linear_sign, w>} * spectrum[perm[w]]``
+        ``W_state(w) = sign * (-1)^{<linear_sign, w>} * spectrum[w]``
 
-    over the spectrum of the *original* table, maintained with one
-    ``2**n``-entry gather (or a couple of integer updates) per step.  The
-    magnitude queries and sign checks the greedy needs are O(1) reads;
-    a truth table is materialised — one inverse Walsh transform — only
-    when a finished state is compared against the incumbent best.  The
-    closed-form :class:`AffineTransform` is not maintained either: the
-    winner's forward transform is rebuilt at the end by replaying its op
-    list (a transform's ``(A, b, c, d)`` is uniquely determined by the
-    function map the ops compose to)."""
+    of its current truth table, which it carries alongside and updates
+    with the same operation.  The magnitude queries and sign checks the
+    greedy needs are O(1) reads (a position's candidates are the
+    contiguous index range ``[2**p, 2**n)``), and a finished state is
+    compared against the incumbent best by its :attr:`table` — no inverse
+    Walsh transform.  Each operation costs a couple of C-level gathers and
+    a few bit operations: a placement substitutes its memoised data
+    (:func:`_placement_data`: delta swaps for the table, one
+    ``itemgetter`` gather for the spectrum and the magnitudes, a lookup
+    table for the sign vector), an input complement is one delta swap and
+    an output XOR or complement one mask.  Spectrum and magnitudes are
+    never modified in place, so a copy shares them.  The closed-form
+    :class:`AffineTransform` is not maintained: the winner's forward
+    transform is rebuilt at the end by replaying its op list (a
+    transform's ``(A, b, c, d)`` is uniquely determined by the function
+    map the ops compose to)."""
 
-    __slots__ = ("num_vars", "size", "spectrum", "magnitudes", "perm",
+    __slots__ = ("num_vars", "size", "table", "spectrum", "magnitudes",
                  "sign", "linear_sign", "ops")
 
-    def __init__(self, num_vars: int, spectrum: List[int],
-                 magnitudes: List[int], perm: List[int], sign: int,
-                 linear_sign: int, ops: List[AffineOp]):
+    def __init__(self, num_vars: int, table: int, spectrum: Sequence[int],
+                 magnitudes: Sequence[int], sign: int, linear_sign: int,
+                 ops: List[AffineOp]):
         self.num_vars = num_vars
         self.size = len(spectrum)
+        self.table = table
         self.spectrum = spectrum
         self.magnitudes = magnitudes
-        self.perm = perm
         self.sign = sign
         self.linear_sign = linear_sign
         self.ops = ops
 
     @classmethod
-    def initial(cls, num_vars: int, spectrum: List[int],
-                magnitudes: List[int]) -> "_State":
-        return cls(num_vars, spectrum, magnitudes,
-                   list(range(len(spectrum))), 1, 0, [])
+    def initial(cls, num_vars: int, table: int, spectrum: Sequence[int],
+                magnitudes: Sequence[int]) -> "_State":
+        return cls(num_vars, table, spectrum, magnitudes, 1, 0, [])
 
     def copy(self) -> "_State":
-        return _State(self.num_vars, self.spectrum, self.magnitudes,
-                      list(self.perm), self.sign, self.linear_sign,
+        return _State(self.num_vars, self.table, self.spectrum,
+                      self.magnitudes, self.sign, self.linear_sign,
                       list(self.ops))
 
     def coefficient(self, w: int) -> int:
-        """Exact ``W_state[w]`` of the state's (virtual) current table."""
-        value = self.sign * self.spectrum[self.perm[w]]
+        """Exact ``W_state[w]`` of the state's current table."""
+        value = self.sign * self.spectrum[w]
         return -value if popcount(self.linear_sign & w) & 1 else value
 
     def xor_output(self, var: int) -> None:
         """``f ^= x_var``: spectrum indices translate by ``e_var``."""
-        mask = 1 << var
-        perm = self.perm
-        self.perm = [perm[w ^ mask] for w in range(self.size)]
+        self.table = xor_with_variable(self.table, var, self.num_vars)
+        translate = _translation(var, self.num_vars)
+        self.spectrum = translate(self.spectrum)
+        self.magnitudes = translate(self.magnitudes)
         if (self.linear_sign >> var) & 1:
             self.sign = -self.sign
         self.ops.append(AffineOp("xor_output", var))
 
     def flip_output(self) -> None:
+        self.table ^= (1 << self.size) - 1
         self.sign = -self.sign
         self.ops.append(AffineOp("flip_output"))
 
     def flip_input(self, var: int) -> None:
         """``x_var`` complement: sign flip wherever ``w_var`` is set."""
+        self.table = flip_variable(self.table, var, self.num_vars)
         self.linear_sign ^= 1 << var
         self.ops.append(AffineOp("flip_input", var))
 
     def apply_placement(self, source: int, position: int) -> None:
         """Substitute the memoised placement matrix ``x -> M x``."""
-        ops, mperm, minv = _placement_data(source, position, self.num_vars)
-        perm = self.perm
-        self.perm = [perm[m] for m in mperm]
-        self.linear_sign = gf2.mat_vec(minv, self.linear_sign)
+        ops, swaps, gather, sign_map = _placement_data(source, position,
+                                                       self.num_vars)
+        if not ops:
+            return  # source is e_position already: M is the identity
+        table = self.table
+        for mask, shift in swaps:
+            moved = (table ^ (table >> shift)) & mask
+            table ^= moved ^ (moved << shift)
+        self.table = table
+        self.spectrum = gather(self.spectrum)
+        self.magnitudes = gather(self.magnitudes)
+        self.linear_sign = sign_map[self.linear_sign]
         self.ops.extend(ops)
-
-    def tied_best(self, candidates: List[int]) -> List[int]:
-        """Candidates of maximal magnitude, in candidate order."""
-        perm = self.perm
-        magnitudes = self.magnitudes
-        best = max(magnitudes[perm[w]] for w in candidates)
-        return [w for w in candidates if magnitudes[perm[w]] == best]
-
-    def table(self) -> int:
-        """Materialise the state's current truth table."""
-        spectrum = self.spectrum
-        perm = self.perm
-        sign = self.sign
-        linear = self.linear_sign
-        if linear:
-            values = [
-                -sign * spectrum[perm[w]] if popcount(linear & w) & 1
-                else sign * spectrum[perm[w]]
-                for w in range(self.size)]
-        elif sign < 0:
-            values = [-spectrum[p] for p in perm]
-        else:
-            values = [spectrum[p] for p in perm]
-        return table_from_spectrum(values, self.num_vars)
 
 
 class AffineClassifier:
@@ -286,7 +285,7 @@ class AffineClassifier:
         best: List[Optional[Tuple[int, List[AffineOp]]]] = [None]
 
         def consider(state: _State) -> None:
-            candidate = state.table()
+            candidate = state.table
             if best[0] is None or candidate < best[0][0]:
                 best[0] = (candidate, list(state.ops))
 
@@ -299,7 +298,7 @@ class AffineClassifier:
         for index, target in enumerate(zero_targets):
             if index > 0 and (budget[0] <= 0 or best[0] is not None and index >= 4):
                 break
-            state = _State.initial(num_vars, spectrum, magnitudes)
+            state = _State.initial(num_vars, table, spectrum, magnitudes)
             self._greedy_pass(state, target, budget, consider, allow_branching=(index == 0))
 
         assert best[0] is not None
@@ -334,14 +333,18 @@ class AffineClassifier:
             state.flip_output()
 
         # Step 2: place the largest reachable coefficients on e_0 .. e_{n-1}.
+        # Position p can take any index outside span(e_0 .. e_{p-1}): the
+        # range [2**p, 2**n); ties are taken in index order.
         for position in range(num_vars):
-            candidates = _position_candidates(size, position)
-            if not candidates:
-                break
-            tied = state.tied_best(candidates)
+            low = 1 << position
+            magnitudes = state.magnitudes
+            best = max(magnitudes[low:])
+            first = magnitudes.index(best, low)
 
-            if allow_branching:
-                for alternative in tied[1:]:
+            if allow_branching and budget[0] > 0:
+                for alternative in range(first + 1, size):
+                    if magnitudes[alternative] != best:
+                        continue
                     if budget[0] <= 0:
                         break
                     budget[0] -= 1
@@ -350,20 +353,17 @@ class AffineClassifier:
                     self._finish_greedily(branch, position + 1)
                     consider(branch)
 
-            self._place(state, tied[0], position)
+            self._place(state, first, position)
 
         consider(state)
 
     def _finish_greedily(self, state: _State, start_position: int) -> None:
         """Complete a pass without any further branching."""
-        num_vars = state.num_vars
-        size = state.size
-        for position in range(start_position, num_vars):
-            candidates = _position_candidates(size, position)
-            if not candidates:
-                break
-            source = state.tied_best(candidates)[0]
-            self._place(state, source, position)
+        for position in range(start_position, state.num_vars):
+            low = 1 << position
+            magnitudes = state.magnitudes
+            self._place(state, magnitudes.index(max(magnitudes[low:]), low),
+                        position)
 
     def _place(self, state: _State, source: int, position: int) -> None:
         """Move the coefficient at ``source`` to ``e_position`` and fix its sign."""
@@ -392,10 +392,13 @@ def _class_minimum(table: int, num_vars: int) -> Optional[int]:
     return minima[degree(table, num_vars)]
 
 
-#: (source, position, num_vars) → (elementary ops, spectral index
-#: permutation of ``x -> M x``, inverse matrix rows) — everything a
-#: spectral state needs to substitute a placement matrix.
+#: (source, position, num_vars) → (elementary ops, table delta swaps,
+#: spectrum gather, sign-vector map) — everything a spectral state needs to
+#: substitute a placement matrix; built on first use.
 _PLACEMENT_DATA_CACHE: dict = {}
+
+#: (var, num_vars) → spectrum gather of ``f ^ x_var``; built on first use.
+_TRANSLATION_CACHE: dict = {}
 
 
 def _placement_matrix_rows(source: int, position: int, num_vars: int) -> List[int]:
@@ -420,14 +423,17 @@ def _placement_matrix_rows(source: int, position: int, num_vars: int) -> List[in
     return rows
 
 
-def _placement_data(source: int, position: int,
-                    num_vars: int) -> Tuple[Tuple[AffineOp, ...],
-                                            Tuple[int, ...], Tuple[int, ...]]:
-    """Memoised spectral-action data of one placement matrix.
+def _placement_data(source: int, position: int, num_vars: int
+                    ) -> Tuple[Tuple[AffineOp, ...], Tuple[Tuple[int, int], ...],
+                               Callable, Tuple[int, ...]]:
+    """Memoised action of one placement matrix on a state.
 
-    Substituting ``x -> M x`` maps spectrum index ``w`` to ``M^{-T} w``
-    (``W'(w) = W(M^{-T} w)``) and the sign-pattern vector ``t`` to
-    ``M^{-1} t`` (``<t, M^{-T} w> = <M^{-1} t, w>``).
+    Substituting ``x -> M x`` applies its elementary ops to the truth
+    table (each a delta swap ``(mask, shift)``: the rows under ``mask``
+    trade values with the rows ``shift`` above them), maps spectrum index
+    ``w`` to ``M^{-T} w`` (``W'(w) = W(M^{-T} w)``, gathered by one
+    ``itemgetter``) and the sign-pattern vector ``t`` to ``M^{-1} t``
+    (``<t, M^{-T} w> = <M^{-1} t, w>``, one lookup).
     """
     key = (source, position, num_vars)
     data = _PLACEMENT_DATA_CACHE.get(key)
@@ -436,25 +442,44 @@ def _placement_data(source: int, position: int,
         minv = gf2.inverse(rows)
         assert minv is not None
         minv_t = gf2.transpose(minv)
-        mperm = tuple(gf2.mat_vec(minv_t, w) for w in range(num_bits(num_vars)))
-        data = (_matrix_to_ops(rows), mperm, tuple(minv))
+        size = num_bits(num_vars)
+        ops = _matrix_to_ops(rows)
+        data = (ops, tuple(_delta_swap(op, num_vars) for op in ops),
+                itemgetter(*[gf2.mat_vec(minv_t, w) for w in range(size)]),
+                tuple(gf2.mat_vec(minv, t) for t in range(size)))
         _PLACEMENT_DATA_CACHE[key] = data
     return data
 
+
+def _delta_swap(op: AffineOp, num_vars: int) -> Tuple[int, int]:
+    """``(mask, shift)`` of the row exchange a swap or translation performs.
+
+    A swap of ``x_a`` and ``x_b`` (``a < b``) exchanges the rows with
+    ``x_a = 1, x_b = 0`` and the rows ``2**b - 2**a`` above them; the
+    translation ``x_a <- x_a ^ x_b`` exchanges, among the rows with
+    ``x_b = 1``, those with ``x_a = 0`` and those with ``x_a = 1``.
+    """
+    if op.kind == "swap":
+        low, high = sorted((op.a, op.b))
+        return (projection(low, num_vars) & ~projection(high, num_vars),
+                (1 << high) - (1 << low))
+    assert op.kind == "translate"
+    return (projection(op.b, num_vars) & ~projection(op.a, num_vars),
+            1 << op.a)
+
+
+def _translation(var: int, num_vars: int) -> Callable:
+    """Memoised gather of spectrum index ``w ^ e_var`` into index ``w``."""
+    key = (var, num_vars)
+    gather = _TRANSLATION_CACHE.get(key)
+    if gather is None:
+        gather = _TRANSLATION_CACHE[key] = itemgetter(
+            *[w ^ (1 << var) for w in range(num_bits(num_vars))])
+    return gather
+
+
 #: matrix rows → elementary op sequence (AffineOp is frozen, safe to share).
 _MATRIX_OPS_CACHE: dict = {}
-
-#: (table size, position) → spectral indices reachable for that position.
-_POSITION_CANDIDATES_CACHE: dict = {}
-
-
-def _position_candidates(size: int, position: int) -> List[int]:
-    key = (size, position)
-    cached = _POSITION_CANDIDATES_CACHE.get(key)
-    if cached is None:
-        cached = [w for w in range(1, size) if (w >> position) != 0]
-        _POSITION_CANDIDATES_CACHE[key] = cached
-    return cached
 
 
 def _matrix_to_ops(matrix: List[int]) -> Tuple[AffineOp, ...]:

@@ -215,15 +215,17 @@ class CutFunctionCache:
         Every plan realises its function, so it has at least the
         multiplicative-complexity lower bound's AND count; a candidate whose
         budget lies below the bound can be dropped without a lookup.  The
-        bound is memoised per ``(table, num_vars)``; each ``True`` answer
-        counts one :attr:`plans_pruned`.  Neither the plan memo nor the
-        database is touched.
+        bound is memoised per ``(table, num_vars)`` as passed (the table is
+        masked to ``num_vars`` only on a miss: selection asks several times
+        per cut function); each ``True`` answer counts one
+        :attr:`plans_pruned`.  Neither the plan memo nor the database is
+        touched.
         """
-        table &= table_mask(num_vars)
         key = (table, num_vars)
         bound = self._lower_bounds.get(key)
         if bound is None:
-            bound = self._lower_bounds[key] = lower_bound(table, num_vars)
+            bound = self._lower_bounds[key] = lower_bound(
+                table & table_mask(num_vars), num_vars)
         if bound > max_ands:
             self.plans_pruned += 1
             return True

@@ -66,7 +66,7 @@ from repro.xag.balance import BalanceStats, balance_in_place
 from repro.xag.bitsim import SimulationCache
 from repro.xag.cleanup import sweep, sweep_owned
 from repro.xag.depth import multiplicative_depth
-from repro.xag.graph import Xag, lit_node
+from repro.xag.graph import NodeKind, Xag
 from repro.xag.levels import LevelCache
 
 
@@ -75,25 +75,31 @@ def _live_counts(xag: Xag) -> Tuple[int, int]:
 
     Mid-flow in-place networks carry orphan chains awaiting the flow-end
     sweep; ``num_ands`` counts them, this walk does not — so pass statistics
-    and fixpoint scores describe the network a sweep would produce.
+    and fixpoint scores describe the network a sweep would produce.  Like
+    :func:`repro.cuts.mffc.mffc`, the walk reads the node arrays directly.
     """
+    kinds = xag._kind
+    fanin0 = xag._fanin0
+    fanin1 = xag._fanin1
+    and_kind = NodeKind.AND
+    xor_kind = NodeKind.XOR
     seen: Set[int] = set()
-    stack = [lit_node(lit) for lit in xag.po_literals()]
+    stack = [lit >> 1 for lit in xag._pos]
     ands = xors = 0
     while stack:
         node = stack.pop()
         if node in seen:
             continue
         seen.add(node)
-        if not xag.is_gate(node):
-            continue
-        if xag.is_and(node):
+        kind = kinds[node]
+        if kind == and_kind:
             ands += 1
-        else:
+        elif kind == xor_kind:
             xors += 1
-        f0, f1 = xag.fanins(node)
-        stack.append(f0 >> 1)
-        stack.append(f1 >> 1)
+        else:
+            continue
+        stack.append(fanin0[node] >> 1)
+        stack.append(fanin1[node] >> 1)
     return ands, xors
 
 

@@ -35,7 +35,13 @@ every candidate whose bound already rules that gain out is dropped before
 the plan lookup (:meth:`repro.cuts.cache.CutFunctionCache.prunes`).  Such a
 candidate is one the veto would refuse anyway, and plans depend on the
 truth table alone, so pruning changes no selection — only how many
-functions are classified and synthesised.
+functions are classified and synthesised.  The bound (memoised per truth
+table) is read against the MFFC's AND count before a cut's MFFC walk
+wherever every cut it prunes there would reach the bound check after the
+walk: when the root is an AND (it lies in every cut cone, so the saving
+reaches a floor of 1) or the floor is at most 0 (a pruned cut's table is
+not affine, so its cone holds an AND).  The walk is skipped for those cuts
+and every count stays what the walk-first order gives.
 
 *Phase 2 — application.*  Each winning candidate is built on top of its cut
 leaves inside the *same* network and the root is replaced via
@@ -336,9 +342,18 @@ class CutRewriter:
             # MFFC first: a cut saves at most the MFFC's ANDs, so a root
             # whose MFFC holds fewer than the floor has no candidate.
             node_mffc = mffc(xag, node)
-            if min_gain and sum(1 for n in node_mffc
-                                if kinds[n] == and_kind) < min_gain:
-                continue
+            bound_first = False
+            if min_gain is not None:
+                mffc_ands = sum(1 for n in node_mffc if kinds[n] == and_kind)
+                if mffc_ands < min_gain:
+                    continue
+                # Every cut's saving is at most the MFFC's ANDs, so the
+                # bound can be read before the walk; only where each cut
+                # it prunes would reach the bound check below anyway (see
+                # the module docstring), so no count moves.
+                bound_first = min_gain <= 0 or (
+                    min_gain == 1 and kinds[node] == and_kind)
+                budget = mffc_ands - min_gain
             best: Optional[Candidate] = None
             best_key: Optional[Tuple[int, ...]] = None
 
@@ -347,6 +362,8 @@ class CutRewriter:
             for leaves, table, has_and in cuts[node]:
                 size = len(leaves)
                 if size < 2 or size > params.cut_size or node in leaves:
+                    continue
+                if bound_first and cache.prunes(table, size, budget):
                     continue
                 saved_ands, saved_gates = mffc_saving(xag, node, leaves,
                                                       node_mffc)

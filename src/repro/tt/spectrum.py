@@ -39,8 +39,8 @@ def table_from_spectrum(spectrum: List[int], num_vars: int) -> int:
     ``H W = 2**n s`` with ``s(x) = 1 - 2 f(x)`` (the transform is its own
     inverse up to the ``2**n`` factor), so the sign of each entry of
     ``H W`` recovers the function bit exactly: positive means 0, negative
-    means 1.  The affine classifier materialises candidate tables through
-    this when it maintains states as signed spectrum permutations.
+    means 1.  The classifier's spectral state carries its table instead;
+    its tests use this as the oracle of that table.
     """
     table = 0
     for row, value in enumerate(_butterfly(list(spectrum))):

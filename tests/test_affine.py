@@ -1,20 +1,32 @@
-"""Tests for affine operations, transforms, classification and the cache."""
+"""Tests for affine operations, transforms, classification and the cache.
 
+:func:`reference_spectral_classify` is the oracle of the spectral greedy:
+its state is a signed permutation of the original spectrum whose truth
+table is materialised by an inverse Walsh transform, and a position's
+candidates are listed and tie-searched element by element.  The shipped
+classifier must return exactly what it returns.
+"""
+
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import gf2
 from repro.affine import (
     AffineClassifier,
     AffineOp,
     AffineTransform,
+    Classification,
     ClassificationCache,
     apply_ops,
 )
+from repro.affine import classify as classify_module
 from repro.tt import bits, random_table
-from repro.tt.anf import degree
-from repro.tt.spectrum import spectrum_signature
+from repro.tt.anf import degree, from_anf
+from repro.tt.spectrum import (spectrum_signature, table_from_spectrum,
+                               walsh_spectrum)
 
 OP_KINDS = ["swap", "flip_input", "flip_output", "translate", "xor_output"]
 
@@ -216,6 +228,273 @@ def test_classification_constant_functions():
     zero = classifier.classify(0, 4)
     one = classifier.classify(bits.table_mask(4), 4)
     assert zero.representative == one.representative == 0
+
+
+# ----------------------------------------------------------------------
+# the spectral greedy against its inverse-Walsh reference
+# ----------------------------------------------------------------------
+class _ReferenceState:
+    """Spectral state as the view ``W(w) = sign * (-1)^{<linear_sign, w>} *
+    spectrum[perm[w]]`` over the original spectrum; :meth:`table` runs an
+    inverse Walsh transform."""
+
+    def __init__(self, num_vars, spectrum, magnitudes, perm, sign,
+                 linear_sign, ops):
+        self.num_vars = num_vars
+        self.size = len(spectrum)
+        self.spectrum = spectrum
+        self.magnitudes = magnitudes
+        self.perm = perm
+        self.sign = sign
+        self.linear_sign = linear_sign
+        self.ops = ops
+
+    @classmethod
+    def initial(cls, num_vars, spectrum, magnitudes):
+        return cls(num_vars, spectrum, magnitudes, list(range(len(spectrum))),
+                   1, 0, [])
+
+    def copy(self):
+        return _ReferenceState(self.num_vars, self.spectrum, self.magnitudes,
+                               list(self.perm), self.sign, self.linear_sign,
+                               list(self.ops))
+
+    def coefficient(self, w):
+        value = self.sign * self.spectrum[self.perm[w]]
+        return -value if bin(self.linear_sign & w).count("1") & 1 else value
+
+    def xor_output(self, var):
+        mask = 1 << var
+        self.perm = [self.perm[w ^ mask] for w in range(self.size)]
+        if (self.linear_sign >> var) & 1:
+            self.sign = -self.sign
+        self.ops.append(AffineOp("xor_output", var))
+
+    def flip_output(self):
+        self.sign = -self.sign
+        self.ops.append(AffineOp("flip_output"))
+
+    def flip_input(self, var):
+        self.linear_sign ^= 1 << var
+        self.ops.append(AffineOp("flip_input", var))
+
+    def apply_placement(self, source, position):
+        ops, mperm, minv = _reference_placement(source, position,
+                                                self.num_vars)
+        self.perm = [self.perm[m] for m in mperm]
+        self.linear_sign = gf2.mat_vec(minv, self.linear_sign)
+        self.ops.extend(ops)
+
+    def tied_best(self, candidates):
+        """Candidates of maximal magnitude, in candidate order."""
+        best = max(self.magnitudes[self.perm[w]] for w in candidates)
+        return [w for w in candidates
+                if self.magnitudes[self.perm[w]] == best]
+
+    def table(self):
+        return table_from_spectrum(
+            [self.coefficient(w) for w in range(self.size)], self.num_vars)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_placement(source, position, num_vars):
+    """(ops, spectral index permutation, inverse matrix) of ``x -> M x``."""
+    rows = classify_module._placement_matrix_rows(source, position, num_vars)
+    minv = gf2.inverse(rows)
+    minv_t = gf2.transpose(minv)
+    mperm = tuple(gf2.mat_vec(minv_t, w) for w in range(1 << num_vars))
+    return classify_module._matrix_to_ops(rows), mperm, tuple(minv)
+
+
+def _position_candidates(size, position):
+    """Spectral indices reachable for ``position``, in index order."""
+    return [w for w in range(1, size) if (w >> position) != 0]
+
+
+def reference_spectral_classify(table, num_vars, exhaustive_limit=3,
+                                iteration_limit=64):
+    """``AffineClassifier(exhaustive_limit, iteration_limit).classify`` with
+    the spectral greedy run over :class:`_ReferenceState`."""
+    table &= bits.table_mask(num_vars)
+    if num_vars <= exhaustive_limit:
+        return AffineClassifier(exhaustive_limit, iteration_limit) \
+            ._classify_exhaustive(table, num_vars)
+    budget = [iteration_limit]
+    best = [None]
+    size = 1 << num_vars
+
+    def consider(state):
+        candidate = state.table()
+        if best[0] is None or candidate < best[0][0]:
+            best[0] = (candidate, list(state.ops))
+
+    def place(state, source, position):
+        state.apply_placement(source, position)
+        if state.coefficient(1 << position) < 0:
+            state.flip_input(position)
+
+    def finish_greedily(state, start_position):
+        for position in range(start_position, num_vars):
+            candidates = _position_candidates(size, position)
+            place(state, state.tied_best(candidates)[0], position)
+
+    def greedy_pass(state, zero_target, allow_branching):
+        budget[0] -= 1
+        for var in range(num_vars):
+            if (zero_target >> var) & 1:
+                state.xor_output(var)
+        if state.coefficient(0) < 0:
+            state.flip_output()
+        for position in range(num_vars):
+            tied = state.tied_best(_position_candidates(size, position))
+            if allow_branching:
+                for alternative in tied[1:]:
+                    if budget[0] <= 0:
+                        break
+                    budget[0] -= 1
+                    branch = state.copy()
+                    place(branch, alternative, position)
+                    finish_greedily(branch, position + 1)
+                    consider(branch)
+            place(state, tied[0], position)
+        consider(state)
+
+    spectrum = walsh_spectrum(table, num_vars)
+    magnitudes = [abs(value) for value in spectrum]
+    top = max(magnitudes)
+    zero_targets = [w for w in range(size) if magnitudes[w] == top]
+    for index, target in enumerate(zero_targets):
+        if index > 0 and (budget[0] <= 0
+                          or best[0] is not None and index >= 4):
+            break
+        greedy_pass(_ReferenceState.initial(num_vars, spectrum, magnitudes),
+                    target, allow_branching=(index == 0))
+    representative, ops = best[0]
+    forward = AffineTransform.identity(num_vars)
+    for op in ops:
+        forward.apply_op(op)
+    return Classification(table=table, num_vars=num_vars,
+                          representative=representative,
+                          from_representative=forward.inverse(), ops=ops,
+                          method="spectral", canonical=budget[0] > 0)
+
+
+def classification_key(result):
+    """Everything a classification hands its callers."""
+    transform = result.from_representative
+    return (result.representative, result.ops, transform.matrix,
+            transform.offset, transform.output_linear,
+            transform.output_const, result.canonical, result.method)
+
+
+def _sparse_anf_table(num_vars, rng):
+    """A function of a few low-degree monomials: spectra full of ties."""
+    monomials = [m for m in range(1 << num_vars) if bin(m).count("1") <= 3]
+    chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 5)))
+    return from_anf(sum(1 << m for m in chosen), num_vars)
+
+
+def _assert_matches_reference(tables, exhaustive_limit=3, iteration_limit=64):
+    classifier = AffineClassifier(exhaustive_limit, iteration_limit)
+    results = []
+    for table, num_vars in tables:
+        result = classifier.classify(table, num_vars)
+        assert classification_key(result) == classification_key(
+            reference_spectral_classify(table, num_vars, exhaustive_limit,
+                                        iteration_limit)), (table, num_vars)
+        results.append(result)
+    return results
+
+
+@pytest.mark.parametrize("num_vars", [4, 5, 6])
+def test_spectral_classifier_matches_inverse_walsh_reference(num_vars):
+    rng = random.Random(4000 + num_vars)
+    tables = [(random_table(num_vars, rng), num_vars) for _ in range(200)]
+    tables += [(_sparse_anf_table(num_vars, rng), num_vars)
+               for _ in range(100)]
+    results = _assert_matches_reference(tables)
+    assert {result.method for result in results} == {"spectral"}
+
+
+@pytest.mark.parametrize("num_vars, exhaustive_limit",
+                         [(0, -1), (0, 0), (1, 0), (2, 0), (3, 0), (7, 0)])
+def test_spectral_classifier_matches_reference_on_small_and_wide_tables(
+        num_vars, exhaustive_limit):
+    if num_vars <= 3:
+        tables = [(table, num_vars) for table in range(1 << (1 << num_vars))]
+    else:
+        rng = random.Random(4700)
+        tables = [(random_table(num_vars, rng), num_vars) for _ in range(12)]
+        tables += [(_sparse_anf_table(num_vars, rng), num_vars)
+                   for _ in range(12)]
+    _assert_matches_reference(tables, exhaustive_limit=exhaustive_limit)
+
+
+def test_spectral_classifier_matches_reference_on_named_functions():
+    inner_product = from_anf((1 << 0b0011) | (1 << 0b1100), 4)
+    bent6 = from_anf((1 << 0b000011) | (1 << 0b001100) | (1 << 0b110000), 6)
+    tables = [
+        (0xE8, 3), (0x88, 3), (0x96, 3),              # MAJ, AND, parity
+        (inner_product, 4), (bent6, 6),
+        (from_anf(1 << 0b1111, 4), 4),                # 4-input AND
+        (from_anf(1 << 0b111111, 6), 6),              # 6-input AND
+        (from_anf((1 << 0b0111) | (1 << 0b1011) | (1 << 0b1101)
+                  | (1 << 0b1110), 4), 4),            # symmetric cubic
+        (0, 5), (bits.table_mask(5), 5), (bits.projection(2, 5), 5),
+    ]
+    for exhaustive_limit in (0, 3):
+        _assert_matches_reference(tables, exhaustive_limit=exhaustive_limit)
+
+
+@pytest.mark.parametrize("iteration_limit", [1, 2])
+def test_spectral_classifier_matches_reference_when_the_budget_runs_out(
+        iteration_limit):
+    rng = random.Random(4800 + iteration_limit)
+    tables = [(_sparse_anf_table(num_vars, rng), num_vars)
+              for num_vars in (4, 5, 6) for _ in range(40)]
+    tables += [(random_table(num_vars, rng), num_vars)
+               for num_vars in (4, 5, 6) for _ in range(20)]
+    results = _assert_matches_reference(tables,
+                                        iteration_limit=iteration_limit)
+    assert not any(result.canonical for result in results)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << (1 << n)) - 1),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 63),
+                       st.integers(0, 63)), max_size=10))))
+def test_spectral_state_table_is_its_spectral_view(case):
+    """After every op the carried table is the inverse Walsh transform of
+    the state's signed spectral view, and what the ops make of the table."""
+    num_vars, table, steps = case
+    size = 1 << num_vars
+    spectrum = walsh_spectrum(table, num_vars)
+    magnitudes = [abs(value) for value in spectrum]
+    state = classify_module._State.initial(num_vars, table, spectrum,
+                                           magnitudes)
+    reference = _ReferenceState.initial(num_vars, spectrum, magnitudes)
+    for kind, a, b in steps:
+        if kind == 0:
+            ops = ("flip_output",)
+        elif not num_vars:
+            continue
+        elif kind == 1:
+            ops = ("xor_output", a % num_vars)
+        elif kind == 2:
+            ops = ("flip_input", a % num_vars)
+        else:
+            position = a % num_vars
+            ops = ("apply_placement",
+                   (1 << position) + b % (size - (1 << position)), position)
+        for target in (state, reference):
+            getattr(target, ops[0])(*ops[1:])
+        view = [state.coefficient(w) for w in range(size)]
+        assert state.table == table_from_spectrum(view, num_vars)
+        assert list(state.magnitudes) == [abs(value) for value in view]
+        assert state.table == apply_ops(table, num_vars, state.ops)
+        assert state.table == reference.table()
+        assert state.ops == reference.ops
 
 
 # ----------------------------------------------------------------------

@@ -21,14 +21,17 @@ from repro.cuts.enumeration import enumerate_cuts
 from repro.engine import EngineConfig
 from repro.engine.core import run_batch, run_circuit, select_cases
 from repro.mc import McDatabase
-from repro.rewriting import (BalancePass, DepthGuard, FlowSummary,
-                             OptimizationContext, PassResult, PipelineResult,
-                             Repeat, RewriteParams, RewritePass,
-                             SizeBaselinePass, SweepPass, optimize,
-                             parse_flow, run_pipeline, standard_flow)
+from repro.rewriting import (BalancePass, CutRewriter, DepthGuard,
+                             FlowSummary, OptimizationContext, PassResult,
+                             PipelineResult, Repeat, RewriteParams,
+                             RewritePass, SizeBaselinePass, SweepPass,
+                             optimize, parse_flow, run_pipeline,
+                             standard_flow)
+from repro.rewriting.pipeline import _live_counts
 from repro.xag import (BitSimulator, Xag, equivalent, multiplicative_depth,
                        node_levels)
 from repro.xag.equivalence import equivalence_stimulus
+from repro.xag.graph import FALSE, TRUE, lit_node
 
 #: pre-pipeline (ANDs after one round, ANDs at convergence, depth, rounds)
 #: of the paper flow, plus (ANDs, rounds) of optimize, with RewriteParams()
@@ -384,3 +387,58 @@ def test_size_baseline_not_duplicated_for_nested_baseline_step():
 def test_run_batch_rejects_bad_flow_script():
     with pytest.raises(ValueError, match="flow script"):
         run_batch(EngineConfig(circuits=["int2float"], flow="warp-speed"))
+
+
+def method_call_live_counts(xag):
+    """(AND, XOR) counts of the PO-reachable cone through the public
+    accessors: the oracle of ``_live_counts``."""
+    seen = set()
+    stack = [lit_node(lit) for lit in xag.po_literals()]
+    ands = xors = 0
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if not xag.is_gate(node):
+            continue
+        if xag.is_and(node):
+            ands += 1
+        else:
+            xors += 1
+        f0, f1 = xag.fanins(node)
+        stack.append(f0 >> 1)
+        stack.append(f1 >> 1)
+    return ands, xors
+
+
+def test_live_counts_match_the_method_call_walk():
+    networks = []
+    # POs driven by a PI, by both constants and by a complemented gate;
+    # a chain of gates no PO reaches
+    xag = Xag()
+    a, b, c = xag.create_pis(3)
+    g = xag.create_and(a, b)
+    orphan = xag.create_xor(g, c)
+    xag.create_and(orphan, a ^ 1)
+    for lit in (a, FALSE, TRUE, g ^ 1):
+        xag.create_po(lit)
+    networks.append(xag)
+    # no PO reaches a gate at all
+    xag = Xag()
+    p, q = xag.create_pis(2)
+    xag.create_xor(p, q)
+    for lit in (q ^ 1, p, TRUE):
+        xag.create_po(lit)
+    networks.append(xag)
+    # in-place rounds leave orphan chains for the flow-end sweep
+    for seed in range(8):
+        xag = random_xag(random.Random(seed), num_pis=8, num_gates=80)
+        CutRewriter().rewrite_in_place(xag)
+        networks.append(xag)
+    for xag in networks:
+        assert _live_counts(xag) == method_call_live_counts(xag)
+    assert _live_counts(networks[0]) == (1, 0)
+    assert _live_counts(networks[1]) == (0, 0)
+    assert any(_live_counts(xag) != (xag.num_ands, xag.num_xors)
+               for xag in networks[2:])
