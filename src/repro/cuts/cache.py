@@ -16,12 +16,15 @@ from rewriting altogether; this module answers (b) for the rewriter
   function hits the MC database (and affine classification) once per batch
   of circuits, not once per cut per round;
 
-* **multiplicative-complexity lower bounds** are memoised beside the plans,
-  under the same key.  :meth:`CutFunctionCache.prunes` answers "can any
-  plan for this function cost at most ``k`` ANDs?" from
-  :func:`repro.mc.bounds.lower_bound` alone, without touching the
-  database, so the rewriter skips the lookup of a candidate that provably
-  cannot win;
+* **bounds** are memoised beside the plans, under the same key, and never
+  touch the database: the multiplicative-complexity lower bound
+  (:meth:`CutFunctionCache.lower_bound`, from
+  :func:`repro.mc.bounds.lower_bound`; :meth:`CutFunctionCache.prunes`
+  answers "can any plan for this function cost at most ``k`` ANDs?") and
+  the maximal ANF monomials behind the AND-level bound
+  (:meth:`CutFunctionCache.level_bound`).  The rewriter prices a
+  candidate's best case from them and skips the lookup of every candidate
+  that provably cannot win;
 
 * **cone functions** — a cut's function obtained by simulating its cone —
   are memoised per network, keyed by ``(root, leaves)``, behind
@@ -46,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mc.bounds import lower_bound
 from repro.mc.database import ImplementationPlan, McDatabase
+from repro.tt.anf import maximal_monomials
 from repro.tt.bits import projection, table_mask
 from repro.xag.graph import SubstitutionResult, Xag, lit_node
 from repro.xag.structhash import cone_hash as _cone_hash
@@ -63,14 +67,17 @@ class CutFunctionCache:
         #: as the cone-function memo.
         self._interiors: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
         self._plans: Dict[Tuple[int, int], ImplementationPlan] = {}
-        #: multiplicative-complexity lower bounds, same keys as the plans.
+        #: multiplicative-complexity lower bounds, same keys as the plans
+        #: (the table as passed, see :meth:`lower_bound`).
         self._lower_bounds: Dict[Tuple[int, int], int] = {}
+        #: maximal ANF monomials, same keys as the lower bounds.
+        self._monomials: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
         self._bound_xag: Optional[Xag] = None
         self.function_hits = 0
         self.function_misses = 0
         self.plan_hits = 0
         self.plan_misses = 0
-        #: candidates :meth:`prunes` ruled out before any plan lookup.
+        #: candidates the lower bound ruled out before any plan lookup.
         self.plans_pruned = 0
 
     @classmethod
@@ -209,27 +216,63 @@ class CutFunctionCache:
         self._plans[key] = plan
         return plan
 
-    def prunes(self, table: int, num_vars: int, max_ands: int) -> bool:
-        """True when no plan for ``table`` can use ``max_ands`` ANDs or fewer.
+    def lower_bound(self, table: int, num_vars: int) -> int:
+        """Multiplicative-complexity lower bound of ``table``, memoised.
 
-        Every plan realises its function, so it has at least the
-        multiplicative-complexity lower bound's AND count; a candidate whose
-        budget lies below the bound can be dropped without a lookup.  The
-        bound is memoised per ``(table, num_vars)`` as passed (the table is
-        masked to ``num_vars`` only on a miss: selection asks several times
-        per cut function); each ``True`` answer counts one
-        :attr:`plans_pruned`.  Neither the plan memo nor the database is
-        touched.
+        Every plan realises its function, so it has at least this many
+        ANDs (:func:`repro.mc.bounds.lower_bound`).  The memo is keyed by
+        ``(table, num_vars)`` as passed; the table is masked to
+        ``num_vars`` only on a miss.  Neither the plan memo nor the
+        database is touched.
         """
         key = (table, num_vars)
         bound = self._lower_bounds.get(key)
         if bound is None:
             bound = self._lower_bounds[key] = lower_bound(
                 table & table_mask(num_vars), num_vars)
-        if bound > max_ands:
+        return bound
+
+    def prunes(self, table: int, num_vars: int, max_ands: int) -> bool:
+        """True when no plan for ``table`` can use ``max_ands`` ANDs or fewer.
+
+        The :meth:`lower_bound` test; each ``True`` answer counts one
+        :attr:`plans_pruned` (candidate selection reads the bound once and
+        counts its prunes itself).
+        """
+        if self.lower_bound(table, num_vars) > max_ands:
             self.plans_pruned += 1
             return True
         return False
+
+    def level_bound(self, table: int, num_vars: int,
+                    leaf_levels: Sequence[int]) -> int:
+        """The least AND-level any XAG computing ``table`` can reach.
+
+        ``leaf_levels[i]`` is the AND-level of variable ``i``'s leaf.  The
+        bound is ``λ = max_M ⌈log2 Σ_{i∈M} 2^{L_i}⌉`` over the maximal
+        monomials ``M`` of the function's ANF (memoised per table, like
+        :meth:`lower_bound`).  By induction over any XAG on those leaves,
+        a signal at AND-level ``ℓ`` carries only monomials with
+        ``Σ 2^{L_i} <= 2^ℓ``: a leaf carries its variable; an XOR or a
+        complement adds no monomial and no level; an AND's monomials are
+        unions ``M_a ∪ M_b``, whose sum is at most ``2^ℓa + 2^ℓb <=
+        2^(max(ℓa, ℓb) + 1)``.  So ``λ`` never exceeds the level a plan
+        builds, nor :meth:`~repro.mc.database.ImplementationPlan.and_level`.
+        """
+        key = (table, num_vars)
+        monomials = self._monomials.get(key)
+        if monomials is None:
+            monomials = self._monomials[key] = maximal_monomials(
+                table & table_mask(num_vars), num_vars)
+        heaviest = 0
+        for monomial in monomials:
+            weight = 0
+            for position in monomial:
+                weight += 1 << leaf_levels[position]
+            if weight > heaviest:
+                heaviest = weight
+        # ⌈log2 w⌉ for w >= 1; a constant function has no monomial
+        return (heaviest - 1).bit_length() if heaviest else 0
 
     # ------------------------------------------------------------------
     # persistence (warm-start bundles)
@@ -292,6 +335,7 @@ class CutFunctionCache:
         self._drop_cones()
         self._plans.clear()
         self._lower_bounds.clear()
+        self._monomials.clear()
         if self._bound_xag is not None:
             self._bound_xag.unsubscribe(self)
         self._bound_xag = None

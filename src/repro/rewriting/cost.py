@@ -24,9 +24,11 @@ A :class:`CostModel` owns four decisions:
   the smallest AND gain the veto can ever accept; the rewriter uses it to
   skip, *before* classification and recipe lookup, every candidate whose
   MFFC saving minus the cut function's multiplicative-complexity lower
-  bound (:func:`repro.mc.bounds.lower_bound`) falls short of it.  Only
-  candidates the veto would refuse anyway are skipped, so pruning never
-  changes a selection.
+  bound (:func:`repro.mc.bounds.lower_bound`) falls short of it, and
+  every candidate whose best case (gains from the lower bounds) the model
+  would refuse or rank below the root's incumbent.  Only candidates that
+  would be refused or lose anyway are skipped, so pruning never changes a
+  selection.
 * **convergence** — :meth:`CostModel.made_progress` decides whether a
   completed round improved the model's cost; convergence loops and
   ``Repeat`` fixpoints consult it instead of comparing AND counts directly.
@@ -94,6 +96,15 @@ class CostModel:
         cut function (every plan needs at least ``LB`` ANDs).  Both skips
         save database traffic, not just a comparison.  A floor that is too
         high silently loses rewrites; one that is too low only prunes less.
+
+        A model that states a floor also promises that :meth:`acceptable`
+        and :meth:`key` read only the candidate's gains (``gain_ands``,
+        ``gain_gates``, ``gain_depth``) and ``root_level``, and are
+        monotone in the gains: raising any gain never turns an accepted
+        candidate down nor lowers its key.  The rewriter relies on it to
+        judge a cut's best case — gains from the lower bounds, with no cut
+        or plan attached — and looks the plan up only if that best case is
+        accepted and its key strictly beats the root's incumbent.
         """
         return None
 

@@ -17,13 +17,15 @@ MFFC comes first: a root whose MFFC holds fewer ANDs than the model's floor
 is skipped without looking at a cone.  Each cut's (ANDs, gates) saving is
 one walk down the MFFC that stops at the cut's leaves
 (:func:`repro.cuts.mffc.mffc_saving`); that is the cut cone ∩ MFFC, because
-every path from the root to an MFFC node stays inside the MFFC.  Selection
-never walks or simulates a cut cone: it reads the merge entries ``(leaves,
-table, has_and)`` that :class:`~repro.cuts.enumeration.CutSetCache`
-maintains — each cut's truth table and "AND in cone" bit, computed in the
-cut merge (:mod:`repro.cuts.enumeration`) — and builds a
-:class:`~repro.cuts.cut.Cut` only for a candidate it prices.  Under a floor
-of 0 the bit decides whether a zero-saving cut has an AND to offer.
+every path from the root to an MFFC node stays inside the MFFC.  A cut
+whose leaves all lie outside the MFFC needs no walk: nothing stops it, so
+its saving is the whole MFFC.  Selection never walks or simulates a cut
+cone: it reads the merge entries ``(leaves, table, has_and)`` that
+:class:`~repro.cuts.enumeration.CutSetCache` maintains — each cut's truth
+table and "AND in cone" bit, computed in the cut merge
+(:mod:`repro.cuts.enumeration`) — and builds a :class:`~repro.cuts.cut.Cut`
+only for a candidate it prices.  Under a floor of 0 the bit decides
+whether a zero-saving cut has an AND to offer.
 
 Unlike Alg. 1, most cuts never reach classification.  No recipe beats the
 multiplicative complexity of its function, and ``MC(f) >= deg(f) - 1``
@@ -32,16 +34,34 @@ multiplicative complexity of its function, and ``MC(f) >= deg(f) - 1``
 its MFFC saving minus that bound.  When the cost model states the smallest
 AND gain it can accept (:meth:`~repro.rewriting.cost.CostModel.min_and_gain`),
 every candidate whose bound already rules that gain out is dropped before
-the plan lookup (:meth:`repro.cuts.cache.CutFunctionCache.prunes`).  Such a
-candidate is one the veto would refuse anyway, and plans depend on the
-truth table alone, so pruning changes no selection — only how many
-functions are classified and synthesised.  The bound (memoised per truth
-table) is read against the MFFC's AND count before a cut's MFFC walk
-wherever every cut it prunes there would reach the bound check after the
-walk: when the root is an AND (it lies in every cut cone, so the saving
-reaches a floor of 1) or the floor is at most 0 (a pruned cut's table is
-not affine, so its cone holds an AND).  The walk is skipped for those cuts
+the plan lookup (:meth:`repro.cuts.cache.CutFunctionCache.lower_bound`;
+each counts one ``plans_pruned``).  Such a candidate is one the veto would
+refuse anyway, and plans depend on the truth table alone, so pruning
+changes no selection — only how many functions are classified and
+synthesised.  The bound (memoised per truth table and read once per cut)
+is tested against the MFFC's AND count before a cut's MFFC walk wherever
+every cut it prunes there would reach the bound check after the walk:
+when the root is an AND (it lies in every cut cone, so the saving reaches
+a floor of 1) or the floor is at most 0 (a pruned cut's table is not
+affine, so its cone holds an AND).  The walk is skipped for those cuts
 and every count stays what the walk-first order gives.
+
+A cut that survives the bound is still priced only if it can win.  Under
+a model with a floor, selection first prices the cut's best case: an AND
+and a gate gain of the saving minus ``LB(f)`` (every plan has at least
+``LB(f)`` ANDs and at least as many gates) and, for depth-aware models, a
+depth gain of the root level minus ``λ``, the least AND-level any XAG
+computing ``f`` over the leaves can reach
+(:meth:`~repro.cuts.cache.CutFunctionCache.level_bound`; ``λ`` never
+exceeds :meth:`~repro.mc.database.ImplementationPlan.and_level`).  The
+plan is looked up only if the model's own ``acceptable`` takes that best
+case and its ``key`` strictly beats the root's incumbent.  Such models
+promise that both read only the gains and the root level and are
+monotone in the gains, and every real gain is at most its best case, so a
+skipped cut is one that would have been refused or would have lost: no
+selection changes.  Under ``mc-depth`` (floor 0) most surviving cuts can
+only deepen their root, which the veto refuses; the level bound rules out
+nearly all of them before classification.
 
 *Phase 2 — application.*  Each winning candidate is built on top of its cut
 leaves inside the *same* network and the root is replaced via
@@ -328,7 +348,7 @@ class CutRewriter:
         depth_aware = model.depth_aware
         node_levels = self._levels(xag).levels() if depth_aware else None
         allow_zero_gain = params.allow_zero_gain
-        # the smallest AND gain the model can accept (None: no floor).  Both
+        # the smallest AND gain the model can accept (None: no floor).  The
         # skips below run before the plan lookup: they save database
         # traffic, not just a comparison, so the cache statistics depend on
         # the model stating its floor exactly.
@@ -336,15 +356,19 @@ class CutRewriter:
         kinds = xag._kind
         and_kind = NodeKind.AND
         skip_and_free = not model.examine_and_free_cones
+        # a candidate's best case, priced from bounds alone; a model that
+        # states a floor reads only its gains and root level
+        probe = Candidate(None, None, 0, 0)  # type: ignore[arg-type]
+        root_level = 0
 
         for node in xag.gates():
             stats.nodes_considered += 1
             # MFFC first: a cut saves at most the MFFC's ANDs, so a root
             # whose MFFC holds fewer than the floor has no candidate.
             node_mffc = mffc(xag, node)
+            mffc_ands = sum(1 for n in node_mffc if kinds[n] == and_kind)
             bound_first = False
             if min_gain is not None:
-                mffc_ands = sum(1 for n in node_mffc if kinds[n] == and_kind)
                 if mffc_ands < min_gain:
                     continue
                 # Every cut's saving is at most the MFFC's ANDs, so the
@@ -354,6 +378,9 @@ class CutRewriter:
                 bound_first = min_gain <= 0 or (
                     min_gain == 1 and kinds[node] == and_kind)
                 budget = mffc_ands - min_gain
+            if depth_aware:
+                assert node_levels is not None
+                root_level = probe.root_level = node_levels[node]
             best: Optional[Candidate] = None
             best_key: Optional[Tuple[int, ...]] = None
 
@@ -363,10 +390,17 @@ class CutRewriter:
                 size = len(leaves)
                 if size < 2 or size > params.cut_size or node in leaves:
                     continue
-                if bound_first and cache.prunes(table, size, budget):
-                    continue
-                saved_ands, saved_gates = mffc_saving(xag, node, leaves,
-                                                      node_mffc)
+                if min_gain is not None:
+                    bound = cache.lower_bound(table, size)
+                    if bound_first and bound > budget:
+                        cache.plans_pruned += 1
+                        continue
+                if node_mffc.isdisjoint(leaves):
+                    # no leaf stops the walk: the cut cone holds the MFFC
+                    saved_ands, saved_gates = mffc_ands, len(node_mffc)
+                else:
+                    saved_ands, saved_gates = mffc_saving(xag, node, leaves,
+                                                          node_mffc)
                 if min_gain is not None and saved_ands < min_gain:
                     # no plan has negative AND cost
                     continue
@@ -374,25 +408,34 @@ class CutRewriter:
                     # AND-free cones have nothing to offer an AND-count
                     # objective (XOR gates are depth-transparent too).
                     continue
-                if min_gain is not None and cache.prunes(
-                        table, size, saved_ands - min_gain):
+                if min_gain is not None and bound > saved_ands - min_gain:
                     # every plan's AND cost exceeds the saving the model
                     # needs: the veto would refuse this candidate.
+                    cache.plans_pruned += 1
                     continue
+                if depth_aware:
+                    leaf_levels = [node_levels[leaf] for leaf in leaves]
+                if min_gain is not None:
+                    # no plan beats the bounds: look the plan up only if
+                    # the best case is accepted and beats the incumbent
+                    probe.gain_ands = saved_ands - bound
+                    probe.gain_gates = saved_gates - bound
+                    if depth_aware:
+                        probe.gain_depth = root_level - cache.level_bound(
+                            table, size, leaf_levels)
+                    if not model.acceptable(probe, allow_zero_gain) or (
+                            best_key is not None
+                            and not model.key(probe) > best_key):
+                        continue
                 plan = cache.plan_for(table, size)
                 stats.candidates_evaluated += 1
 
-                gain_ands = saved_ands - plan.num_ands
-                gain_gates = saved_gates - plan.estimated_gates
                 gain_depth = 0
-                root_level = 0
                 if depth_aware:
-                    assert node_levels is not None
-                    root_level = node_levels[node]
-                    gain_depth = root_level - plan.and_level(
-                        [node_levels[leaf] for leaf in leaves])
+                    gain_depth = root_level - plan.and_level(leaf_levels)
                 candidate = Candidate(Cut(node, leaves, table, has_and),
-                                      plan, gain_ands, gain_gates,
+                                      plan, saved_ands - plan.num_ands,
+                                      saved_gates - plan.estimated_gates,
                                       gain_depth, root_level)
 
                 if not model.acceptable(candidate, allow_zero_gain):

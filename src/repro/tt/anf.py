@@ -52,6 +52,24 @@ def degree(table: int, num_vars: int) -> int:
     return best
 
 
+def maximal_monomials(table: int, num_vars: int) -> List[Tuple[int, ...]]:
+    """The ANF monomials no other monomial of the ANF contains.
+
+    Each is a tuple of variable indices; the constant term is left out
+    (an empty list for constant functions).  A superset of a monomial
+    ``m`` is numerically at least ``m`` as a variable bitmask, so a
+    descending scan meets every containing monomial first.
+    """
+    anf = to_anf(table, num_vars)
+    maximal: List[int] = []
+    for monomial in range(num_bits(num_vars) - 1, 0, -1):
+        if anf >> monomial & 1 and not any(
+                other & monomial == monomial for other in maximal):
+            maximal.append(monomial)
+    return [tuple(i for i in range(num_vars) if monomial >> i & 1)
+            for monomial in maximal]
+
+
 def anf_monomials(table: int, num_vars: int) -> List[Tuple[int, ...]]:
     """List of monomials of the ANF as tuples of variable indices.
 

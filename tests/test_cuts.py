@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import EngineConfig
 from repro.engine.core import select_cases
-from repro.testing import full_adder_naive, random_xag
+from repro.testing import full_adder_naive, random_xag, seeded_xag
 from repro.cuts import Cut, cut_and_count, cut_cone, cut_function, enumerate_cuts, mffc, \
     mffc_and_count
 from repro.cuts.mffc import mffc_saving
@@ -249,6 +249,31 @@ def test_mffc_saving_equals_cone_and_mffc_intersection():
             for _ in range(4):
                 _random_substitution(xag, rng)
     assert checked > 1000
+
+
+def test_cut_leaves_missing_the_mffc_save_the_whole_mffc():
+    """Selection skips the saving walk of a cut whose leaves all lie
+    outside the root's MFFC: no leaf stops it, so it counts the MFFC."""
+    disjoint = overlapping = 0
+    for seed in range(10):
+        xag = seeded_xag(seed, num_pis=8, num_gates=70, and_bias=0.5)
+        rng = random.Random(seed)
+        for phase in range(2):
+            for node, node_cuts in enumerate_cuts(xag, 6, 12).items():
+                cone = mffc(xag, node)
+                whole = (sum(1 for n in cone if xag.is_and(n)), len(cone))
+                for cut in node_cuts:
+                    if node in cut.leaves:
+                        continue
+                    if cone.isdisjoint(cut.leaves):
+                        disjoint += 1
+                        assert mffc_saving(xag, node, cut.leaves, cone) == \
+                            whole, (seed, phase, cut)
+                    else:
+                        overlapping += 1
+            for _ in range(4):
+                _random_substitution(xag, rng)
+    assert disjoint > 1000 and overlapping > 1000
 
 
 def test_mffc_saving_stops_at_leaves():
