@@ -38,25 +38,19 @@ class GarbledCircuitCost(CostModel):
     name = "gc"
     description = "garbled-circuit wire bits (free-XOR, half-gates)"
     metric_name = "kbits"
+    # the smallest AND gain `acceptable` takes.  The rewriter skips the plan
+    # lookup of every cut that provably cannot reach it, or whose best case
+    # `acceptable` refuses or `key` ranks below the node's incumbent.
+    min_and_gain = 1
 
     def __init__(self, kappa=128):
         self.kappa = kappa  # ciphertext width (security parameter)
 
-    def min_and_gain(self, allow_zero_gain):
-        # the smallest AND gain `acceptable` takes: zero-AND-gain candidates
-        # can still shed XOR gates, but only when the caller opted in.  The
-        # rewriter skips the plan lookup of every candidate that provably
-        # cannot reach it.
-        return 0 if allow_zero_gain else 1
-
     def key(self, candidate):
         return (candidate.gain_ands, candidate.gain_gates)
 
-    def acceptable(self, candidate, allow_zero_gain):
-        if candidate.gain_ands > 0:
-            return True
-        return (allow_zero_gain and candidate.gain_ands == 0
-                and candidate.gain_gates > 0)
+    def acceptable(self, candidate):
+        return candidate.gain_ands > 0
 
     def made_progress(self, stats):
         return stats.ands_after < stats.ands_before

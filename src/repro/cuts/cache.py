@@ -16,15 +16,14 @@ from rewriting altogether; this module answers (b) for the rewriter
   function hits the MC database (and affine classification) once per batch
   of circuits, not once per cut per round;
 
-* **bounds** are memoised beside the plans, under the same key, and never
-  touch the database: the multiplicative-complexity lower bound
-  (:meth:`CutFunctionCache.lower_bound`, from
-  :func:`repro.mc.bounds.lower_bound`; :meth:`CutFunctionCache.prunes`
-  answers "can any plan for this function cost at most ``k`` ANDs?") and
-  the maximal ANF monomials behind the AND-level bound
-  (:meth:`CutFunctionCache.level_bound`).  The rewriter prices a
-  candidate's best case from them and skips the lookup of every candidate
-  that provably cannot win;
+* **bounds** are memoised beside the plans, under the same key, in one
+  record per function that never touches the database: the function's
+  algebraic normal form, the multiplicative-complexity lower bound read
+  from it (:meth:`CutFunctionCache.lower_bound`, from
+  :func:`repro.mc.bounds.lower_bound_from_anf`) and, from the first
+  :meth:`CutFunctionCache.level_bound`, the maximal ANF monomials behind
+  the AND-level bound.  The rewriter prices a candidate's best case from
+  them and skips the lookup of every candidate that provably cannot win;
 
 * **cone functions** — a cut's function obtained by simulating its cone —
   are memoised per network, keyed by ``(root, leaves)``, behind
@@ -47,12 +46,24 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.mc.bounds import lower_bound
+from repro.mc.bounds import lower_bound_from_anf
 from repro.mc.database import ImplementationPlan, McDatabase
-from repro.tt.anf import maximal_monomials
+from repro.tt.anf import maximal_monomials_from_anf, to_anf
 from repro.tt.bits import projection, table_mask
 from repro.xag.graph import SubstitutionResult, Xag, lit_node
 from repro.xag.structhash import cone_hash as _cone_hash
+
+
+class _TableBounds:
+    """The bounds of one ``(table, num_vars)``, all read from its ANF."""
+
+    __slots__ = ("anf", "lower_bound", "monomials")
+
+    def __init__(self, table: int, num_vars: int) -> None:
+        self.anf = to_anf(table & table_mask(num_vars), num_vars)
+        self.lower_bound = lower_bound_from_anf(self.anf, num_vars)
+        #: maximal ANF monomials, filled by the first ``level_bound``.
+        self.monomials: Optional[List[Tuple[int, ...]]] = None
 
 
 class CutFunctionCache:
@@ -67,17 +78,15 @@ class CutFunctionCache:
         #: as the cone-function memo.
         self._interiors: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
         self._plans: Dict[Tuple[int, int], ImplementationPlan] = {}
-        #: multiplicative-complexity lower bounds, same keys as the plans
-        #: (the table as passed, see :meth:`lower_bound`).
-        self._lower_bounds: Dict[Tuple[int, int], int] = {}
-        #: maximal ANF monomials, same keys as the lower bounds.
-        self._monomials: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
+        #: one bounds record per function, same keys as the plans (the
+        #: table as passed, see :meth:`lower_bound`).
+        self._bounds: Dict[Tuple[int, int], _TableBounds] = {}
         self._bound_xag: Optional[Xag] = None
         self.function_hits = 0
         self.function_misses = 0
         self.plan_hits = 0
         self.plan_misses = 0
-        #: candidates the lower bound ruled out before any plan lookup.
+        #: cuts the bounds ruled out before any plan lookup.
         self.plans_pruned = 0
 
     @classmethod
@@ -216,6 +225,13 @@ class CutFunctionCache:
         self._plans[key] = plan
         return plan
 
+    def _table_bounds(self, table: int, num_vars: int) -> _TableBounds:
+        key = (table, num_vars)
+        record = self._bounds.get(key)
+        if record is None:
+            record = self._bounds[key] = _TableBounds(table, num_vars)
+        return record
+
     def lower_bound(self, table: int, num_vars: int) -> int:
         """Multiplicative-complexity lower bound of ``table``, memoised.
 
@@ -225,24 +241,7 @@ class CutFunctionCache:
         ``num_vars`` only on a miss.  Neither the plan memo nor the
         database is touched.
         """
-        key = (table, num_vars)
-        bound = self._lower_bounds.get(key)
-        if bound is None:
-            bound = self._lower_bounds[key] = lower_bound(
-                table & table_mask(num_vars), num_vars)
-        return bound
-
-    def prunes(self, table: int, num_vars: int, max_ands: int) -> bool:
-        """True when no plan for ``table`` can use ``max_ands`` ANDs or fewer.
-
-        The :meth:`lower_bound` test; each ``True`` answer counts one
-        :attr:`plans_pruned` (candidate selection reads the bound once and
-        counts its prunes itself).
-        """
-        if self.lower_bound(table, num_vars) > max_ands:
-            self.plans_pruned += 1
-            return True
-        return False
+        return self._table_bounds(table, num_vars).lower_bound
 
     def level_bound(self, table: int, num_vars: int,
                     leaf_levels: Sequence[int]) -> int:
@@ -259,11 +258,11 @@ class CutFunctionCache:
         2^(max(ℓa, ℓb) + 1)``.  So ``λ`` never exceeds the level a plan
         builds, nor :meth:`~repro.mc.database.ImplementationPlan.and_level`.
         """
-        key = (table, num_vars)
-        monomials = self._monomials.get(key)
+        record = self._table_bounds(table, num_vars)
+        monomials = record.monomials
         if monomials is None:
-            monomials = self._monomials[key] = maximal_monomials(
-                table & table_mask(num_vars), num_vars)
+            monomials = record.monomials = maximal_monomials_from_anf(
+                record.anf, num_vars)
         heaviest = 0
         for monomial in monomials:
             weight = 0
@@ -334,8 +333,7 @@ class CutFunctionCache:
         """Drop all memoised entries and counters (the database is untouched)."""
         self._drop_cones()
         self._plans.clear()
-        self._lower_bounds.clear()
-        self._monomials.clear()
+        self._bounds.clear()
         if self._bound_xag is not None:
             self._bound_xag.unsubscribe(self)
         self._bound_xag = None

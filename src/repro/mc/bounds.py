@@ -13,19 +13,29 @@ benchmarks.  The bounds implemented here are classical:
 
 from __future__ import annotations
 
-from repro.mc.dickson import quadratic_complexity
-from repro.tt.anf import degree
-from repro.tt.properties import is_affine
+from repro.mc.dickson import quadratic_form_from_anf, symplectic_rank
+from repro.tt.anf import degree_from_anf, to_anf
 
 
 def lower_bound(table: int, num_vars: int) -> int:
     """Best available lower bound on the multiplicative complexity."""
-    if is_affine(table, num_vars):
+    return lower_bound_from_anf(to_anf(table, num_vars), num_vars)
+
+
+def lower_bound_from_anf(anf: int, num_vars: int) -> int:
+    """:func:`lower_bound` of the function with ANF coefficients ``anf``.
+
+    One algebraic normal form serves all three bounds: degree at most 1 is
+    affine, degree 2 takes Dickson's rank, higher degrees ``deg - 1``.
+    """
+    top = degree_from_anf(anf, num_vars)
+    if top <= 1:
         return 0
-    exact_quadratic = quadratic_complexity(table, num_vars)
-    if exact_quadratic is not None:
-        return exact_quadratic
-    return max(1, degree(table, num_vars) - 1)
+    if top == 2:
+        form = quadratic_form_from_anf(anf, num_vars)
+        assert form is not None
+        return symplectic_rank(form[0]) // 2
+    return top - 1
 
 
 def is_provably_optimal(table: int, num_vars: int, achieved_ands: int) -> bool:

@@ -33,7 +33,12 @@ def quadratic_form(table: int, num_vars: int) -> Optional[Tuple[List[int], int, 
     ``A[i] & (1 << j)`` is set when the monomial ``x_i x_j`` appears in the
     algebraic normal form.
     """
-    anf = to_anf(table, num_vars)
+    return quadratic_form_from_anf(to_anf(table, num_vars), num_vars)
+
+
+def quadratic_form_from_anf(anf: int, num_vars: int
+                            ) -> Optional[Tuple[List[int], int, int]]:
+    """:func:`quadratic_form` of the function with ANF coefficients ``anf``."""
     matrix = [0] * num_vars
     linear = 0
     constant = anf & 1

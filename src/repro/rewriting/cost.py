@@ -20,14 +20,14 @@ A :class:`CostModel` owns four decisions:
   root-level gain is computed against the levels of
   :class:`~repro.xag.levels.LevelTracker` and any candidate with
   ``gain_depth < 0`` is rejected, so no node level — hence no critical
-  AND-level — can ever increase.  :meth:`CostModel.min_and_gain` states
-  the smallest AND gain the veto can ever accept; the rewriter uses it to
-  skip, *before* classification and recipe lookup, every candidate whose
-  MFFC saving minus the cut function's multiplicative-complexity lower
+  AND-level — can ever increase.  :attr:`CostModel.min_and_gain` is the
+  smallest AND gain the veto can ever accept; the rewriter uses it to
+  skip, *before* classification and recipe lookup, every cut whose MFFC
+  AND count minus the cut function's multiplicative-complexity lower
   bound (:func:`repro.mc.bounds.lower_bound`) falls short of it, and
-  every candidate whose best case (gains from the lower bounds) the model
-  would refuse or rank below the root's incumbent.  Only candidates that
-  would be refused or lose anyway are skipped, so pruning never changes a
+  every cut whose best case (gains from the lower bounds) the model would
+  refuse or rank below the root's incumbent.  Only candidates that would
+  be refused or lose anyway are skipped, so pruning never changes a
   selection.
 * **convergence** — :meth:`CostModel.made_progress` decides whether a
   completed round improved the model's cost; convergence loops and
@@ -83,37 +83,33 @@ class CostModel:
     #: nothing to offer an AND-count objective (XOR gates are
     #: depth-transparent too), so only gate-count models pay for them.
     examine_and_free_cones: bool = False
+    #: the smallest ``gain_ands`` :meth:`acceptable` can ever accept.
+    #:
+    #: ``None`` means no such floor exists — the model may accept AND
+    #: regressions — and disables pruning.  With a floor ``g`` the rewriter
+    #: drops, *before* a cut's MFFC walk and plan lookup, every cut whose
+    #: root's MFFC AND count ``m`` cannot reach it: ``m - LB(f) < g`` for
+    #: the multiplicative-complexity lower bound ``LB`` of the cut function
+    #: (every plan needs at least ``LB`` ANDs).  A floor that is too high
+    #: silently loses rewrites; one that is too low only prunes less.
+    #:
+    #: A model that states a floor also promises that :meth:`acceptable`
+    #: refuses every ``gain_ands`` below it, that :meth:`acceptable` and
+    #: :meth:`key` read only the candidate's gains (``gain_ands``,
+    #: ``gain_gates``, ``gain_depth``) and ``root_level``, and that both are
+    #: monotone in the gains: raising any gain never turns an accepted
+    #: candidate down nor lowers its key.  The rewriter relies on it to
+    #: judge a cut's best case — gains from the lower bounds, with no cut or
+    #: plan attached — and looks the plan up only if that best case is
+    #: accepted and its key strictly beats the root's incumbent.
+    min_and_gain: Optional[int] = None
 
     # -- candidate-level hooks ----------------------------------------
-    def min_and_gain(self, allow_zero_gain: bool) -> Optional[int]:
-        """The smallest ``gain_ands`` :meth:`acceptable` can ever accept.
-
-        ``None`` (the default) means no such floor exists — the model may
-        accept AND regressions — and disables pruning.  With a floor ``g``
-        the rewriter drops, *before* the plan lookup, every candidate whose
-        MFFC saving ``s`` cannot reach it: ``s < g`` outright, and ``s - g <
-        LB(f)`` for the multiplicative-complexity lower bound ``LB`` of the
-        cut function (every plan needs at least ``LB`` ANDs).  Both skips
-        save database traffic, not just a comparison.  A floor that is too
-        high silently loses rewrites; one that is too low only prunes less.
-
-        A model that states a floor also promises that :meth:`acceptable`
-        and :meth:`key` read only the candidate's gains (``gain_ands``,
-        ``gain_gates``, ``gain_depth``) and ``root_level``, and are
-        monotone in the gains: raising any gain never turns an accepted
-        candidate down nor lowers its key.  The rewriter relies on it to
-        judge a cut's best case — gains from the lower bounds, with no cut
-        or plan attached — and looks the plan up only if that best case is
-        accepted and its key strictly beats the root's incumbent.
-        """
-        return None
-
     def key(self, candidate: "Candidate") -> Tuple[int, ...]:
         """Lexicographic sort key of ``candidate`` (greater wins)."""
         raise NotImplementedError
 
-    def acceptable(self, candidate: "Candidate",
-                   allow_zero_gain: bool) -> bool:
+    def acceptable(self, candidate: "Candidate") -> bool:
         """Veto rule: False refuses ``candidate`` regardless of its key."""
         raise NotImplementedError
 
@@ -133,19 +129,6 @@ class CostModel:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CostModel {self.name!r}>"
 
-    # models are configuration values: two instances of the same class with
-    # the same instance attributes price identically, and must compare (and
-    # hash) equal — ``dataclasses.astuple`` deep-copies params into the
-    # pipeline's rewriter-cache key, so identity equality would defeat
-    # rewriter sharing for instance-injected objectives.
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.name))
-
 
 class McCost(CostModel):
     """The paper's objective: multiplicative complexity (AND count)."""
@@ -153,19 +136,13 @@ class McCost(CostModel):
     name = "mc"
     description = "AND count (the paper's multiplicative-complexity objective)"
     metric_name = "ANDs"
-
-    def min_and_gain(self, allow_zero_gain: bool) -> Optional[int]:
-        return 0 if allow_zero_gain else 1
+    min_and_gain = 1
 
     def key(self, candidate: "Candidate") -> Tuple[int, ...]:
         return (candidate.gain_ands, candidate.gain_gates)
 
-    def acceptable(self, candidate: "Candidate",
-                   allow_zero_gain: bool) -> bool:
-        if candidate.gain_ands > 0:
-            return True
-        return (allow_zero_gain and candidate.gain_ands == 0
-                and candidate.gain_gates > 0)
+    def acceptable(self, candidate: "Candidate") -> bool:
+        return candidate.gain_ands > 0
 
     def made_progress(self, stats: "RoundStats") -> bool:
         return stats.ands_after < stats.ands_before
@@ -186,8 +163,7 @@ class SizeCost(CostModel):
     def key(self, candidate: "Candidate") -> Tuple[int, ...]:
         return (candidate.gain_gates, candidate.gain_ands)
 
-    def acceptable(self, candidate: "Candidate",
-                   allow_zero_gain: bool) -> bool:
+    def acceptable(self, candidate: "Candidate") -> bool:
         # never allow AND regressions beyond what the gate gain justifies
         return candidate.gain_gates > 0
 
@@ -212,26 +188,17 @@ class McDepthCost(CostModel):
     description = "AND count, then multiplicative depth (never deepens)"
     metric_name = "ANDs"
     depth_aware = True
-
-    def min_and_gain(self, allow_zero_gain: bool) -> Optional[int]:
-        # zero-AND-gain candidates may still lower the root's AND-level
-        return 0
+    #: zero-AND-gain candidates may still lower the root's AND-level
+    min_and_gain = 0
 
     def key(self, candidate: "Candidate") -> Tuple[int, ...]:
         return (candidate.gain_ands, candidate.gain_depth,
                 candidate.gain_gates)
 
-    def acceptable(self, candidate: "Candidate",
-                   allow_zero_gain: bool) -> bool:
-        if candidate.gain_depth < 0:
+    def acceptable(self, candidate: "Candidate") -> bool:
+        if candidate.gain_depth < 0 or candidate.gain_ands < 0:
             return False
-        if candidate.gain_ands > 0:
-            return True
-        if candidate.gain_ands < 0:
-            return False
-        if candidate.gain_depth > 0:
-            return True
-        return allow_zero_gain and candidate.gain_gates > 0
+        return candidate.gain_ands > 0 or candidate.gain_depth > 0
 
     def made_progress(self, stats: "RoundStats") -> bool:
         # depth-only rounds count: convergence must not discard them
@@ -264,6 +231,7 @@ class FheNoiseBudgetCost(CostModel):
                    "width, depth first")
     metric_name = "noise"
     depth_aware = True
+    min_and_gain = 0
 
     def __init__(self, depth_weight: int = 8,
                  level_cap: Optional[int] = None,
@@ -277,15 +245,11 @@ class FheNoiseBudgetCost(CostModel):
         if name is not None:
             self.name = name
 
-    def min_and_gain(self, allow_zero_gain: bool) -> Optional[int]:
-        return 0
-
     def key(self, candidate: "Candidate") -> Tuple[int, ...]:
         return (candidate.gain_depth, candidate.gain_ands,
                 candidate.gain_gates)
 
-    def acceptable(self, candidate: "Candidate",
-                   allow_zero_gain: bool) -> bool:
+    def acceptable(self, candidate: "Candidate") -> bool:
         # keep mc-depth's monotonicity: noise heuristics must not trade a
         # depth unit for an AND regression (or vice versa) — both axes of
         # the budget only ever shrink, which is also what the differential
@@ -297,9 +261,7 @@ class FheNoiseBudgetCost(CostModel):
             # this root still busts the level budget: only strictly
             # depth-reducing rewrites count as progress there
             return candidate.gain_depth > 0
-        if candidate.gain_depth > 0 or candidate.gain_ands > 0:
-            return True
-        return allow_zero_gain and candidate.gain_gates > 0
+        return candidate.gain_depth > 0 or candidate.gain_ands > 0
 
     def made_progress(self, stats: "RoundStats") -> bool:
         before = self.metric(stats.ands_before, stats.xors_before,

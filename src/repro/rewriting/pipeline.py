@@ -53,8 +53,8 @@ ideas, and :func:`run_pipeline` is the one function that runs them:
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cuts.cache import CutFunctionCache
 from repro.cuts.enumeration import CutSetCache
@@ -223,7 +223,6 @@ class OptimizationContext:
         #: :class:`SizeBaselinePass`, mirroring the paper's "Initial" columns).
         self.initial = xag
         self._network: Optional[Xag] = None
-        self._rewriters: Dict[tuple, CutRewriter] = {}
 
     # ------------------------------------------------------------------
     # working network
@@ -280,24 +279,21 @@ class OptimizationContext:
     # shared machinery
     # ------------------------------------------------------------------
     def rewriter(self, params: RewriteParams) -> CutRewriter:
-        """The shared :class:`CutRewriter` for ``params`` (cached per key).
+        """A :class:`CutRewriter` for ``params`` over the context's caches.
 
-        Rewriters of every objective share the context's incremental cut-set
-        cache (cut enumeration is objective independent) and level tracker;
-        a pass with different cut parameters — the size baseline uses
-        4/8 where the main flow uses 6/12 — gets a private cut-set cache.
+        A rewriter holds only references to the caches, so each call builds
+        one.  Rewriters of every objective share the context's incremental
+        cut-set cache (cut enumeration is objective independent) and level
+        tracker; a pass with different cut parameters — the size baseline
+        uses 4/8 where the main flow uses 6/12 — gets a private cut-set
+        cache.
         """
-        key = astuple(params)
-        rewriter = self._rewriters.get(key)
-        if rewriter is None:
-            shared = (params.cut_size, params.cut_limit) == \
-                (self.params.cut_size, self.params.cut_limit)
-            rewriter = CutRewriter(params=params, cut_cache=self.cut_cache,
-                                   sim_cache=self.sim_cache,
-                                   cut_sets=self.cut_sets if shared else None,
-                                   levels=self.levels)
-            self._rewriters[key] = rewriter
-        return rewriter
+        shared = (params.cut_size, params.cut_limit) == \
+            (self.params.cut_size, self.params.cut_limit)
+        return CutRewriter(params=params, cut_cache=self.cut_cache,
+                           sim_cache=self.sim_cache,
+                           cut_sets=self.cut_sets if shared else None,
+                           levels=self.levels)
 
     def critical_level(self) -> int:
         """Multiplicative depth of the working network.

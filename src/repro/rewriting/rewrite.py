@@ -31,36 +31,34 @@ Unlike Alg. 1, most cuts never reach classification.  No recipe beats the
 multiplicative complexity of its function, and ``MC(f) >= deg(f) - 1``
 (Dickson's rank gives the exact value for quadratics; see
 :func:`repro.mc.bounds.lower_bound`), so a candidate's AND gain is at most
-its MFFC saving minus that bound.  When the cost model states the smallest
-AND gain it can accept (:meth:`~repro.rewriting.cost.CostModel.min_and_gain`),
-every candidate whose bound already rules that gain out is dropped before
-the plan lookup (:meth:`repro.cuts.cache.CutFunctionCache.lower_bound`;
-each counts one ``plans_pruned``).  Such a candidate is one the veto would
-refuse anyway, and plans depend on the truth table alone, so pruning
-changes no selection — only how many functions are classified and
-synthesised.  The bound (memoised per truth table and read once per cut)
-is tested against the MFFC's AND count before a cut's MFFC walk wherever
-every cut it prunes there would reach the bound check after the walk:
-when the root is an AND (it lies in every cut cone, so the saving reaches
-a floor of 1) or the floor is at most 0 (a pruned cut's table is not
-affine, so its cone holds an AND).  The walk is skipped for those cuts
-and every count stays what the walk-first order gives.
+its MFFC saving minus that bound ``LB(f)`` (memoised per truth table,
+:meth:`repro.cuts.cache.CutFunctionCache.lower_bound`).  A cost model
+with a floor — the smallest AND gain its veto accepts
+(:attr:`~repro.rewriting.cost.CostModel.min_and_gain`) — has every cut
+priced by one rule, checked twice; each cut either check rules out counts
+one ``plans_pruned``:
 
-A cut that survives the bound is still priced only if it can win.  Under
-a model with a floor, selection first prices the cut's best case: an AND
-and a gate gain of the saving minus ``LB(f)`` (every plan has at least
-``LB(f)`` ANDs and at least as many gates) and, for depth-aware models, a
-depth gain of the root level minus ``λ``, the least AND-level any XAG
-computing ``f`` over the leaves can reach
-(:meth:`~repro.cuts.cache.CutFunctionCache.level_bound`; ``λ`` never
-exceeds :meth:`~repro.mc.database.ImplementationPlan.and_level`).  The
-plan is looked up only if the model's own ``acceptable`` takes that best
-case and its ``key`` strictly beats the root's incumbent.  Such models
-promise that both read only the gains and the root level and are
-monotone in the gains, and every real gain is at most its best case, so a
-skipped cut is one that would have been refused or would have lost: no
-selection changes.  Under ``mc-depth`` (floor 0) most surviving cuts can
-only deepen their root, which the veto refuses; the level bound rules out
+* before the cut's MFFC walk, the cut is dropped when the MFFC's AND
+  count minus ``LB(f)`` falls short of the floor: no cut saves more ANDs
+  than the MFFC holds, so the walk could not help it;
+* after the walk, the cut's best case is priced: an AND and a gate gain
+  of the saving minus ``LB(f)`` (every plan has at least ``LB(f)`` ANDs
+  and at least as many gates) and, for depth-aware models, a depth gain
+  of the root level minus ``λ``, the least AND-level any XAG computing
+  ``f`` over the leaves can reach
+  (:meth:`~repro.cuts.cache.CutFunctionCache.level_bound`; ``λ`` never
+  exceeds :meth:`~repro.mc.database.ImplementationPlan.and_level`).  The
+  plan is looked up only if the model's own ``acceptable`` takes that
+  best case and its ``key`` strictly beats the root's incumbent.
+
+A model with a floor promises that ``acceptable`` refuses every AND gain
+below it, that ``acceptable`` and ``key`` read only the gains and the root
+level, and that both are monotone in the gains.  Every real gain is at
+most its best case, so a skipped cut is one that would have been refused
+or would have lost, and plans depend on the truth table alone: pruning
+changes no selection — only how many functions are classified and
+synthesised.  Under ``mc-depth`` (floor 0) most surviving cuts can only
+deepen their root, which the veto refuses; the level bound rules out
 nearly all of them before classification.
 
 *Phase 2 — application.*  Each winning candidate is built on top of its cut
@@ -130,9 +128,6 @@ class RewriteParams:
     #: deepens; "fhe" minimises the weighted noise budget, depth first) or a
     #: :class:`~repro.rewriting.cost.CostModel` instance injected directly.
     objective: Union[str, CostModel] = "mc"
-    #: also accept replacements with zero AND gain but a positive total-gate
-    #: gain (reduces XOR overhead without ever increasing the AND count).
-    allow_zero_gain: bool = False
     #: check functional equivalence of every rewritten network.
     verify: bool = True
 
@@ -179,10 +174,13 @@ class RoundStats:
     verified: Optional[bool] = None
     #: name of the cost model the round was priced under.
     objective: str = "mc"
-    #: the cost model's own verdict on this round, recorded by the rewriter
-    #: (``None`` for hand-built stats — :attr:`made_progress` then resolves
-    #: the model by name).
-    progress: Optional[bool] = None
+    #: True when the round improved its cost model's objective: the
+    #: model's :meth:`~repro.rewriting.cost.CostModel.made_progress`
+    #: verdict ("mc" counts AND gates, "size" all gates, "mc-depth" AND
+    #: count *or* multiplicative depth, "fhe" its weighted noise score),
+    #: recorded by the rewriter.  Convergence loops read it instead of
+    #: comparing AND counts, so (e.g.) depth-only rounds are not discarded.
+    made_progress: bool = False
     #: multiplicative depth before/after (tracked for "mc-depth" rounds).
     depth_before: int = 0
     depth_after: int = 0
@@ -198,27 +196,6 @@ class RoundStats:
         if self.ands_before == 0:
             return 0.0
         return 1.0 - self.ands_after / self.ands_before
-
-    @property
-    def made_progress(self) -> bool:
-        """True when the round improved its cost model's objective.
-
-        The verdict is the cost model's
-        :meth:`~repro.rewriting.cost.CostModel.made_progress` — "mc" counts
-        AND gates, "size" counts all gates, "mc-depth" counts AND count *or*
-        multiplicative depth, "fhe" its weighted noise score.  Convergence
-        loops use this instead of comparing AND counts directly, so (e.g.)
-        depth-only rounds are not discarded.  Rounds executed by the
-        rewriter carry the verdict in :attr:`progress`; stats built by hand
-        resolve the model from :attr:`objective`.
-        """
-        if self.progress is not None:
-            return self.progress
-        try:
-            model = cost_model(self.objective)
-        except ValueError:
-            return self.ands_after < self.ands_before
-        return model.made_progress(self)
 
 
 class CutRewriter:
@@ -322,7 +299,7 @@ class CutRewriter:
         stats.xors_after = xag.num_xors
         if model.depth_aware:
             stats.depth_after = self._levels(xag).critical_level()
-        stats.progress = model.made_progress(stats)
+        stats.made_progress = model.made_progress(stats)
         if self.params.verify:
             verify_start = time.perf_counter()
             assert sim is not None and po_before is not None
@@ -347,12 +324,11 @@ class CutRewriter:
         plan_misses_before = cache.plan_misses
         depth_aware = model.depth_aware
         node_levels = self._levels(xag).levels() if depth_aware else None
-        allow_zero_gain = params.allow_zero_gain
         # the smallest AND gain the model can accept (None: no floor).  The
         # skips below run before the plan lookup: they save database
         # traffic, not just a comparison, so the cache statistics depend on
         # the model stating its floor exactly.
-        min_gain = model.min_and_gain(allow_zero_gain)
+        min_gain = model.min_and_gain
         kinds = xag._kind
         and_kind = NodeKind.AND
         skip_and_free = not model.examine_and_free_cones
@@ -367,16 +343,10 @@ class CutRewriter:
             # whose MFFC holds fewer than the floor has no candidate.
             node_mffc = mffc(xag, node)
             mffc_ands = sum(1 for n in node_mffc if kinds[n] == and_kind)
-            bound_first = False
             if min_gain is not None:
                 if mffc_ands < min_gain:
                     continue
-                # Every cut's saving is at most the MFFC's ANDs, so the
-                # bound can be read before the walk; only where each cut
-                # it prunes would reach the bound check below anyway (see
-                # the module docstring), so no count moves.
-                bound_first = min_gain <= 0 or (
-                    min_gain == 1 and kinds[node] == and_kind)
+                # every cut saves at most the MFFC's ANDs
                 budget = mffc_ands - min_gain
             if depth_aware:
                 assert node_levels is not None
@@ -391,8 +361,10 @@ class CutRewriter:
                 if size < 2 or size > params.cut_size or node in leaves:
                     continue
                 if min_gain is not None:
+                    # every plan has at least LB(f) ANDs: the veto would
+                    # refuse the cut even if it saved the whole MFFC
                     bound = cache.lower_bound(table, size)
-                    if bound_first and bound > budget:
+                    if bound > budget:
                         cache.plans_pruned += 1
                         continue
                 if node_mffc.isdisjoint(leaves):
@@ -401,17 +373,9 @@ class CutRewriter:
                 else:
                     saved_ands, saved_gates = mffc_saving(xag, node, leaves,
                                                           node_mffc)
-                if min_gain is not None and saved_ands < min_gain:
-                    # no plan has negative AND cost
-                    continue
                 if not saved_ands and skip_and_free and not has_and:
                     # AND-free cones have nothing to offer an AND-count
                     # objective (XOR gates are depth-transparent too).
-                    continue
-                if min_gain is not None and bound > saved_ands - min_gain:
-                    # every plan's AND cost exceeds the saving the model
-                    # needs: the veto would refuse this candidate.
-                    cache.plans_pruned += 1
                     continue
                 if depth_aware:
                     leaf_levels = [node_levels[leaf] for leaf in leaves]
@@ -423,9 +387,10 @@ class CutRewriter:
                     if depth_aware:
                         probe.gain_depth = root_level - cache.level_bound(
                             table, size, leaf_levels)
-                    if not model.acceptable(probe, allow_zero_gain) or (
+                    if not model.acceptable(probe) or (
                             best_key is not None
                             and not model.key(probe) > best_key):
+                        cache.plans_pruned += 1
                         continue
                 plan = cache.plan_for(table, size)
                 stats.candidates_evaluated += 1
@@ -438,7 +403,7 @@ class CutRewriter:
                                       saved_gates - plan.estimated_gates,
                                       gain_depth, root_level)
 
-                if not model.acceptable(candidate, allow_zero_gain):
+                if not model.acceptable(candidate):
                     continue
                 key = model.key(candidate)
                 if best_key is None or key > best_key:

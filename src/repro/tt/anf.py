@@ -42,7 +42,11 @@ def from_anf(anf: int, num_vars: int) -> int:
 
 def degree(table: int, num_vars: int) -> int:
     """Algebraic degree of the function (constant functions have degree 0)."""
-    anf = to_anf(table, num_vars)
+    return degree_from_anf(to_anf(table, num_vars), num_vars)
+
+
+def degree_from_anf(anf: int, num_vars: int) -> int:
+    """Algebraic degree of the function with ANF coefficients ``anf``."""
     best = 0
     for monomial in range(num_bits(num_vars)):
         if (anf >> monomial) & 1:
@@ -52,15 +56,16 @@ def degree(table: int, num_vars: int) -> int:
     return best
 
 
-def maximal_monomials(table: int, num_vars: int) -> List[Tuple[int, ...]]:
-    """The ANF monomials no other monomial of the ANF contains.
+def maximal_monomials_from_anf(anf: int, num_vars: int
+                               ) -> List[Tuple[int, ...]]:
+    """The monomials of ANF coefficients ``anf`` that no other one contains.
 
-    Each is a tuple of variable indices; the constant term is left out
-    (an empty list for constant functions).  A superset of a monomial
-    ``m`` is numerically at least ``m`` as a variable bitmask, so a
-    descending scan meets every containing monomial first.
+    ``anf`` is packed as :func:`to_anf` returns it.  Each monomial is a
+    tuple of variable indices; the constant term is left out (an empty
+    list for constant functions).  A superset of a monomial ``m`` is
+    numerically at least ``m`` as a variable bitmask, so a descending scan
+    meets every containing monomial first.
     """
-    anf = to_anf(table, num_vars)
     maximal: List[int] = []
     for monomial in range(num_bits(num_vars) - 1, 0, -1):
         if anf >> monomial & 1 and not any(

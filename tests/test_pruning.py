@@ -1,20 +1,17 @@
 """Lower-bound pruning of cut candidates (``CostModel.min_and_gain``).
 
-A candidate is dropped before its plan lookup when the multiplicative-
+A cut is dropped before its plan lookup when the multiplicative-
 complexity lower bound of its cut function proves that the cost model's
-veto would refuse it.  Pruning may change how many functions are classified
-and synthesised, never what a round selects.  Each parity test runs the
-same flow twice: as shipped, and with ``min_and_gain`` patched to ``None``
-on the model classes (the unpruned oracle).  The classes are patched rather
-than one instance because the depth flow's guarded rounds resolve ``"mc"``
-by name.
-
-Selection reads the bound before the MFFC walk where that cannot change a
-count; :func:`walk_first_select` (every cut walks first, then meets the
-bound) is its oracle.  It also looks a plan up only when the candidate's
-best case — gains from the lower bound and, for depth-aware models, the
-AND-level bound — is accepted and beats the root's incumbent; its oracle
-:func:`price_every_cut_select` prices every cut that survives the bound.
+veto would refuse it or rank it below the root's incumbent: before the
+MFFC walk against the MFFC's AND count, after it by the cut's best case
+(gains from the lower bound and, for depth-aware models, the AND-level
+bound).  Pruning may change how many functions are classified and
+synthesised, never what a round selects.  Each parity test runs the same
+flow twice: as shipped, and with ``min_and_gain`` set to ``None`` on the
+model classes (the unpruned oracle).  The classes are patched rather than
+one instance because the depth flow's guarded rounds resolve ``"mc"`` by
+name.  :func:`price_every_cut_select`, which walks every cut and prices
+each one the lower bound keeps, is the oracle of both checks together.
 """
 
 import importlib.util
@@ -30,7 +27,9 @@ from repro.cuts import CutFunctionCache
 from repro.cuts.cut import Cut
 from repro.cuts.enumeration import enumerate_cuts
 from repro.cuts.mffc import mffc
-from repro.mc import McDatabase
+from repro.engine import EngineConfig
+from repro.engine.core import select_cases
+from repro.mc import McDatabase, quadratic_complexity
 from repro.mc.bounds import lower_bound
 from repro.rewriting import (CutRewriter, FheNoiseBudgetCost, McCost,
                              McDepthCost, RewriteParams, SizeCost,
@@ -39,8 +38,9 @@ from repro.rewriting.insert import insert_plan
 from repro.rewriting.rewrite import Candidate
 from repro.testing import seeded_xag
 from repro.tt.anf import degree, from_anf
+from repro.tt.properties import is_affine
 from repro.xag import LevelTracker, Xag, multiplicative_depth
-from repro.xag.graph import NodeKind, lit_node
+from repro.xag.graph import lit_node
 
 _SELECT = CutRewriter._select_candidates
 
@@ -48,11 +48,10 @@ _SELECT = CutRewriter._select_candidates
 _PRUNING_MODELS = (McCost, McDepthCost, FheNoiseBudgetCost)
 
 _MODELS = [
-    pytest.param("mc", False, id="mc"),
-    pytest.param("mc", True, id="mc-zero-gain"),
-    pytest.param("mc-depth", False, id="mc-depth"),
-    pytest.param("fhe", False, id="fhe"),
-    pytest.param(FheNoiseBudgetCost(level_cap=2), False, id="fhe-level-cap"),
+    pytest.param("mc", id="mc"),
+    pytest.param("mc-depth", id="mc-depth"),
+    pytest.param("fhe", id="fhe"),
+    pytest.param(FheNoiseBudgetCost(level_cap=2), id="fhe-level-cap"),
 ]
 
 _CIRCUITS = {
@@ -70,11 +69,10 @@ def database():
 
 def _unprune(monkeypatch):
     for model_class in _PRUNING_MODELS:
-        monkeypatch.setattr(model_class, "min_and_gain",
-                            lambda self, allow: None)
+        monkeypatch.setattr(model_class, "min_and_gain", None)
 
 
-def _run(xag, objective, allow_zero_gain, database, monkeypatch):
+def _run(xag, objective, database, monkeypatch):
     """The model's canonical flow with a fresh plan memo, recording rounds.
 
     Returns every round's selections (root -> cut leaves, plan table and
@@ -92,9 +90,8 @@ def _run(xag, objective, allow_zero_gain, database, monkeypatch):
 
     monkeypatch.setattr(CutRewriter, "_select_candidates", recording)
     cache = CutFunctionCache(database)
-    params = RewriteParams(objective=objective,
-                           allow_zero_gain=allow_zero_gain)
-    result = run_pipeline(xag, standard_flow(objective), params=params,
+    result = run_pipeline(xag, standard_flow(objective),
+                          params=RewriteParams(objective=objective),
                           cut_cache=cache)
     final = result.final
     triple = (final.num_ands, final.num_xors,
@@ -102,41 +99,56 @@ def _run(xag, objective, allow_zero_gain, database, monkeypatch):
     return rounds, triple, cache
 
 
-def _assert_parity(xag, objective, allow_zero_gain, database, monkeypatch):
-    rounds, triple, pruned = _run(xag, objective, allow_zero_gain,
-                                  database, monkeypatch)
-    _unprune(monkeypatch)
-    oracle_rounds, oracle_triple, unpruned = _run(
-        xag, objective, allow_zero_gain, database, monkeypatch)
-    assert rounds == oracle_rounds
-    assert triple == oracle_triple
+def _assert_parity(xag, objective, database, monkeypatch):
+    """Run pruned and unpruned; return both plan memos."""
+    with monkeypatch.context() as patch:
+        rounds, triple, pruned = _run(xag, objective, database, patch)
+        _unprune(patch)
+        oracle_rounds, oracle_triple, unpruned = _run(
+            xag, objective, database, patch)
+    assert rounds == oracle_rounds, xag.name
+    assert triple == oracle_triple, xag.name
     assert unpruned.plans_pruned == 0
-    assert pruned.plan_misses <= unpruned.plan_misses
-    return pruned
+    assert pruned.plan_misses <= unpruned.plan_misses, xag.name
+    return pruned, unpruned
 
 
-@pytest.mark.parametrize("objective, allow_zero_gain", _MODELS)
+@pytest.mark.parametrize("objective", _MODELS)
 @pytest.mark.parametrize("circuit", sorted(_CIRCUITS))
 def test_pruning_keeps_every_selection_on_control_circuits(
-        circuit, objective, allow_zero_gain, database, monkeypatch):
+        circuit, objective, database, monkeypatch):
     xag = _CIRCUITS[circuit]()
-    pruned = _assert_parity(xag, objective, allow_zero_gain, database,
-                            monkeypatch)
+    pruned, _ = _assert_parity(xag, objective, database, monkeypatch)
     assert pruned.plans_pruned > 0
 
 
-@pytest.mark.parametrize("objective, allow_zero_gain", _MODELS)
+@pytest.mark.parametrize("objective", _MODELS)
 def test_pruning_keeps_every_selection_on_random_networks(
-        objective, allow_zero_gain, database, monkeypatch):
+        objective, database, monkeypatch):
     for seed in range(4):
         xag = seeded_xag(seed, num_pis=8, num_gates=60)
-        with monkeypatch.context() as patch:
-            _assert_parity(xag, objective, allow_zero_gain, database, patch)
+        _assert_parity(xag, objective, database, monkeypatch)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("objective", ["mc", "mc-depth", "fhe"])
+def test_pruning_keeps_every_selection_on_the_epfl_control_group(
+        objective, database, monkeypatch):
+    """The registry's ten EPFL control cases, converged: identical rounds
+    and results, and fewer plan misses over the group."""
+    cases = select_cases(EngineConfig(suites=("epfl",), groups=["control"]))
+    assert len(cases) == 10
+    misses = oracle_misses = 0
+    for case in cases:
+        pruned, unpruned = _assert_parity(case.build(), objective, database,
+                                          monkeypatch)
+        misses += pruned.plan_misses
+        oracle_misses += unpruned.plan_misses
+    assert misses < oracle_misses
 
 
 def test_size_never_prunes(database):
-    assert SizeCost().min_and_gain(False) is None
-    assert SizeCost().min_and_gain(True) is None
+    assert SizeCost.min_and_gain is None
     cache = CutFunctionCache(database)
     result = run_pipeline(C.int_to_float(11), standard_flow("size"),
                           params=RewriteParams(objective="size"),
@@ -147,119 +159,69 @@ def test_size_never_prunes(database):
 
 
 def test_builtin_floors_match_their_vetoes():
-    assert cost_model("mc").min_and_gain(False) == 1
-    assert cost_model("mc").min_and_gain(True) == 0
-    for name in ("mc-depth", "fhe"):
-        for allow in (False, True):
-            assert cost_model(name).min_and_gain(allow) == 0
-    assert FheNoiseBudgetCost(level_cap=1).min_and_gain(False) == 0
+    assert cost_model("mc").min_and_gain == 1
+    assert cost_model("mc-depth").min_and_gain == 0
+    assert cost_model("fhe").min_and_gain == 0
+    assert FheNoiseBudgetCost(level_cap=1).min_and_gain == 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
-    st.just(n), st.integers(0, (1 << (1 << n)) - 1), st.integers(-1, 5))))
-def test_prunes_exactly_when_the_lower_bound_exceeds_the_budget(case):
-    num_vars, table, max_ands = case
+    st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+def test_memoised_lower_bound_is_the_bound_of_the_table(case):
+    num_vars, table = case
     cache = CutFunctionCache()
-    pruned = cache.prunes(table, num_vars, max_ands)
-    assert pruned == (lower_bound(table, num_vars) > max_ands)
-    assert cache.plans_pruned == int(pruned)
-    # the bound never touches the plan memo or the database
+    bound = cache.lower_bound(table, num_vars)
+    assert bound == lower_bound(table, num_vars)
+    # the bound counts no prune and never touches the plan memo or the
+    # database
+    assert cache.plans_pruned == 0
     assert cache.plan_hits == cache.plan_misses == 0
     assert cache.database.stats()["classification_misses"] == 0
     # rows beyond the table are ignored, as by the plan lookup
     stray = table | (0b101 << (1 << num_vars))
-    assert cache.prunes(stray, num_vars, max_ands) == pruned
-    if pruned:
-        assert cache.plan_for(table, num_vars).num_ands > max_ands
+    assert cache.lower_bound(stray, num_vars) == bound
+    assert cache.plan_for(table, num_vars).num_ands >= bound
+
+
+def three_transform_lower_bound(table, num_vars):
+    """The lower bound as three Möbius transforms computed it: the affine
+    test, Dickson's rank and the degree each from their own ANF."""
+    if is_affine(table, num_vars):
+        return 0
+    exact_quadratic = quadratic_complexity(table, num_vars)
+    if exact_quadratic is not None:
+        return exact_quadratic
+    return max(1, degree(table, num_vars) - 1)
+
+
+#: random tables and sparse-ANF tables (a few monomials, so low degrees
+#: and quadratics are frequent) at n = 1-6.
+_BOUND_TABLES = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.one_of(
+        st.integers(0, (1 << (1 << n)) - 1),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=6).map(
+            lambda monomials: from_anf(sum(1 << m for m in set(monomials)),
+                                       n)))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_BOUND_TABLES)
+def test_one_anf_lower_bound_matches_the_three_transform_formula(case):
+    num_vars, table = case
+    assert lower_bound(table, num_vars) == \
+        three_transform_lower_bound(table, num_vars)
 
 
 # ----------------------------------------------------------------------
-# the bound before the MFFC walk
+# the best case against pricing every cut
 # ----------------------------------------------------------------------
-def walk_first_select(self, xag, stats):
-    """``CutRewriter._select_candidates`` with every cut's MFFC walk run
-    before its lower-bound check (the oracle of the bound-first order).
-
-    Like selection it takes the whole MFFC as the saving of a cut whose
-    leaves miss the MFFC, and prices a cut only if its best case is
-    accepted and beats the incumbent."""
-    params = self.params
-    model = self._model()
-    cuts = self.cut_sets.cuts(xag)
-    selections = {}
-    cache = self.cut_cache
-    plan_hits_before = cache.plan_hits
-    plan_misses_before = cache.plan_misses
-    depth_aware = model.depth_aware
-    node_levels = self._levels(xag).levels() if depth_aware else None
-    allow_zero_gain = params.allow_zero_gain
-    min_gain = model.min_and_gain(allow_zero_gain)
-    kinds = xag._kind
-    skip_and_free = not model.examine_and_free_cones
-    for node in xag.gates():
-        stats.nodes_considered += 1
-        node_mffc = mffc(xag, node)
-        mffc_ands = sum(1 for n in node_mffc if kinds[n] == NodeKind.AND)
-        if min_gain and mffc_ands < min_gain:
-            continue
-        root_level = node_levels[node] if depth_aware else 0
-        best: Optional[Candidate] = None
-        best_key = None
-        for leaves, table, has_and in cuts[node]:
-            size = len(leaves)
-            if size < 2 or size > params.cut_size or node in leaves:
-                continue
-            if node_mffc.isdisjoint(leaves):
-                saved_ands, saved_gates = mffc_ands, len(node_mffc)
-            else:
-                saved_ands, saved_gates = rewrite_module.mffc_saving(
-                    xag, node, leaves, node_mffc)
-            if min_gain is not None and saved_ands < min_gain:
-                continue
-            if not saved_ands and skip_and_free and not has_and:
-                continue
-            leaf_levels = ([node_levels[leaf] for leaf in leaves]
-                           if depth_aware else None)
-            if min_gain is not None:
-                if cache.prunes(table, size, saved_ands - min_gain):
-                    continue
-                bound = cache.lower_bound(table, size)
-                best_case = Candidate(
-                    None, None, saved_ands - bound, saved_gates - bound,
-                    root_level - cache.level_bound(table, size, leaf_levels)
-                    if depth_aware else 0, root_level)
-                if not model.acceptable(best_case, allow_zero_gain) or (
-                        best_key is not None
-                        and model.key(best_case) <= best_key):
-                    continue
-            plan = cache.plan_for(table, size)
-            stats.candidates_evaluated += 1
-            gain_depth = 0
-            if depth_aware:
-                gain_depth = root_level - plan.and_level(leaf_levels)
-            candidate = Candidate(Cut(node, leaves, table, has_and), plan,
-                                  saved_ands - plan.num_ands,
-                                  saved_gates - plan.estimated_gates,
-                                  gain_depth, root_level)
-            if not model.acceptable(candidate, allow_zero_gain):
-                continue
-            key = model.key(candidate)
-            if best_key is None or key > best_key:
-                best = candidate
-                best_key = key
-        if best is not None:
-            selections[node] = best
-            stats.rewrites_selected += 1
-    stats.plan_cache_hits = cache.plan_hits - plan_hits_before
-    stats.plan_cache_misses = cache.plan_misses - plan_misses_before
-    return selections
-
-
 def price_every_cut_select(self, xag, stats):
-    """``CutRewriter._select_candidates`` pricing every cut the lower bound
-    keeps, each after its own saving walk (the oracle of the best-case
-    skip and of the walk-free saving)."""
+    """``CutRewriter._select_candidates`` walking every cut and pricing
+    each one whose saving minus the lower bound reaches the floor (the
+    oracle of the pre-walk check, the best-case skip and the walk-free
+    saving).  Each cut the bound rules out counts one ``plans_pruned``."""
     params = self.params
     model = self._model()
     cuts = self.cut_sets.cuts(xag)
@@ -269,38 +231,27 @@ def price_every_cut_select(self, xag, stats):
     plan_misses_before = cache.plan_misses
     depth_aware = model.depth_aware
     node_levels = self._levels(xag).levels() if depth_aware else None
-    allow_zero_gain = params.allow_zero_gain
-    min_gain = model.min_and_gain(allow_zero_gain)
-    kinds = xag._kind
+    min_gain = model.min_and_gain
     skip_and_free = not model.examine_and_free_cones
     for node in xag.gates():
         stats.nodes_considered += 1
         node_mffc = mffc(xag, node)
-        bound_first = False
-        if min_gain is not None:
-            mffc_ands = sum(1 for n in node_mffc
-                            if kinds[n] == NodeKind.AND)
-            if mffc_ands < min_gain:
-                continue
-            bound_first = min_gain <= 0 or (
-                min_gain == 1 and kinds[node] == NodeKind.AND)
-            budget = mffc_ands - min_gain
+        if min_gain is not None and \
+                sum(1 for n in node_mffc if xag.is_and(n)) < min_gain:
+            continue
         best: Optional[Candidate] = None
         best_key = None
         for leaves, table, has_and in cuts[node]:
             size = len(leaves)
             if size < 2 or size > params.cut_size or node in leaves:
-                continue
-            if bound_first and cache.prunes(table, size, budget):
                 continue
             saved_ands, saved_gates = rewrite_module.mffc_saving(
                 xag, node, leaves, node_mffc)
-            if min_gain is not None and saved_ands < min_gain:
-                continue
             if not saved_ands and skip_and_free and not has_and:
                 continue
-            if min_gain is not None and cache.prunes(
-                    table, size, saved_ands - min_gain):
+            if min_gain is not None and \
+                    saved_ands - cache.lower_bound(table, size) < min_gain:
+                cache.plans_pruned += 1
                 continue
             plan = cache.plan_for(table, size)
             stats.candidates_evaluated += 1
@@ -314,7 +265,7 @@ def price_every_cut_select(self, xag, stats):
                                   saved_ands - plan.num_ands,
                                   saved_gates - plan.estimated_gates,
                                   gain_depth, root_level)
-            if not model.acceptable(candidate, allow_zero_gain):
+            if not model.acceptable(candidate):
                 continue
             key = model.key(candidate)
             if best_key is None or key > best_key:
@@ -328,8 +279,7 @@ def price_every_cut_select(self, xag, stats):
     return selections
 
 
-def _run_recording_counts(xag, objective, allow_zero_gain, database,
-                          monkeypatch, select):
+def _run_recording_counts(xag, objective, database, monkeypatch, select):
     """The model's flow with ``select`` as the selection; per round: the
     selections and the cache counters, and the number of MFFC walks."""
     rounds = []
@@ -354,41 +304,17 @@ def _run_recording_counts(xag, objective, allow_zero_gain, database,
     with monkeypatch.context() as patch:
         patch.setattr(rewrite_module, "mffc_saving", counting_saving)
         patch.setattr(CutRewriter, "_select_candidates", recording)
-        params = RewriteParams(objective=objective,
-                               allow_zero_gain=allow_zero_gain)
-        run_pipeline(xag, standard_flow(objective), params=params,
+        run_pipeline(xag, standard_flow(objective),
+                     params=RewriteParams(objective=objective),
                      cut_cache=CutFunctionCache(database))
     return rounds, walks[0]
 
 
-_ORDER_MODELS = _MODELS + [pytest.param("size", False, id="size")]
-
-
-@pytest.mark.parametrize("objective, allow_zero_gain", _ORDER_MODELS)
-def test_bound_before_walk_keeps_every_selection_and_count(
-        objective, allow_zero_gain, database, monkeypatch):
-    networks = [build() for _, build in sorted(_CIRCUITS.items())]
-    networks += [seeded_xag(seed, num_pis=8, num_gates=60)
-                 for seed in range(10)]
-    walks = oracle_walks = 0
-    for xag in networks:
-        rounds, shipped = _run_recording_counts(
-            xag, objective, allow_zero_gain, database, monkeypatch, _SELECT)
-        oracle_rounds, oracle = _run_recording_counts(
-            xag, objective, allow_zero_gain, database, monkeypatch,
-            walk_first_select)
-        assert rounds == oracle_rounds, xag.name
-        assert shipped <= oracle
-        walks += shipped
-        oracle_walks += oracle
-    if objective in ("mc", "mc-depth"):
-        assert walks < oracle_walks
-    if objective == "size":
-        assert walks == oracle_walks
+_ORDER_MODELS = _MODELS + [pytest.param("size", id="size")]
 
 
 def test_and_free_cuts_have_affine_tables():
-    """The premise of the bound-first order under a floor of 0: a cut whose
+    """The merge's "AND in cone" bit agrees with the bound: a cut whose
     cone holds no AND has an affine table, so its lower bound is 0."""
     checked = 0
     for seed in range(12):
@@ -408,26 +334,30 @@ def _parity_networks():
                        for seed in range(10)]
 
 
-@pytest.mark.parametrize("objective, allow_zero_gain", _ORDER_MODELS)
+@pytest.mark.parametrize("objective", _ORDER_MODELS)
 def test_best_case_skip_keeps_every_selection_and_prices_less(
-        objective, allow_zero_gain, database, monkeypatch):
-    """Against pricing every surviving cut: the same selections and prunes
-    per round, never more lookups, plan misses or saving walks."""
+        objective, database, monkeypatch):
+    """Against walking and pricing every cut the bound keeps: the same
+    selections per round, never more lookups, plan misses or saving
+    walks, and every cut the oracle prices or prunes is priced or pruned
+    (``plans_pruned`` counts what either check rules out)."""
     lookups = oracle_lookups = walks = oracle_walks = 0
     for xag in _parity_networks():
         rounds, shipped = _run_recording_counts(
-            xag, objective, allow_zero_gain, database, monkeypatch, _SELECT)
+            xag, objective, database, monkeypatch, _SELECT)
         oracle_rounds, oracle = _run_recording_counts(
-            xag, objective, allow_zero_gain, database, monkeypatch,
-            price_every_cut_select)
+            xag, objective, database, monkeypatch, price_every_cut_select)
         assert len(rounds) == len(oracle_rounds), xag.name
+        pruned_before = oracle_pruned_before = 0
         for ours, theirs in zip(rounds, oracle_rounds):
             selected, priced, pruned, hits, misses = ours
             assert selected == theirs[0], xag.name
-            assert pruned == theirs[2], xag.name
             assert priced <= theirs[1], xag.name
+            assert priced + pruned - pruned_before == \
+                theirs[1] + theirs[2] - oracle_pruned_before, xag.name
             assert hits + misses <= theirs[3] + theirs[4], xag.name
             assert misses <= theirs[4], xag.name
+            pruned_before, oracle_pruned_before = pruned, theirs[2]
         assert shipped <= oracle, xag.name
         lookups += rounds[-1][3] + rounds[-1][4]
         oracle_lookups += oracle_rounds[-1][3] + oracle_rounds[-1][4]
@@ -449,15 +379,12 @@ def _example_cost_model(name):
     return getattr(module, name)()
 
 
-#: every model that states a floor, with the allow-zero-gain flag it runs
-#: under: each must keep ``acceptable`` and ``key`` monotone in the gains.
+#: every model that states a floor: each must refuse every AND gain below
+#: it and keep ``acceptable`` and ``key`` monotone in the gains.
 _FLOOR_MODELS = [
-    (McCost(), False), (McCost(), True), (McDepthCost(), False),
-    (McDepthCost(), True), (FheNoiseBudgetCost(), False),
-    (FheNoiseBudgetCost(level_cap=2), False),
-    (FheNoiseBudgetCost(level_cap=2), True),
-    (_example_cost_model("GarbledCircuitCost"), False),
-    (_example_cost_model("GarbledCircuitCost"), True),
+    McCost(), McDepthCost(), FheNoiseBudgetCost(),
+    FheNoiseBudgetCost(level_cap=2),
+    _example_cost_model("GarbledCircuitCost"),
 ]
 
 _GAIN = st.integers(-4, 4)
@@ -468,15 +395,17 @@ _RAISE = st.integers(0, 4)
 @given(st.tuples(_GAIN, _GAIN, _GAIN), st.tuples(_RAISE, _RAISE, _RAISE),
        st.integers(0, 6))
 def test_floor_models_are_monotone_in_the_gains(gains, raised, root_level):
-    """The best-case skip's premise: raising any gain never turns an
-    accepted candidate down nor lowers its key."""
+    """The pruning checks' premise: no AND gain below the floor is
+    accepted, and raising any gain never turns an accepted candidate down
+    nor lowers its key."""
     low = Candidate(None, None, *gains, root_level)
     high = Candidate(None, None,
                      *(g + r for g, r in zip(gains, raised)), root_level)
-    for model, allow_zero_gain in _FLOOR_MODELS:
-        assert model.min_and_gain(allow_zero_gain) is not None
-        if model.acceptable(low, allow_zero_gain):
-            assert model.acceptable(high, allow_zero_gain), model
+    for model in _FLOOR_MODELS:
+        assert model.min_and_gain is not None
+        if model.acceptable(low):
+            assert low.gain_ands >= model.min_and_gain, model
+            assert model.acceptable(high), model
         assert model.key(low) <= model.key(high), model
 
 

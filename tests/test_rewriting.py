@@ -98,14 +98,6 @@ def test_invalid_objective_rejected():
         rewriter.rewrite(full_adder_naive())
 
 
-def test_zero_gain_mode_reduces_gates_without_and_regression():
-    xag = full_adder_naive()
-    params = RewriteParams(cut_size=3, allow_zero_gain=True)
-    result = optimize(xag, params=params)
-    assert equivalent(xag, result.final)
-    assert result.final.num_ands <= 1 + 0  # still reaches the optimum
-
-
 def test_size_objective_reduces_total_gates():
     rng = random.Random(77)
     xag = random_xag(rng, num_pis=5, num_gates=45, and_bias=0.6)
